@@ -10,33 +10,30 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import ParamStore
-from .env import reset, state_features
+from .env import replay, reset
 from .graph import build_graph
 from .instance import GenConfig, Instance, generate_random
 from .oracle import branch_and_bound
-from .policy import decode_step, select_action
-from .rules import Rule, dispatch, optimality_gap
-from .trainer import EncoderCache, InstancePool, TrainConfig, rollout
+from .rules import Rule, dispatch, optimality_gap, select
+from .trainer import Trajectory, embed, rollout
 from .vge import ModelConfig
 
 PDR_METHODS = tuple(r.value for r in Rule)
 
 
+def _greedy(inst: Instance, store: ParamStore,
+            cfg: ModelConfig) -> tuple[np.ndarray, Trajectory]:
+    """Greedy decode conditioned on the latent mean; returns (mu, episode)."""
+    h_real, mu, _ = embed(build_graph(inst), store, cfg)
+    traj = rollout(inst, ad.Tensor(mu), ad.Tensor(h_real), store, cfg,
+                   "greedy", scale_q_flag=False)
+    return mu, traj
+
+
 def solve_with_model(inst: Instance, store: ParamStore, cfg: ModelConfig):
     """Greedy decode at the latent mean; returns (state, makespan)."""
-    from . import vge
-    from .vge import latent
-
-    graph = build_graph(inst)
-    h = vge.encode(graph, store, cfg)
-    sample = latent(h, store, cfg, eps=np.zeros(cfg.d_latent))
-    h_real = ad.Tensor(h.data[: inst.num_ops])
-    traj = rollout(inst, ad.Tensor(sample.mu.data), h_real, store, cfg,
-                   "greedy", scale_q_flag=False)
-    from .env import replay
-
-    st = replay(inst, traj.actions)
-    return st, traj.makespan
+    _, traj = _greedy(inst, store, cfg)
+    return replay(inst, traj.actions), traj.makespan
 
 
 def eval_bench(instances: dict[str, Instance], methods: list[str],
@@ -136,29 +133,12 @@ def pdr_similarity(count: int, n: int, m: int, seed: int,
     for idx in range(count):
         inst = generate_random(gen, rng)
         if rule is not None:
-            from .rules import select
-
             pick = lambda st: select(rule, st)
         else:
             if store is None or model_cfg is None:
                 raise ValueError("pdr_similarity needs a model or a rule")
-            from . import vge
-            from .vge import latent
-
-            graph = build_graph(inst)
-            h = vge.encode(graph, store, model_cfg)
-            sample = latent(h, store, model_cfg, eps=np.zeros(model_cfg.d_latent))
-            h_real = ad.Tensor(h.data[: inst.num_ops])
-            z = ad.Tensor(sample.mu.data)
-            prev_holder = {"prev": None}
-
-            def pick(st, z=z, h_real=h_real, holder=prev_holder):
-                out = decode_step(z, h_real, holder["prev"], state_features(st),
-                                  st.scheduled.copy(), st.available(), store, model_cfg)
-                action, _ = select_action(out.full, "greedy")
-                holder["prev"] = action
-                return action
-
+            actions = iter(_greedy(inst, store, model_cfg)[1].actions)
+            pick = lambda st: next(actions)
         rows.extend(_similarity_records(inst, pick, idx))
     return rows
 
@@ -167,20 +147,11 @@ def export_latents(instances: dict[str, Instance], store: ParamStore,
                    model_cfg: ModelConfig) -> list[dict]:
     """One row per instance: id, the latent mean coordinates, and the
     greedy-decode makespan (projection to 2-D is done externally)."""
-    from . import vge
-    from .vge import latent
-
     rows = []
     for name in sorted(instances):
-        inst = instances[name]
-        graph = build_graph(inst)
-        h = vge.encode(graph, store, model_cfg)
-        sample = latent(h, store, model_cfg, eps=np.zeros(model_cfg.d_latent))
-        h_real = ad.Tensor(h.data[: inst.num_ops])
-        traj = rollout(inst, ad.Tensor(sample.mu.data), h_real, store, model_cfg,
-                       "greedy", scale_q_flag=False)
+        mu, traj = _greedy(instances[name], store, model_cfg)
         row = {"instance": name}
-        for i, v in enumerate(sample.mu.data):
+        for i, v in enumerate(mu):
             row[f"mu_{i}"] = repr(float(v))
         row["greedy_cmax"] = traj.makespan
         rows.append(row)

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (eval_bench, export_latents, gantt_svg, pdr_similarity,
-                    solve_with_model, write_csv)
+from .bench import (PDR_METHODS, eval_bench, export_latents, gantt_svg,
+                    pdr_similarity, solve_with_model, write_csv)
 from .checkpoint import ParamStore, load_checkpoint, save_checkpoint
 from .env import replay, schedule_records
 from .instance import GenConfig, Instance, parse_orlib, parse_taillard, generate_random
@@ -22,6 +22,8 @@ from .rules import Rule, dispatch, improvement_rate, optimality_gap
 from .trainer import (ENCODER_SECTIONS, InstancePool, TrainConfig,
                       build_model, train_policy, train_representation)
 from .vge import ModelConfig
+
+METHODS = [*PDR_METHODS, "oracle", "vg2s"]
 
 
 def _seed_override(seed: int) -> int:
@@ -242,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance")
     p.add_argument("file")
     p.add_argument("--format", choices=["orlib", "taillard", "json"], default="orlib")
-    p.add_argument("--method", required=True,
-                   choices=[r.value for r in Rule] + ["oracle", "vg2s"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--model")
     p.add_argument("--config")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="benchmark evaluation report")
     p.add_argument("--dir", required=True)
     p.add_argument("--format", choices=["orlib", "taillard", "json"], default="orlib")
-    p.add_argument("--methods", nargs="+", required=True)
+    p.add_argument("--methods", nargs="+", required=True, choices=METHODS)
     p.add_argument("--ub-file", help="JSON mapping instance id -> best-known cmax")
     p.add_argument("--model")
     p.add_argument("--config")
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("similarity", help="dispatching-rule similarity traces")
     p.add_argument("--model")
-    p.add_argument("--rule", choices=[r.value for r in Rule])
+    p.add_argument("--rule", choices=PDR_METHODS)
     p.add_argument("--config")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--jobs", type=int, default=6)

@@ -106,12 +106,34 @@ def replay(inst: Instance, actions) -> ScheduleState:
     return st
 
 
-def _candidate_bound(st: ScheduleState, u: int) -> tuple[ScheduleState, bool]:
-    """Successor state of choosing u, plus whether u ends its job."""
-    j, k = divmod(u, st.inst.m)
+def _lookahead(st: ScheduleState, u: int):
+    """Successor state of choosing op u and the two lookahead lower-bound
+    terms in it: u's own term, zero when u ends its job, and the max of
+    that and the terms of the successor's available ops."""
+    inst = st.inst
+    m = inst.m
+    j, k = divmod(u, m)
+    i = inst.machine(j, k)
     nxt = st.copy()
     nxt.step(u)
-    return nxt, k == st.inst.m - 1
+    own = 0.0
+    if k != m - 1:
+        own = max(
+            nxt.machine_ready[i] + nxt.machine_remaining[i],
+            nxt.job_ready[j] + nxt.job_remaining[j],
+        )
+    best = own
+    for v in nxt.available():
+        jj, kk = divmod(v, m)
+        if kk == m - 1:
+            continue  # terminal op of its job: term defined as zero
+        ii = inst.machine(jj, kk)
+        term = max(
+            nxt.machine_ready[ii] + nxt.machine_remaining[ii],
+            nxt.job_ready[jj] + nxt.job_remaining[jj],
+        )
+        best = max(best, term)
+    return nxt, own, best
 
 
 def state_features(st: ScheduleState) -> np.ndarray:
@@ -139,27 +161,7 @@ def state_features(st: ScheduleState) -> np.ndarray:
         est = max(int(st.machine_ready[i]), int(st.job_ready[j]))
         raw[idx, 0] = est
         raw[idx, 1] = est + p
-
-        nxt, terminal = _candidate_bound(st, u)
-        own = 0.0
-        if not terminal:
-            own = max(
-                nxt.machine_ready[i] + nxt.machine_remaining[i],
-                nxt.job_ready[j] + nxt.job_remaining[j],
-            )
-        raw[idx, 2] = own
-        best = own
-        for v in nxt.available():
-            jj, kk = divmod(v, m)
-            if kk == m - 1:
-                continue  # terminal op of its job: term defined as zero
-            ii = inst.machine(jj, kk)
-            term = max(
-                nxt.machine_ready[ii] + nxt.machine_remaining[ii],
-                nxt.job_ready[jj] + nxt.job_remaining[jj],
-            )
-            best = max(best, term)
-        raw[idx, 3] = best
+        nxt, raw[idx, 2], raw[idx, 3] = _lookahead(st, u)
 
         completed = nxt.next_op.astype(np.float64)
         raw[idx, 4] = completed.max() / m
@@ -176,30 +178,7 @@ def state_features(st: ScheduleState) -> np.ndarray:
 
 def raw_lookahead_bounds(st: ScheduleState, u: int) -> tuple[float, float]:
     """Unnormalized candidate/best lower-bound terms for op u (test hook)."""
-    inst = st.inst
-    m = inst.m
-    j, k = divmod(u, m)
-    i = inst.machine(j, k)
-    nxt, terminal = _candidate_bound(st, u)
-    own = 0.0
-    if not terminal:
-        own = max(
-            nxt.machine_ready[i] + nxt.machine_remaining[i],
-            nxt.job_ready[j] + nxt.job_remaining[j],
-        )
-    best = own
-    for v in nxt.available():
-        jj, kk = divmod(v, m)
-        if kk == m - 1:
-            continue
-        ii = inst.machine(jj, kk)
-        best = max(
-            best,
-            max(
-                nxt.machine_ready[ii] + nxt.machine_remaining[ii],
-                nxt.job_ready[jj] + nxt.job_remaining[jj],
-            ),
-        )
+    _, own, best = _lookahead(st, u)
     return float(own), float(best)
 
 

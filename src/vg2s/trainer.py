@@ -131,7 +131,6 @@ def train_representation(cfg: TrainConfig, model_cfg: ModelConfig,
 class Trajectory:
     actions: list[int]
     log_probs: list[float]
-    avail_masks: list[np.ndarray]
     makespan: int
     q: float
     log_prob_total: ad.Tensor | None = None
@@ -152,10 +151,8 @@ def rollout(inst: Instance, z: ad.Tensor, h_real: ad.Tensor,
     st = reset(inst)
     actions: list[int] = []
     log_probs: list[float] = []
-    masks: list[np.ndarray] = []
     lp_terms = []
     prev = None
-    num_ops = inst.num_ops
     while not st.done:
         avail = st.available()
         feats = state_features(st)
@@ -164,9 +161,6 @@ def rollout(inst: Instance, z: ad.Tensor, h_real: ad.Tensor,
         action, lp = select_action(step_out.full, mode, rng)
         if taped:
             lp_terms.append(step_out.log_prob(action))
-        mask = np.zeros(num_ops, dtype=bool)
-        mask[avail] = True
-        masks.append(mask)
         actions.append(action)
         log_probs.append(lp)
         st.step(action)
@@ -180,7 +174,6 @@ def rollout(inst: Instance, z: ad.Tensor, h_real: ad.Tensor,
     return Trajectory(
         actions=actions,
         log_probs=log_probs,
-        avail_masks=masks,
         makespan=c_max,
         q=scaled_q(inst, c_max, scale_q_flag),
         log_prob_total=total,
@@ -210,6 +203,16 @@ def critic_loss(values: list[ad.Tensor], targets: list[float]) -> ad.Tensor:
     return ad.mul(total, 1.0 / len(values))
 
 
+def embed(graph: HeteroGraph, store: ParamStore,
+          model_cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frozen-encoder outputs of one instance as plain arrays: the real-node
+    embeddings and the latent (mu, sigma), evaluated at eps = 0."""
+    h = vge.encode(graph, store, model_cfg)
+    sample = latent(h, store, model_cfg, eps=np.zeros(model_cfg.d_latent))
+    return (h.data[: graph.instance.num_ops].copy(), sample.mu.data.copy(),
+            sample.sigma.data.copy())
+
+
 class EncoderCache:
     """Frozen-encoder outputs per pool generation: real-node embeddings and
     the latent (mu, sigma) of every instance, computed without a tape."""
@@ -220,12 +223,7 @@ class EncoderCache:
         self.entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def rebuild(self, pool: InstancePool):
-        self.entries = []
-        for graph in pool.graphs:
-            h = vge.encode(graph, self.store, self.model_cfg)
-            sample = latent(h, self.store, self.model_cfg, eps=np.zeros(self.model_cfg.d_latent))
-            h_real = h.data[: graph.instance.num_ops].copy()
-            self.entries.append((h_real, sample.mu.data.copy(), sample.sigma.data.copy()))
+        self.entries = [embed(graph, self.store, self.model_cfg) for graph in pool.graphs]
 
     def draw(self, idx: int, rng: np.random.Generator):
         h_real, mu, sigma = self.entries[idx]
@@ -236,8 +234,7 @@ class EncoderCache:
 
 def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
                  pool: InstancePool, rng: np.random.Generator,
-                 log_every: int = 1,
-                 eval_greedy: bool = False) -> LossReport:
+                 log_every: int = 1) -> LossReport:
     """Phase 2: the encoder/latent/decoder sections are read-only; per
     epoch, B sampled rollouts feed one ascent step on the policy and one
     descent step on the critic."""
@@ -284,16 +281,3 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
                           float(np.mean(cmaxes)))
     return report
 
-
-def greedy_mean_makespan(store: ParamStore, model_cfg: ModelConfig,
-                         pool: InstancePool) -> float:
-    """Greedy-decode every pool instance at the latent mean (eps = 0)."""
-    cache = EncoderCache(store, model_cfg)
-    cache.rebuild(pool)
-    totals = []
-    for idx, inst in enumerate(pool.instances):
-        h_real, mu, _ = cache.entries[idx]
-        traj = rollout(inst, ad.Tensor(mu), ad.Tensor(h_real), store, model_cfg,
-                       "greedy", scale_q_flag=False)
-        totals.append(traj.makespan)
-    return float(np.mean(totals))

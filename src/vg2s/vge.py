@@ -29,7 +29,6 @@ class ModelConfig:
     appnp_iters: int = 3
     appnp_teleport: float = 0.1
     residual: bool = True
-    batch_norm: bool = False
     canvas_jobs: int = 9
     canvas_machines: int = 9
     conv_channels: int = 256
@@ -73,9 +72,6 @@ def build_encoder_params(store: ParamStore, cfg: ModelConfig, rng) -> None:
             store.add(f"{tag}.a1", glorot(rng, cfg.d_latent, 1, shape=(cfg.d_latent,)))
             store.add(f"{tag}.a2", glorot(rng, cfg.d_latent, 1, shape=(cfg.d_latent,)))
     add_linear(store, "encoder.proj", 3 * cfg.n_heads * cfg.d_latent, cfg.d_latent, rng)
-    if cfg.batch_norm:
-        store.add("encoder.bn.gamma", np.ones(cfg.d_latent))
-        store.add("encoder.bn.beta", np.zeros(cfg.d_latent))
     add_mlp(store, "latent.shared", cfg.d_latent, 2 * cfg.d_latent, 2 * cfg.d_latent, rng)
     add_linear(store, "latent.mu", cfg.d_latent, cfg.d_latent, rng)
     add_linear(store, "latent.sigma", cfg.d_latent, cfg.d_latent, rng)
@@ -137,8 +133,6 @@ def encode(graph: HeteroGraph, store: ParamStore, cfg: ModelConfig) -> ad.Tensor
         )
     if cfg.residual:
         h = ad.add(h, h_proj)
-    if cfg.batch_norm:
-        h = ad.batch_norm(h, store["encoder.bn.gamma"], store["encoder.bn.beta"])
     return h
 
 

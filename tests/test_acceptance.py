@@ -269,10 +269,12 @@ def test_criterion_07_phase2_learning():
                             lr_policy=1e-3, seed=7)
     pool = InstancePool(train_cfg, rng, frozen=frozen)
     store = build_model(cfg, seed=7)
-    from vg2s.trainer import greedy_mean_makespan
-    before = greedy_mean_makespan(store, cfg, pool)
+    def greedy_mean_makespan():
+        return float(np.mean([solve_with_model(inst, store, cfg)[1]
+                              for inst in pool.instances]))
+    before = greedy_mean_makespan()
     train_policy(train_cfg, cfg, store, pool, rng)
-    after = greedy_mean_makespan(store, cfg, pool)
+    after = greedy_mean_makespan()
     improvement = 100.0 * (before - after) / before
     elapsed = time.time() - start
     assert elapsed < 3600

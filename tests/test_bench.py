@@ -4,12 +4,15 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vg2s.bench import (eval_bench, export_latents, gantt_svg, pdr_similarity,
                         solve_with_model, write_csv)
 from vg2s.env import replay
+from vg2s.instance import GenConfig, generate_random
 from vg2s.rules import Rule
-from vg2s.trainer import TrainConfig, build_model
+from vg2s.trainer import EncoderCache, InstancePool, TrainConfig, build_model
 
 
 class TestEvalBench:
@@ -108,6 +111,26 @@ class TestExportLatents:
         assert row["greedy_cmax"] in (7, 11)
         # mu coordinates serialize losslessly
         assert float(row["mu_0"]) == float(row["mu_0"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), model_seed=st.integers(0, 100))
+def test_export_latents_matches_cache_and_solve(tiny_cfg, seed, model_seed):
+    """Latent export, the phase-2 encoder cache and the greedy solver agree
+    bit for bit on each instance's latent mean and greedy makespan."""
+    rng = np.random.default_rng(seed)
+    gen = GenConfig(m_lo=2, m_hi=3, n_hi=4)
+    instances = {f"inst{k}": generate_random(gen, rng) for k in range(3)}
+    store = build_model(tiny_cfg, seed=model_seed)
+    rows = export_latents(instances, store, tiny_cfg)
+    pool = InstancePool(TrainConfig(), rng,
+                        frozen=[instances[name] for name in sorted(instances)])
+    cache = EncoderCache(store, tiny_cfg)
+    cache.rebuild(pool)
+    assert [row["instance"] for row in rows] == sorted(instances)
+    for row, inst, (_, mu, _) in zip(rows, pool.instances, cache.entries):
+        assert [float(row[f"mu_{i}"]) for i in range(tiny_cfg.d_latent)] == mu.tolist()
+        assert row["greedy_cmax"] == solve_with_model(inst, store, tiny_cfg)[1]
 
 
 class TestGantt:

@@ -146,6 +146,18 @@ class TestEval:
         assert by_method["fifo"]["cmax"] == "65"
         assert by_method["mwkr"]["cmax"] == "61"
 
+    def test_unknown_method_rejected_before_running(self, tmp_path, ft06_file, capsys):
+        d = tmp_path / "bench"
+        d.mkdir()
+        (d / "ft06.txt").write_text(open(ft06_file).read())
+        out = tmp_path / "report.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--dir", str(d), "--methods", "fifo", "mwrk",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mwrk'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimilarityAndLatents:
     def test_similarity_rule(self, tmp_path, capsys):

@@ -153,3 +153,20 @@ def test_random_rollout_invariants(seed):
         steps += 1
     assert steps == inst.num_ops
     assert st_.makespan() >= inst.load_lower_bound()
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_lookahead_features_match_raw_bounds(seed):
+    """Columns 2-3 of state_features are the raw lookahead bounds divided by
+    their max over the available ops, at every state of a random rollout."""
+    rng = np.random.default_rng(seed)
+    inst = generate_random(GenConfig(m_lo=1, m_hi=4, n_hi=5), rng)
+    st_ = reset(inst)
+    while not st_.done:
+        avail = st_.available()
+        raw = np.array([raw_lookahead_bounds(st_, u) for u in avail])
+        top = raw.max(axis=0)
+        expected = raw / np.where(top > 0, top, 1.0)
+        np.testing.assert_array_equal(state_features(st_)[avail, 2:4], expected)
+        st_.step(int(rng.choice(avail)))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from vg2s import autodiff as ad
+from vg2s.bench import solve_with_model
 from vg2s.checkpoint import ParamStore
 from vg2s.env import replay
 from vg2s.instance import GenConfig, generate_random
 from vg2s.trainer import (ENCODER_SECTIONS, EncoderCache, InstancePool,
-                          TrainConfig, build_model, greedy_mean_makespan,
-                          rollout, scaled_q, train_policy,
-                          train_representation)
+                          TrainConfig, build_model, rollout, scaled_q,
+                          train_policy, train_representation)
 
 
 @pytest.fixture()
@@ -165,5 +165,6 @@ class TestGreedyEval:
         insts = [generate_random(gen, rng) for _ in range(3)]
         pool = InstancePool(TrainConfig(), rng, frozen=insts)
         store = build_model(tiny_cfg, seed=0)
-        mean = greedy_mean_makespan(store, tiny_cfg, pool)
+        mean = np.mean([solve_with_model(inst, store, tiny_cfg)[1]
+                        for inst in pool.instances])
         assert mean >= np.mean([i.load_lower_bound() for i in insts])
