@@ -14,7 +14,7 @@ import numpy as np
 
 from .bench import (PDR_METHODS, eval_bench, export_latents, gantt_svg,
                     pdr_similarity, solve_with_model, write_csv)
-from .checkpoint import ParamStore, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .env import replay, schedule_records
 from .instance import GenConfig, Instance, parse_orlib, parse_taillard, generate_random
 from .oracle import DEFAULT_BUDGET, branch_and_bound
@@ -32,13 +32,17 @@ def _seed_override(seed: int) -> int:
 
 
 def load_configs(path: str | None) -> tuple[TrainConfig, ModelConfig]:
-    """Read {"train": {...}, "model": {...}} JSON; missing keys keep defaults."""
-    raw = {}
-    if path:
+    """Read {"train": {...}, "model": {...}} JSON; missing keys keep defaults.
+    Malformed JSON, an unknown key or an out-of-range value ends the program
+    with one error line and exit status 2."""
+    if not path:
+        return TrainConfig(), ModelConfig()
+    try:
         raw = json.loads(Path(path).read_text())
-    train = TrainConfig(**raw.get("train", {}))
-    model = ModelConfig(**raw.get("model", {}))
-    return train, model
+        return TrainConfig(**raw.get("train", {})), ModelConfig(**raw.get("model", {}))
+    except (TypeError, ValueError) as exc:
+        print(f"vg2s: error: config {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _load_instance(path: str, fmt: str) -> Instance:

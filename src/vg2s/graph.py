@@ -1,9 +1,9 @@
 """Heterogeneous-graph view of an instance: static node features and the
-precedence / successor / machine-sharing edge sets, with source/sink dummies."""
+precedence / successor / machine-sharing adjacency, with source/sink dummies."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,28 +16,19 @@ class HeteroGraph:
 
     Node u = j*m + k is the k-th operation of job j; the last two nodes are
     the source and sink dummies.  features is N_O x 6 with all entries in
-    [0, 1].  Each edge set maps node -> tuple of neighbor nodes; every
-    neighborhood is nonempty (self-loops fill gaps) so attention softmaxes
-    are always well defined.
+    [0, 1].  adj is the 3 x N_O x N_O boolean adjacency of the precedence,
+    successor and machine-sharing edge types; adj[e, u, v] means v is a
+    neighbor of u.  Every row is nonempty (self-loops fill gaps) so
+    attention softmaxes are always well defined.
     """
 
     instance: Instance
     features: np.ndarray
-    edges_prec: tuple[tuple[int, ...], ...]
-    edges_succ: tuple[tuple[int, ...], ...]
-    edges_share: tuple[tuple[int, ...], ...]
-    source_id: int
-    sink_id: int
+    adj: np.ndarray
 
     @property
     def node_count(self) -> int:
         return self.instance.num_ops + 2
-
-    def op_node(self, j: int, k: int) -> int:
-        return j * self.instance.m + k
-
-    def node_op(self, u: int) -> tuple[int, int]:
-        return divmod(u, self.instance.m)
 
 
 def static_features(inst: Instance) -> np.ndarray:
@@ -53,83 +44,49 @@ def static_features(inst: Instance) -> np.ndarray:
     Source row is all zeros; sink row is (0, 0, 1, 1, 1, 0).
     """
     n, m = inst.n, inst.m
-    job_totals = np.array([inst.job_total(j) for j in range(n)], dtype=np.float64)
-    mach_totals = np.array([inst.machine_total(i) for i in range(m)], dtype=np.float64)
-    max_job_total = job_totals.max()
-
+    ops = np.array(inst.ops, dtype=np.int64)  # n x m x (machine, duration)
+    mach = ops[..., 0]
+    p = ops[..., 1].astype(np.float64)
+    # Integer-valued sums are exact in float64, so summation order is moot.
+    job_totals = p.sum(axis=1, keepdims=True)
+    mach_totals = np.bincount(mach.ravel(), weights=p.ravel(), minlength=m)
+    cols = (
+        p / job_totals,
+        p / p.max(axis=1, keepdims=True),
+        p / mach_totals[mach],
+        np.cumsum(p, axis=1) / job_totals,
+        np.broadcast_to(np.arange(1, m + 1) / m, (n, m)),
+        np.broadcast_to(job_totals / job_totals.max(), (n, m)),
+    )
     x = np.zeros((n * m + 2, 6), dtype=np.float64)
-    for j in range(n):
-        durs = np.array([p for _, p in inst.ops[j]], dtype=np.float64)
-        prefix = np.cumsum(durs)
-        for k in range(m):
-            mi, p = inst.ops[j][k]
-            u = j * m + k
-            x[u, 0] = p / job_totals[j]
-            x[u, 1] = p / durs.max()
-            x[u, 2] = p / mach_totals[mi]
-            x[u, 3] = prefix[k] / job_totals[j]
-            x[u, 4] = (k + 1) / m
-            x[u, 5] = job_totals[j] / max_job_total
+    x[: n * m] = np.stack(cols, axis=-1).reshape(n * m, 6)
     x[n * m + 1] = (0.0, 0.0, 1.0, 1.0, 1.0, 0.0)  # sink; source row stays zero
     return x
 
 
-def build_edges(inst: Instance):
-    """Adjacency lists for the three edge sets over the n*m + 2 node graph.
+def build_graph(inst: Instance) -> HeteroGraph:
+    """Features and typed adjacency over the n*m + 2 node graph.
 
     Precedence: each op's single predecessor (the source for first ops).
     Successor: each op's single successor (the sink for last ops).
     Machine-sharing: all other real ops on the same machine; a node with no
-    sharing partner gets a self-loop instead.  Dummies are self-looped in
-    all three sets.
+    sharing partner (n = 1) gets a self-loop instead.  Dummies are
+    self-looped in all three types.
     """
     n, m = inst.n, inst.m
     num = n * m
     source, sink = num, num + 1
-    by_machine: dict[int, list[int]] = {i: [] for i in range(m)}
-    for j in range(n):
-        for k in range(m):
-            by_machine[inst.machine(j, k)].append(j * m + k)
-
-    prec: list[tuple[int, ...]] = []
-    succ: list[tuple[int, ...]] = []
-    share: list[tuple[int, ...]] = []
-    for j in range(n):
-        for k in range(m):
-            u = j * m + k
-            prec.append((u - 1,) if k > 0 else (source,))
-            succ.append((u + 1,) if k < m - 1 else (sink,))
-            peers = tuple(v for v in by_machine[inst.machine(j, k)] if v != u)
-            share.append(peers if peers else (u,))
-    for d in (source, sink):
-        prec.append((d,))
-        succ.append((d,))
-        share.append((d,))
-    return tuple(prec), tuple(succ), tuple(share)
-
-
-def build_graph(inst: Instance) -> HeteroGraph:
-    e1, e2, e3 = build_edges(inst)
-    return HeteroGraph(
-        instance=inst,
-        features=static_features(inst),
-        edges_prec=e1,
-        edges_succ=e2,
-        edges_share=e3,
-        source_id=inst.num_ops,
-        sink_id=inst.num_ops + 1,
-    )
-
-
-def adjacency_matrices(graph: HeteroGraph) -> np.ndarray:
-    """Stack of three boolean N_O x N_O adjacency matrices (prec, succ, share)."""
-    n_nodes = graph.node_count
-    adj = np.zeros((3, n_nodes, n_nodes), dtype=bool)
-    for e, edges in enumerate((graph.edges_prec, graph.edges_succ, graph.edges_share)):
-        for u, nbrs in enumerate(edges):
-            for v in nbrs:
-                adj[e, u, v] = True
-    return adj
+    u = np.arange(num)
+    k = u % m
+    adj = np.zeros((3, num + 2, num + 2), dtype=bool)
+    adj[0, u, np.where(k > 0, u - 1, source)] = True
+    adj[1, u, np.where(k < m - 1, u + 1, sink)] = True
+    mach = np.array(inst.ops)[..., 0].ravel()
+    share = mach[:, None] == mach[None, :]
+    np.fill_diagonal(share, n == 1)
+    adj[2, :num, :num] = share
+    adj[:, [source, sink], [source, sink]] = True
+    return HeteroGraph(instance=inst, features=static_features(inst), adj=adj)
 
 
 def reconstruction_targets(graph: HeteroGraph, canvas: int):
@@ -142,9 +99,5 @@ def reconstruction_targets(graph: HeteroGraph, canvas: int):
     node_t = np.zeros((canvas, 6), dtype=np.float64)
     node_t[:num] = graph.features[:num]
     edge_t = np.zeros((canvas, canvas, 3), dtype=np.float64)
-    for e, edges in enumerate((graph.edges_prec, graph.edges_succ, graph.edges_share)):
-        for u in range(num):
-            for v in edges[u]:
-                if v < num:
-                    edge_t[u, v, e] = 1.0
+    edge_t[:num, :num] = graph.adj[:, :num, :num].transpose(1, 2, 0)
     return node_t, edge_t

@@ -99,15 +99,14 @@ def build_model(cfg: ModelConfig, seed: int) -> ParamStore:
     return store
 
 
-def _sgd_step(params, lr: float, sign: float = -1.0):
+def _sgd_step(params, lr: float):
     for p in params:
-        p.data += sign * lr * p.grad
+        p.data -= lr * p.grad
 
 
 def train_representation(cfg: TrainConfig, model_cfg: ModelConfig,
                          store: ParamStore, pool: InstancePool,
-                         rng: np.random.Generator,
-                         log_every: int = 1) -> LossReport:
+                         rng: np.random.Generator) -> LossReport:
     """Phase 1: per epoch, sample one instance, sample z, reconstruct, and
     take one gradient step on the encoder, latent, and generative params."""
     params = [p for s in ENCODER_SECTIONS for p in store.section(s)]
@@ -116,14 +115,17 @@ def train_representation(cfg: TrainConfig, model_cfg: ModelConfig,
         pool.refresh(epoch)
         graph = pool.graphs[pool.sample()]
         ad.zero_grad(params)
-        with ad.Tape():
+        with ad.Tape() as tape:
             loss, parts = representation_loss(graph, store, model_cfg, rng)
         if not np.isfinite(parts["total"]):
             raise TrainingDiverged(f"non-finite representation loss at epoch {epoch}")
         ad.backward(loss)
         _sgd_step(params, cfg.lr_repr)
-        if epoch % log_every == 0:
-            report.append(epoch, parts["kl"], parts["node"], parts["edge"], parts["total"])
+        # A tape and its tensors form a reference cycle; break it so the
+        # epoch's activations are freed by reference counting, not whenever
+        # the cyclic collector next runs.
+        tape.nodes.clear()
+        report.append(epoch, parts["kl"], parts["node"], parts["edge"], parts["total"])
     return report
 
 
@@ -233,13 +235,12 @@ class EncoderCache:
 
 
 def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
-                 pool: InstancePool, rng: np.random.Generator,
-                 log_every: int = 1) -> LossReport:
+                 pool: InstancePool, rng: np.random.Generator) -> LossReport:
     """Phase 2: the encoder/latent/decoder sections are read-only; per
-    epoch, B sampled rollouts feed one ascent step on the policy and one
-    descent step on the critic."""
-    policy_params = store.section("policy.")
-    critic_params = store.section("critic.")
+    epoch, B sampled rollouts feed one descent step on critic loss minus
+    policy objective, which ascends the policy and descends the critic
+    (the two losses share no parameter)."""
+    params = store.section("policy.") + store.section("critic.")
     cache = EncoderCache(store, model_cfg)
     pool.refresh(1)
     cache.rebuild(pool)
@@ -270,14 +271,10 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
             l_cr = critic_loss(values, targets)
             if not (np.isfinite(l_pol.data) and np.isfinite(l_cr.data)):
                 raise TrainingDiverged(f"non-finite policy/critic loss at epoch {epoch}")
-            ad.zero_grad(policy_params)
-            ad.backward(l_pol)
-            _sgd_step(policy_params, cfg.lr_policy, sign=+1.0)  # ascent
-            ad.zero_grad(critic_params)
-            ad.backward(l_cr)
-            _sgd_step(critic_params, cfg.lr_policy, sign=-1.0)
-        if epoch % log_every == 0:
-            report.append(epoch, float(l_pol.data), float(l_cr.data),
-                          float(np.mean(cmaxes)))
+            ad.zero_grad(params)
+            ad.backward(ad.sub(l_cr, l_pol))
+            _sgd_step(params, cfg.lr_policy)
+        report.append(epoch, float(l_pol.data), float(l_cr.data),
+                      float(np.mean(cmaxes)))
     return report
 

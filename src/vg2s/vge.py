@@ -5,13 +5,13 @@ generative head with its reconstruction / divergence losses."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import ParamStore
-from .graph import HeteroGraph, adjacency_matrices, reconstruction_targets
+from .graph import HeteroGraph, reconstruction_targets
 from .nnutil import add_linear, add_mlp, glorot, linear, mlp
 
 SIGMA_FLOOR = 1e-5
@@ -96,7 +96,7 @@ def _union_propagation(graph: HeteroGraph) -> np.ndarray:
     """Row-normalized union adjacency (all three edge sets plus self loops)
     used by the smoothing iteration."""
     n = graph.node_count
-    adj = adjacency_matrices(graph).any(axis=0) | np.eye(n, dtype=bool)
+    adj = graph.adj.any(axis=0) | np.eye(n, dtype=bool)
     mat = adj.astype(np.float64)
     return mat / mat.sum(axis=1, keepdims=True)
 
@@ -106,7 +106,6 @@ def encode(graph: HeteroGraph, store: ParamStore, cfg: ModelConfig) -> ad.Tensor
     a shared projection, and teleport-smoothed aggregation."""
     x = ad.Tensor(graph.features)
     h_embed = mlp(store, "encoder.embed", x)
-    adj = adjacency_matrices(graph)
     n = graph.node_count
 
     per_type = []
@@ -118,7 +117,7 @@ def encode(graph: HeteroGraph, store: ParamStore, cfg: ModelConfig) -> ad.Tensor
             s1 = ad.matmul(h_lin, ad.reshape(store[f"{tag}.a1"], (cfg.d_latent, 1)))
             s2 = ad.matmul(h_lin, ad.reshape(store[f"{tag}.a2"], (cfg.d_latent, 1)))
             scores = ad.leaky_relu(ad.add(s1, ad.reshape(s2, (1, n))))
-            alpha = ad.masked_softmax(scores, adj[e], axis=1)
+            alpha = ad.masked_softmax(scores, graph.adj[e], axis=1)
             heads.append(ad.elu(ad.matmul(alpha, h_lin)))
         per_type.append(ad.concat(heads, axis=1))
     combined = ad.concat(per_type, axis=1)

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
-import pytest
 
 from vg2s import autodiff as ad
 from vg2s.autodiff import grad_check
@@ -26,11 +23,10 @@ from vg2s.env import reset, state_features
 from vg2s.graph import build_graph, reconstruction_targets
 from vg2s.instance import GenConfig, generate_random
 from vg2s.oracle import branch_and_bound, enumerate_all
-from vg2s.policy import (build_critic_params, build_policy_params,
-                         critic_value, decode_step)
+from vg2s.policy import build_critic_params, build_policy_params, decode_step
 from vg2s.rules import Rule, dispatch, improvement_rate, optimality_gap
-from vg2s.trainer import (InstancePool, TrainConfig, build_model, rollout,
-                          train_policy, train_representation)
+from vg2s.trainer import (InstancePool, TrainConfig, build_model, train_policy,
+                          train_representation)
 from vg2s.vge import (ModelConfig, build_decoder_params, build_encoder_params,
                       decode, encode, kl_loss, latent, recon_loss)
 

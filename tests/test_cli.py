@@ -130,6 +130,24 @@ class TestTrainPipeline:
                      "--checkpoint", str(tmp_path / "x.ckpt")]) == 2
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("raw, key", [
+        ({"model": {"batch_norm": True}}, "batch_norm"),   # unknown key
+        ({"train": {"repr_epochs": 0}}, "repr_epochs"),    # out of range
+    ])
+    def test_one_line_error_and_exit_2(self, tmp_path, capsys, raw, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        ckpt = tmp_path / "x.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(["train-repr", "--config", str(cfg), "--checkpoint", str(ckpt)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vg2s: error: ") and err.count("\n") == 1
+        assert str(cfg) in err and key in err
+        assert not ckpt.exists()
+
+
 class TestEval:
     def test_csv_report(self, tmp_path, ft06_file, capsys):
         d = tmp_path / "bench"

@@ -2,10 +2,115 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from vg2s.graph import (adjacency_matrices, build_edges, build_graph,
-                        reconstruction_targets, static_features)
+from vg2s.graph import build_graph, reconstruction_targets, static_features
 from vg2s.instance import Instance
+
+
+def ref_static_features(inst: Instance) -> np.ndarray:
+    """Loop reference for static_features."""
+    n, m = inst.n, inst.m
+    job_totals = np.array([inst.job_total(j) for j in range(n)], dtype=np.float64)
+    mach_totals = np.array([inst.machine_total(i) for i in range(m)], dtype=np.float64)
+    max_job_total = job_totals.max()
+
+    x = np.zeros((n * m + 2, 6), dtype=np.float64)
+    for j in range(n):
+        durs = np.array([p for _, p in inst.ops[j]], dtype=np.float64)
+        prefix = np.cumsum(durs)
+        for k in range(m):
+            mi, p = inst.ops[j][k]
+            u = j * m + k
+            x[u, 0] = p / job_totals[j]
+            x[u, 1] = p / durs.max()
+            x[u, 2] = p / mach_totals[mi]
+            x[u, 3] = prefix[k] / job_totals[j]
+            x[u, 4] = (k + 1) / m
+            x[u, 5] = job_totals[j] / max_job_total
+    x[n * m + 1] = (0.0, 0.0, 1.0, 1.0, 1.0, 0.0)
+    return x
+
+
+def ref_edges(inst: Instance):
+    """Loop reference: (prec, succ, share) neighbor tuples per node."""
+    n, m = inst.n, inst.m
+    num = n * m
+    source, sink = num, num + 1
+    by_machine: dict[int, list[int]] = {i: [] for i in range(m)}
+    for j in range(n):
+        for k in range(m):
+            by_machine[inst.machine(j, k)].append(j * m + k)
+
+    prec, succ, share = [], [], []
+    for j in range(n):
+        for k in range(m):
+            u = j * m + k
+            prec.append((u - 1,) if k > 0 else (source,))
+            succ.append((u + 1,) if k < m - 1 else (sink,))
+            peers = tuple(v for v in by_machine[inst.machine(j, k)] if v != u)
+            share.append(peers if peers else (u,))
+    for d in (source, sink):
+        prec.append((d,))
+        succ.append((d,))
+        share.append((d,))
+    return tuple(prec), tuple(succ), tuple(share)
+
+
+def ref_adjacency(inst: Instance) -> np.ndarray:
+    n_nodes = inst.num_ops + 2
+    adj = np.zeros((3, n_nodes, n_nodes), dtype=bool)
+    for e, edges in enumerate(ref_edges(inst)):
+        for u, nbrs in enumerate(edges):
+            for v in nbrs:
+                adj[e, u, v] = True
+    return adj
+
+
+def ref_edge_targets(inst: Instance, canvas: int) -> np.ndarray:
+    num = inst.num_ops
+    edge_t = np.zeros((canvas, canvas, 3), dtype=np.float64)
+    for e, edges in enumerate(ref_edges(inst)):
+        for u in range(num):
+            for v in edges[u]:
+                if v < num:
+                    edge_t[u, v, e] = 1.0
+    return edge_t
+
+
+def nbrs(graph, e: int, u: int) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(graph.adj[e, u]).tolist())
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 9))
+    jobs = []
+    for _ in range(n):
+        machines = draw(st.permutations(range(m)))
+        durs = draw(st.lists(st.integers(1, 10_000), min_size=m, max_size=m))
+        jobs.append(tuple(zip(machines, durs)))
+    return Instance(n=n, m=m, ops=tuple(jobs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=instances())
+@example(inst=Instance(n=1, m=1, ops=(((0, 5),),)))
+@example(inst=Instance(n=1, m=4, ops=(((2, 1), (0, 7), (3, 7), (1, 2)),)))
+@example(inst=Instance(n=3, m=1, ops=(((0, 4),), ((0, 4),), ((0, 9),))))
+def test_build_graph_matches_loop_reference(inst):
+    graph = build_graph(inst)
+    ref_x = ref_static_features(inst)
+    assert graph.features.dtype == ref_x.dtype
+    assert graph.features.tobytes() == ref_x.tobytes()
+    assert graph.adj.dtype == bool
+    np.testing.assert_array_equal(graph.adj, ref_adjacency(inst))
+    canvas = inst.num_ops + 3
+    node_t, edge_t = reconstruction_targets(graph, canvas)
+    assert edge_t.tobytes() == ref_edge_targets(inst, canvas).tobytes()
+    assert node_t[: inst.num_ops].tobytes() == ref_x[: inst.num_ops].tobytes()
 
 
 class TestStaticFeatures:
@@ -46,45 +151,43 @@ class TestStaticFeatures:
 
 class TestEdges:
     def test_single_op(self):
-        inst = Instance(n=1, m=1, ops=(((0, 5),),))
-        prec, succ, share = build_edges(inst)
-        assert prec[0] == (1,)   # source
-        assert succ[0] == (2,)   # sink
-        assert share[0] == (0,)  # self-loop, no sharing partner
+        graph = build_graph(Instance(n=1, m=1, ops=(((0, 5),),)))
+        assert nbrs(graph, 0, 0) == (1,)  # source
+        assert nbrs(graph, 1, 0) == (2,)  # sink
+        assert nbrs(graph, 2, 0) == (0,)  # self-loop, no sharing partner
 
     def test_chain_and_boundary(self, two_by_two):
-        prec, succ, share = build_edges(two_by_two)
-        assert prec[0] == (4,) and prec[1] == (0,)
-        assert succ[0] == (1,) and succ[1] == (5,)
+        graph = build_graph(two_by_two)
+        assert nbrs(graph, 0, 0) == (4,) and nbrs(graph, 0, 1) == (0,)
+        assert nbrs(graph, 1, 0) == (1,) and nbrs(graph, 1, 1) == (5,)
         # machine 0 hosts ops 0 and 3; machine 1 hosts 1 and 2
-        assert share[0] == (3,) and share[3] == (0,)
-        assert share[1] == (2,) and share[2] == (1,)
+        assert nbrs(graph, 2, 0) == (3,) and nbrs(graph, 2, 3) == (0,)
+        assert nbrs(graph, 2, 1) == (2,) and nbrs(graph, 2, 2) == (1,)
 
     def test_sharing_symmetry(self, ft06):
-        _, _, share = build_edges(ft06)
-        for u in range(ft06.num_ops):
-            for v in share[u]:
-                assert u in share[v]
+        share = build_graph(ft06).adj[2]
+        np.testing.assert_array_equal(share, share.T)
 
     def test_ft06_sharing_count(self, ft06):
-        _, _, share = build_edges(ft06)
-        total = sum(len(share[u]) for u in range(ft06.num_ops))
-        assert total == 6 * 6 * 5  # m * n * (n - 1) = 180
+        share = build_graph(ft06).adj[2, :ft06.num_ops]
+        assert share.sum() == 6 * 6 * 5  # m * n * (n - 1) = 180
+        assert not share[:, ft06.num_ops:].any()  # no sharing edge to a dummy
 
     def test_dummies_self_looped(self, two_by_two):
-        prec, succ, share = build_edges(two_by_two)
+        graph = build_graph(two_by_two)
         for d in (4, 5):
-            assert prec[d] == succ[d] == share[d] == (d,)
+            for e in range(3):
+                assert nbrs(graph, e, d) == (d,)
 
 
 class TestGraph:
     def test_node_count(self, ft06):
         graph = build_graph(ft06)
         assert graph.node_count == 38
-        assert graph.source_id == 36 and graph.sink_id == 37
+        assert graph.adj.shape == (3, 38, 38)
 
     def test_adjacency_shapes(self, two_by_two):
-        adj = adjacency_matrices(build_graph(two_by_two))
+        adj = build_graph(two_by_two).adj
         assert adj.shape == (3, 6, 6)
         # every real node has exactly one predecessor and one successor
         assert np.all(adj[0, :4].sum(axis=1) == 1)
@@ -95,9 +198,8 @@ class TestGraph:
         node_t, edge_t = reconstruction_targets(graph, canvas=9)
         np.testing.assert_allclose(node_t[:4], graph.features[:4])
         assert np.all(node_t[4:] == 0)
-        adj = adjacency_matrices(graph)
         for e in range(3):
-            np.testing.assert_array_equal(edge_t[:4, :4, e], adj[e, :4, :4])
+            np.testing.assert_array_equal(edge_t[:4, :4, e], graph.adj[e, :4, :4])
         assert np.all(edge_t[4:] == 0) and np.all(edge_t[:, 4:] == 0)
 
     def test_canvas_too_small(self, ft06):

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
 from vg2s import autodiff as ad
 from vg2s.bench import solve_with_model
-from vg2s.checkpoint import ParamStore
 from vg2s.env import replay
 from vg2s.instance import GenConfig, generate_random
 from vg2s.trainer import (ENCODER_SECTIONS, EncoderCache, InstancePool,
@@ -96,6 +97,19 @@ class TestPhase1:
         assert store.section_bytes("policy.") == pol_before
         assert store.section_bytes("critic.") == cr_before
         assert store.section_bytes("encoder.") != enc_before
+
+    def test_epoch_tapes_freed_without_cyclic_gc(self, tiny_cfg, small_pool):
+        # Peak memory must not depend on when the cyclic collector runs.
+        cfg, pool = small_pool
+        store = build_model(tiny_cfg, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            train_representation(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
+            alive = [o for o in gc.get_objects() if isinstance(o, ad.Tape)]
+        finally:
+            gc.enable()
+        assert alive == []
 
 
 class TestRollout:
