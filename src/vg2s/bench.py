@@ -25,8 +25,7 @@ def _greedy(inst: Instance, store: ParamStore,
             cfg: ModelConfig) -> tuple[np.ndarray, Trajectory]:
     """Greedy decode conditioned on the latent mean; returns (mu, episode)."""
     h_real, mu, _ = embed(build_graph(inst), store, cfg)
-    traj = rollout(inst, ad.Tensor(mu), ad.Tensor(h_real), store, cfg,
-                   "greedy", scale_q_flag=False)
+    traj = rollout(inst, ad.Tensor(mu), ad.Tensor(h_real), store, cfg, "greedy")
     return mu, traj
 
 

@@ -33,14 +33,14 @@ def _seed_override(seed: int) -> int:
 
 def load_configs(path: str | None) -> tuple[TrainConfig, ModelConfig]:
     """Read {"train": {...}, "model": {...}} JSON; missing keys keep defaults.
-    Malformed JSON, an unknown key or an out-of-range value ends the program
-    with one error line and exit status 2."""
+    An unreadable file, malformed JSON, an unknown key or an out-of-range
+    value ends the program with one error line and exit status 2."""
     if not path:
         return TrainConfig(), ModelConfig()
     try:
         raw = json.loads(Path(path).read_text())
         return TrainConfig(**raw.get("train", {})), ModelConfig(**raw.get("model", {}))
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"vg2s: error: config {path}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -202,6 +202,10 @@ def cmd_export_latents(args) -> int:
 
 
 def cmd_similarity(args) -> int:
+    if not 1 <= args.machines <= args.jobs:
+        print(f"vg2s: error: similarity needs 1 <= --machines <= --jobs, got "
+              f"--jobs {args.jobs} --machines {args.machines}", file=sys.stderr)
+        return 2
     store = model_cfg = rule = None
     if args.rule:
         rule = Rule(args.rule)
@@ -309,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="optimality gap / improvement rate")
     p.add_argument("cmax", type=float)
-    p.add_argument("--ub", type=float)
-    p.add_argument("--baseline", type=float)
+    ref = p.add_mutually_exclusive_group(required=True)
+    ref.add_argument("--ub", type=float, help="best-known makespan: print the optimality gap")
+    ref.add_argument("--baseline", type=float, help="baseline makespan: print the improvement rate")
     p.set_defaults(func=cmd_gap)
 
     return parser

@@ -44,17 +44,6 @@ class ScheduleState:
             [inst.job_total(j) for j in range(n)], dtype=np.int64
         )
 
-    def copy(self) -> "ScheduleState":
-        clone = object.__new__(ScheduleState)
-        clone.inst = self.inst
-        for name in (
-            "machine_ready", "job_ready", "next_op", "scheduled",
-            "start", "end", "machine_remaining", "job_remaining",
-        ):
-            setattr(clone, name, getattr(self, name).copy())
-        clone.t = self.t
-        return clone
-
     @property
     def done(self) -> bool:
         return bool(self.scheduled.all())
@@ -106,36 +95,6 @@ def replay(inst: Instance, actions) -> ScheduleState:
     return st
 
 
-def _lookahead(st: ScheduleState, u: int):
-    """Successor state of choosing op u and the two lookahead lower-bound
-    terms in it: u's own term, zero when u ends its job, and the max of
-    that and the terms of the successor's available ops."""
-    inst = st.inst
-    m = inst.m
-    j, k = divmod(u, m)
-    i = inst.machine(j, k)
-    nxt = st.copy()
-    nxt.step(u)
-    own = 0.0
-    if k != m - 1:
-        own = max(
-            nxt.machine_ready[i] + nxt.machine_remaining[i],
-            nxt.job_ready[j] + nxt.job_remaining[j],
-        )
-    best = own
-    for v in nxt.available():
-        jj, kk = divmod(v, m)
-        if kk == m - 1:
-            continue  # terminal op of its job: term defined as zero
-        ii = inst.machine(jj, kk)
-        term = max(
-            nxt.machine_ready[ii] + nxt.machine_remaining[ii],
-            nxt.job_ready[jj] + nxt.job_remaining[jj],
-        )
-        best = max(best, term)
-    return nxt, own, best
-
-
 def state_features(st: ScheduleState) -> np.ndarray:
     """Dynamic per-op feature matrix (n*m x 6), rows zero for ops outside
     the available set.
@@ -146,40 +105,54 @@ def state_features(st: ScheduleState) -> np.ndarray:
     available set), and the max/mean per-job completed-op counts of the
     successor state.  Features 1-4 are divided by their max over available
     ops; 5-6 by m.
+
+    An op's lower-bound term is max(machine ready + machine remaining, job
+    ready + job remaining), zero for a job's terminal op.  Choosing op
+    (j, k) on machine i at its earliest start est changes only machine i
+    and job j, so every successor term is closed-form in the current state.
     """
     inst = st.inst
     n, m = inst.n, inst.m
     feats = np.zeros((n * m, 6), dtype=np.float64)
-    avail = st.available()
-    if not avail:
+    jobs = np.flatnonzero(st.next_op < m)
+    if jobs.size == 0:
         return feats
+    ks = st.next_op[jobs]
+    # machine and duration of each candidate, and the machine of its job's
+    # op k+1 (for a terminal op, its own machine: a placeholder masked below)
+    mach, p, follow_mach = np.array([
+        (*inst.ops[j][k], inst.ops[j][min(k + 1, m - 1)][0])
+        for j, k in zip(jobs.tolist(), ks.tolist())
+    ]).T
+    est = np.maximum(st.machine_ready[mach], st.job_ready[jobs])
+    machine_load = st.machine_ready + st.machine_remaining
+    job_load = st.job_ready[jobs] + st.job_remaining[jobs]
+    terminal = ks == m - 1
+    own = np.where(terminal, 0, est + np.maximum(st.machine_remaining[mach],
+                                                 st.job_remaining[jobs]))
+    # others[a, v]: term of job v's next op once candidate a is scheduled;
+    # only ops sharing a's machine see the moved machine ready time
+    moved = (est + st.machine_remaining[mach])[:, None]
+    others_machine = np.where(mach[:, None] == mach[None, :], moved,
+                              machine_load[mach][None, :])
+    others = np.where(terminal[None, :], 0, np.maximum(others_machine, job_load[None, :]))
+    np.fill_diagonal(others, 0)
+    # job j's op k+1 runs on another machine (machine orders are permutations)
+    follow = np.where(ks + 1 >= m - 1, 0, np.maximum(machine_load[follow_mach],
+                                                     est + st.job_remaining[jobs]))
+    best = np.maximum(np.maximum(own, follow), others.max(axis=1))
 
-    raw = np.zeros((len(avail), 6), dtype=np.float64)
-    for idx, u in enumerate(avail):
-        j, k = divmod(u, m)
-        i, p = inst.ops[j][k]
-        est = max(int(st.machine_ready[i]), int(st.job_ready[j]))
-        raw[idx, 0] = est
-        raw[idx, 1] = est + p
-        nxt, raw[idx, 2], raw[idx, 3] = _lookahead(st, u)
-
-        completed = nxt.next_op.astype(np.float64)
-        raw[idx, 4] = completed.max() / m
-        raw[idx, 5] = completed.mean() / m
-
-    for col in range(4):
-        top = raw[:, col].max()
-        if top > 0:
-            raw[:, col] /= top
-    for idx, u in enumerate(avail):
-        feats[u] = raw[idx]
+    raw = np.empty((jobs.size, 6), dtype=np.float64)
+    raw[:, 0] = est
+    raw[:, 1] = est + p
+    raw[:, 2] = own
+    raw[:, 3] = best
+    raw[:, 4] = np.maximum(st.next_op.max(), ks + 1) / m
+    raw[:, 5] = (st.next_op.sum() + 1) / n / m
+    top = raw[:, :4].max(axis=0)
+    raw[:, :4] /= np.where(top > 0, top, 1.0)
+    feats[jobs * m + ks] = raw
     return feats
-
-
-def raw_lookahead_bounds(st: ScheduleState, u: int) -> tuple[float, float]:
-    """Unnormalized candidate/best lower-bound terms for op u (test hook)."""
-    _, own, best = _lookahead(st, u)
-    return float(own), float(best)
 
 
 def schedule_records(st: ScheduleState) -> list[dict]:

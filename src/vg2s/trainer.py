@@ -134,7 +134,6 @@ class Trajectory:
     actions: list[int]
     log_probs: list[float]
     makespan: int
-    q: float
     log_prob_total: ad.Tensor | None = None
 
 
@@ -147,7 +146,7 @@ def scaled_q(inst: Instance, makespan: int, scale: bool) -> float:
 def rollout(inst: Instance, z: ad.Tensor, h_real: ad.Tensor,
             store: ParamStore, model_cfg: ModelConfig, mode: str,
             rng: np.random.Generator | None = None,
-            scale_q_flag: bool = True, taped: bool = False) -> Trajectory:
+            taped: bool = False) -> Trajectory:
     """Run one full episode of n*m decisions.  With `taped`, the summed
     log-probability is differentiable w.r.t. the policy parameters."""
     st = reset(inst)
@@ -158,8 +157,8 @@ def rollout(inst: Instance, z: ad.Tensor, h_real: ad.Tensor,
     while not st.done:
         avail = st.available()
         feats = state_features(st)
-        step_out = decode_step(z, h_real, prev, feats, st.scheduled.copy(),
-                               avail, store, model_cfg)
+        step_out = decode_step(z, h_real, prev, feats, st.scheduled, avail,
+                               store, model_cfg)
         action, lp = select_action(step_out.full, mode, rng)
         if taped:
             lp_terms.append(step_out.log_prob(action))
@@ -167,7 +166,6 @@ def rollout(inst: Instance, z: ad.Tensor, h_real: ad.Tensor,
         log_probs.append(lp)
         st.step(action)
         prev = action
-    c_max = st.makespan()
     total = None
     if taped:
         total = lp_terms[0]
@@ -176,8 +174,7 @@ def rollout(inst: Instance, z: ad.Tensor, h_real: ad.Tensor,
     return Trajectory(
         actions=actions,
         log_probs=log_probs,
-        makespan=c_max,
-        q=scaled_q(inst, c_max, scale_q_flag),
+        makespan=st.makespan(),
         log_prob_total=total,
     )
 
@@ -260,12 +257,13 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
                 inst = pool.instances[idx]
                 h_real, z = cache.draw(idx, rng)
                 traj = rollout(inst, z, h_real, store, model_cfg, "sample",
-                               rng=rng, scale_q_flag=cfg.scale_q, taped=True)
+                               rng=rng, taped=True)
                 v = critic_value(z, store, model_cfg)
-                advantage = traj.q - float(v.data)
+                q = scaled_q(inst, traj.makespan, cfg.scale_q)
+                advantage = q - float(v.data)
                 batch.append((traj, advantage))
                 values.append(v)
-                targets.append(traj.q - cfg.alpha_entropy * sum(traj.log_probs))
+                targets.append(q - cfg.alpha_entropy * sum(traj.log_probs))
                 cmaxes.append(traj.makespan)
             l_pol = policy_loss(batch, cfg.alpha_entropy)
             l_cr = critic_loss(values, targets)

@@ -4,7 +4,7 @@ Each test prints one PASS line (visible under `pytest -v -s`); the criteria
 cover oracle agreement, benchmark exactness, schedule invariants, gradient
 and KL correctness, both training phases, the freeze contract, masking,
 determinism, and the report metrics.  The two training criteria dominate
-the runtime (the phase-2 run alone is ~15 minutes).
+the runtime (the phase-2 run alone is ~9 minutes) and are marked `slow`.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from vg2s import autodiff as ad
 from vg2s.autodiff import grad_check
@@ -216,6 +217,7 @@ def test_criterion_05_kl_monte_carlo():
               f"{worst_sigma_count:.2f} standard errors")
 
 
+@pytest.mark.slow
 def test_criterion_06_phase1_learning():
     start = time.time()
     cfg = ModelConfig(d_graph=16, d_latent=4, n_heads=2,
@@ -247,6 +249,7 @@ def test_criterion_06_phase1_learning():
               f"(ratio {ratio:.3f} <= 0.5), {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_phase2_learning():
     start = time.time()
     cfg = ModelConfig(d_graph=16, d_latent=8, n_heads=2,

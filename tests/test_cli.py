@@ -134,10 +134,12 @@ class TestConfigErrors:
     @pytest.mark.parametrize("raw, key", [
         ({"model": {"batch_norm": True}}, "batch_norm"),   # unknown key
         ({"train": {"repr_epochs": 0}}, "repr_epochs"),    # out of range
+        (None, "No such file"),                            # missing file
     ])
     def test_one_line_error_and_exit_2(self, tmp_path, capsys, raw, key):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(raw))
+        if raw is not None:
+            cfg.write_text(json.dumps(raw))
         ckpt = tmp_path / "x.ckpt"
         with pytest.raises(SystemExit) as exc:
             main(["train-repr", "--config", str(cfg), "--checkpoint", str(ckpt)])
@@ -185,6 +187,14 @@ class TestSimilarityAndLatents:
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 12
 
+    def test_similarity_rejects_fewer_jobs_than_machines(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(["similarity", "--rule", "spt", "--jobs", "3",
+                     "--machines", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vg2s: error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_export_latents(self, tmp_path, tiny_config_file, instance_dir, capsys):
         ckpt = tmp_path / "m.ckpt"
         main(["train-repr", "--epochs", "1", "--seed", "0",
@@ -206,3 +216,10 @@ class TestGap:
     def test_improvement_rate(self, capsys):
         assert main(["gap", "97", "--baseline", "100"]) == 0
         assert capsys.readouterr().out.strip() == "3.0000"
+
+    @pytest.mark.parametrize("flags", [[], ["--ub", "55", "--baseline", "60"]])
+    def test_exactly_one_reference_required(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gap", "65", *flags])
+        assert exc.value.code == 2
+        assert "--ub" in capsys.readouterr().err

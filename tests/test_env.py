@@ -1,13 +1,71 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vg2s.env import (ActionError, raw_lookahead_bounds, replay, reset,
-                      schedule_records, state_features)
+from vg2s.env import ActionError, replay, reset, schedule_records, state_features
 from vg2s.instance import GenConfig, Instance, generate_random
+
+
+def _successor(st_, u):
+    nxt = copy.deepcopy(st_, {id(st_.inst): st_.inst})
+    nxt.step(u)
+    return nxt
+
+
+def reference_bounds(st_, u) -> tuple[float, float]:
+    """Clone-and-step reference for the lookahead terms of choosing op u:
+    u's own term in the successor state, and the max of that and the terms
+    of the successor's available ops; a job's terminal op has term zero."""
+    inst = st_.inst
+    nxt = _successor(st_, u)
+
+    def term(v):
+        j, k = divmod(v, inst.m)
+        if k == inst.m - 1:
+            return 0.0
+        i = inst.machine(j, k)
+        return float(max(nxt.machine_ready[i] + nxt.machine_remaining[i],
+                         nxt.job_ready[j] + nxt.job_remaining[j]))
+
+    own = term(u)
+    return own, max([own] + [term(v) for v in nxt.available()])
+
+
+def reference_features(st_) -> np.ndarray:
+    """`state_features` computed by stepping a clone for every candidate."""
+    inst = st_.inst
+    n, m = inst.n, inst.m
+    feats = np.zeros((n * m, 6), dtype=np.float64)
+    avail = st_.available()
+    if not avail:
+        return feats
+    raw = np.zeros((len(avail), 6), dtype=np.float64)
+    for idx, u in enumerate(avail):
+        j, k = divmod(u, m)
+        i, p = inst.ops[j][k]
+        est = max(int(st_.machine_ready[i]), int(st_.job_ready[j]))
+        completed = _successor(st_, u).next_op.astype(np.float64)
+        raw[idx] = (est, est + p, *reference_bounds(st_, u),
+                    completed.max() / m, completed.mean() / m)
+    for col in range(4):
+        top = raw[:, col].max()
+        if top > 0:
+            raw[:, col] /= top
+    feats[avail] = raw
+    return feats
+
+
+def permutation_instance(n: int, m: int, seed: int) -> Instance:
+    """Random instance of any shape, n < m included (GenConfig needs n >= m)."""
+    rng = np.random.default_rng(seed)
+    return Instance(n=n, m=m, ops=tuple(
+        tuple(zip(rng.permutation(m).tolist(), rng.integers(1, 20, m).tolist()))
+        for _ in range(n)))
 
 
 class TestReset:
@@ -80,9 +138,13 @@ class TestStateFeatures:
     def test_reset_candidate_lookahead(self, two_by_two):
         st_ = reset(two_by_two)
         # choosing J1O1: in the successor, machine 0 carries 3+4 remaining
-        own, best = raw_lookahead_bounds(st_, 0)
+        own, best = reference_bounds(st_, 0)
         assert own == 7.0
         assert best >= own
+        # J2O1's own term is max(machine 1: 4, job 2: 6) = 6; both best terms are 7
+        feats = state_features(st_)
+        assert feats[0, 2] == 1.0 and feats[2, 2] == 6 / 7
+        assert feats[0, 3] == 1.0 and feats[2, 3] == 1.0
 
     def test_rows_zero_outside_available(self, two_by_two):
         st_ = reset(two_by_two)
@@ -94,10 +156,14 @@ class TestStateFeatures:
         feats = state_features(st_)
         assert feats[1, 0] == 1.0 and feats[1, 1] == 1.0
 
-    def test_terminal_op_zeroing(self):
+    def test_terminal_op_zeroing(self, two_by_two):
         inst = Instance(n=1, m=1, ops=(((0, 5),),))
-        own, best = raw_lookahead_bounds(reset(inst), 0)
+        own, best = reference_bounds(reset(inst), 0)
         assert own == 0.0 and best == 0.0
+        assert np.all(state_features(reset(inst))[0, 2:4] == 0.0)
+        # both candidates end their jobs, so every lookahead term is zero
+        feats = state_features(replay(two_by_two, [0, 2]))
+        assert np.all(feats[[1, 3], 2:4] == 0.0)
 
     def test_progress_features(self, two_by_two):
         feats = state_features(reset(two_by_two))
@@ -120,8 +186,9 @@ class TestStateFeatures:
             st_ = reset(inst)
             while not st_.done:
                 for u in st_.available():
-                    own, best = raw_lookahead_bounds(st_, u)
+                    own, best = reference_bounds(st_, u)
                     assert best >= own
+                assert state_features(st_).tobytes() == reference_features(st_).tobytes()
                 st_.step(int(rng.choice(st_.available())))
 
 
@@ -158,15 +225,36 @@ def test_random_rollout_invariants(seed):
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_lookahead_features_match_raw_bounds(seed):
-    """Columns 2-3 of state_features are the raw lookahead bounds divided by
-    their max over the available ops, at every state of a random rollout."""
+    """Columns 2-3 of state_features are the reference lookahead bounds
+    divided by their max over the available ops, at every state of a random
+    rollout."""
     rng = np.random.default_rng(seed)
     inst = generate_random(GenConfig(m_lo=1, m_hi=4, n_hi=5), rng)
     st_ = reset(inst)
     while not st_.done:
         avail = st_.available()
-        raw = np.array([raw_lookahead_bounds(st_, u) for u in avail])
+        raw = np.array([reference_bounds(st_, u) for u in avail])
         top = raw.max(axis=0)
         expected = raw / np.where(top > 0, top, 1.0)
         np.testing.assert_array_equal(state_features(st_)[avail, 2:4], expected)
         st_.step(int(rng.choice(avail)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 7), m=st.integers(1, 6), seed=st.integers(0, 10_000),
+       job_first=st.booleans())
+@example(n=1, m=1, seed=0, job_first=False)
+@example(n=1, m=4, seed=1, job_first=False)
+@example(n=3, m=3, seed=2, job_first=True)  # the last 3 states have one available op
+def test_state_features_match_clone_and_step_reference(n, m, seed, job_first):
+    """All six columns of state_features equal the clone-and-step reference
+    byte for byte, at every state of a rollout (random, or job by job)."""
+    inst = permutation_instance(n, m, seed)
+    rng = np.random.default_rng(seed)
+    st_ = reset(inst)
+    while True:
+        assert state_features(st_).tobytes() == reference_features(st_).tobytes()
+        if st_.done:
+            break
+        avail = st_.available()
+        st_.step(avail[0] if job_first else int(rng.choice(avail)))
