@@ -111,14 +111,19 @@ def _record(out: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate gradients of every parameter reachable from `loss`.
 
-    Repeated calls accumulate into parameter .grad buffers; intermediate
-    gradients are local to each call.
+    Repeated calls, each on its own tape, accumulate into parameter .grad
+    buffers; intermediate gradients are local to each call.  The walk
+    consumes the graph: each node drops its parents and vjp once walked, so
+    the saved inputs of every op are freed here, and a tape supports one
+    backward pass.  Node values and the tape's node list stay.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     tape = loss.tape
     if tape is None:
         raise ValueError("loss is not on a tape (detached from all parameters)")
+    if loss.vjp is None:
+        raise ValueError("the loss's graph was already consumed by a backward pass")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
 
     def accumulate(t: Tensor, g: np.ndarray):
@@ -132,12 +137,13 @@ def backward(loss: Tensor) -> None:
                 grads[key] = g
 
     for node in reversed(tape.nodes):
-        g = grads.get(id(node))
-        if g is None or node.vjp is None:
-            continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
-            if pg is not None:
-                accumulate(parent, pg)
+        g = grads.pop(id(node), None)
+        if g is not None and node.vjp is not None:
+            for parent, pg in zip(node.parents, node.vjp(g)):
+                if pg is not None:
+                    accumulate(parent, pg)
+        node.parents = ()
+        node.vjp = None
 
 
 def zero_grad(params) -> None:

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .checkpoint import ParamStore
 from .env import replay, reset
 from .graph import build_graph
@@ -25,8 +24,8 @@ def _greedy(inst: Instance, store: ParamStore,
             cfg: ModelConfig) -> tuple[np.ndarray, Trajectory]:
     """Greedy decode conditioned on the latent mean; returns (mu, episode)."""
     h_real, mu, _ = embed(build_graph(inst), store, cfg)
-    traj = rollout(inst, ad.Tensor(mu), ad.Tensor(h_real), store, cfg, "greedy")
-    return mu, traj
+    episodes = rollout([inst], mu[None], [h_real], store, cfg, "greedy")
+    return mu, episodes.trajectories[0]
 
 
 def solve_with_model(inst: Instance, store: ParamStore, cfg: ModelConfig):

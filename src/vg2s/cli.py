@@ -45,6 +45,16 @@ def load_configs(path: str | None) -> tuple[TrainConfig, ModelConfig]:
         raise SystemExit(2) from None
 
 
+def _read_input(load, path: str, *args):
+    """load(path, *args); a missing or unreadable input path ends the
+    program with one error line and exit status 2."""
+    try:
+        return load(path, *args)
+    except OSError as exc:
+        print(f"vg2s: error: {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _load_instance(path: str, fmt: str) -> Instance:
     text = Path(path).read_text()
     if fmt == "orlib":
@@ -78,7 +88,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    inst = _load_instance(args.file, args.format)
+    inst = _read_input(_load_instance, args.file, args.format)
     print(f"{args.file}: {inst.n} jobs x {inst.m} machines, "
           f"load lower bound {inst.load_lower_bound()}")
     if args.json:
@@ -87,7 +97,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst = _load_instance(args.file, args.format)
+    inst = _read_input(_load_instance, args.file, args.format)
     if args.method == "oracle":
         res = branch_and_bound(inst, budget=args.budget)
         st = replay(inst, res.schedule)
@@ -98,7 +108,7 @@ def cmd_solve(args) -> int:
             print("solve --method vg2s requires --model", file=sys.stderr)
             return 2
         _, model_cfg = load_configs(args.config)
-        store = load_checkpoint(args.model)
+        store = _read_input(load_checkpoint, args.model)
         st, c = solve_with_model(inst, store, model_cfg)
         print(f"cmax {c}")
     else:
@@ -119,7 +129,7 @@ def _write_report(report, path) -> None:
 def _pool_from_args(args, train_cfg, rng) -> InstancePool:
     frozen = None
     if getattr(args, "instances", None):
-        frozen = list(_load_instance_dir(args.instances, "json").values())
+        frozen = list(_read_input(_load_instance_dir, args.instances, "json").values())
     return InstancePool(train_cfg, rng, frozen=frozen)
 
 
@@ -157,7 +167,7 @@ def cmd_train_policy(args) -> int:
         if not args.encoder_ckpt:
             print("train-policy requires --encoder-ckpt (or --skip-phase1)", file=sys.stderr)
             return 2
-        trained = load_checkpoint(args.encoder_ckpt)
+        trained = _read_input(load_checkpoint, args.encoder_ckpt)
         for section in ENCODER_SECTIONS:
             store.update(trained, section)
     pool = _pool_from_args(args, train_cfg, rng)
@@ -171,10 +181,10 @@ def cmd_train_policy(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    instances = _load_instance_dir(args.dir, args.format)
+    instances = _read_input(_load_instance_dir, args.dir, args.format)
     ubs = {}
     if args.ub_file:
-        for name, val in json.loads(Path(args.ub_file).read_text()).items():
+        for name, val in json.loads(_read_input(Path.read_text, Path(args.ub_file))).items():
             ubs[name] = int(val)
     store = model_cfg = None
     if "vg2s" in args.methods:
@@ -182,7 +192,7 @@ def cmd_eval(args) -> int:
             print("eval with method vg2s requires --model", file=sys.stderr)
             return 2
         _, model_cfg = load_configs(args.config)
-        store = load_checkpoint(args.model)
+        store = _read_input(load_checkpoint, args.model)
     rows = eval_bench(instances, args.methods, ubs, store=store,
                       model_cfg=model_cfg, oracle_budget=args.budget)
     write_csv(rows, args.out, ["instance", "size", "method", "cmax", "ub", "gap"])
@@ -192,8 +202,8 @@ def cmd_eval(args) -> int:
 
 def cmd_export_latents(args) -> int:
     _, model_cfg = load_configs(args.config)
-    store = load_checkpoint(args.model)
-    instances = _load_instance_dir(args.instances, "json")
+    store = _read_input(load_checkpoint, args.model)
+    instances = _read_input(_load_instance_dir, args.instances, "json")
     rows = export_latents(instances, store, model_cfg)
     columns = ["instance"] + [f"mu_{i}" for i in range(model_cfg.d_latent)] + ["greedy_cmax"]
     write_csv(rows, args.out, columns)
@@ -214,7 +224,7 @@ def cmd_similarity(args) -> int:
             print("similarity requires --model or --rule", file=sys.stderr)
             return 2
         _, model_cfg = load_configs(args.config)
-        store = load_checkpoint(args.model)
+        store = _read_input(load_checkpoint, args.model)
     rows = pdr_similarity(args.count, args.jobs, args.machines,
                           _seed_override(args.seed),
                           store=store, model_cfg=model_cfg, rule=rule)
@@ -225,10 +235,15 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    if args.baseline is not None:
-        print(f"{improvement_rate(args.baseline, args.cmax):.4f}")
-    else:
-        print(f"{optimality_gap(args.cmax, args.ub):.4f}")
+    try:
+        if args.baseline is not None:
+            value = improvement_rate(args.baseline, args.cmax)
+        else:
+            value = optimality_gap(args.cmax, args.ub)
+    except ValueError as exc:  # a nonpositive reference makespan
+        print(f"vg2s: error: gap: {exc}", file=sys.stderr)
+        return 2
+    print(f"{value:.4f}")
     return 0
 
 

@@ -13,7 +13,7 @@ from .env import reset, state_features
 from .graph import HeteroGraph, build_graph
 from .instance import GenConfig, Instance, generate_random
 from .policy import (build_critic_params, build_policy_params, critic_value,
-                     decode_step, select_action)
+                     decode_step, log_prob, project_keys, select_action)
 from .vge import (ModelConfig, build_decoder_params, build_encoder_params,
                   latent, representation_loss)
 from . import vge
@@ -120,6 +120,7 @@ def train_representation(cfg: TrainConfig, model_cfg: ModelConfig,
         if not np.isfinite(parts["total"]):
             raise TrainingDiverged(f"non-finite representation loss at epoch {epoch}")
         ad.backward(loss)
+        _check_gradients(params, "representation", epoch)
         _sgd_step(params, cfg.lr_repr)
         # A tape and its tensors form a reference cycle; break it so the
         # epoch's activations are freed by reference counting, not whenever
@@ -134,6 +135,14 @@ class Trajectory:
     actions: list[int]
     log_probs: list[float]
     makespan: int
+
+
+@dataclass
+class Episodes:
+    """Episodes decoded in lockstep; with a taped rollout, `log_prob_total`
+    is the (B,) differentiable sum of each episode's log-probabilities."""
+
+    trajectories: list[Trajectory]
     log_prob_total: ad.Tensor | None = None
 
 
@@ -143,63 +152,85 @@ def scaled_q(inst: Instance, makespan: int, scale: bool) -> float:
     return -float(makespan)
 
 
-def rollout(inst: Instance, z: ad.Tensor, h_real: ad.Tensor,
+def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
             store: ParamStore, model_cfg: ModelConfig, mode: str,
             rng: np.random.Generator | None = None,
-            taped: bool = False) -> Trajectory:
-    """Run one full episode of n*m decisions.  With `taped`, the summed
-    log-probability is differentiable w.r.t. the policy parameters."""
-    st = reset(inst)
-    actions: list[int] = []
-    log_probs: list[float] = []
-    lp_terms = []
-    prev = None
-    while not st.done:
-        avail = st.available()
-        feats = state_features(st)
-        step_out = decode_step(z, h_real, prev, feats, st.scheduled, avail,
-                               store, model_cfg)
-        action, lp = select_action(step_out.full, mode, rng)
+            taped: bool = False) -> Episodes:
+    """Run one full episode per instance, all in lockstep.
+
+    z: latent vectors (B, d_latent); h_real: each instance's real-node
+    embeddings (n*m, d_latent).  Op rows are zero-padded to the largest
+    n*m; step t is one decode_step call over the episodes that have a t-th
+    decision, so an episode leaves the batch when its schedule is complete.
+    With `taped`, each episode's summed log-probability is differentiable
+    w.r.t. the policy parameters.
+    """
+    sizes = np.array([inst.num_ops for inst in insts])
+    width = int(sizes.max())
+    padded = np.zeros((len(insts), width, model_cfg.d_latent))
+    for e, rows in enumerate(h_real):
+        padded[e, :sizes[e]] = rows
+    all_keys = project_keys(padded, store, model_cfg)
+    states = [reset(inst) for inst in insts]
+    actions = [[] for _ in insts]
+    log_probs = [[] for _ in insts]
+    prev = np.zeros(len(insts), dtype=np.int64)
+    active = np.arange(len(insts))
+    keys = all_keys
+    step_terms, owners = [], []
+    for t in range(width):
+        if (sizes[active] <= t).any():
+            active = np.flatnonzero(sizes > t)
+            keys = all_keys.rows(active)
+        feats = np.zeros((len(active), width, 6))
+        attend = np.zeros((len(active), width), dtype=bool)
+        avail = np.zeros((len(active), width), dtype=bool)
+        for row, e in enumerate(active):
+            st = states[e]
+            feats[row, :sizes[e]] = state_features(st)
+            attend[row, :sizes[e]] = ~st.scheduled
+            avail[row, st.available()] = True
+        h_prev = None if t == 0 else padded[active, prev[active]]
+        logits = decode_step(z[active], h_prev, keys, feats, attend, avail,
+                             store, model_cfg)
+        picks, lps = select_action(logits.data, mode, rng)
         if taped:
-            lp_terms.append(step_out.log_prob(action))
-        actions.append(action)
-        log_probs.append(lp)
-        st.step(action)
-        prev = action
+            step_terms.append(log_prob(logits, picks))
+            owners.append(active)
+        for e, action, lp in zip(active, picks.tolist(), lps.tolist()):
+            states[e].step(action)
+            actions[e].append(action)
+            log_probs[e].append(lp)
+        prev[active] = picks
+    trajectories = [Trajectory(a, lp, st.makespan())
+                    for a, lp, st in zip(actions, log_probs, states)]
     total = None
     if taped:
-        total = lp_terms[0]
-        for term in lp_terms[1:]:
-            total = ad.add(total, term)
-    return Trajectory(
-        actions=actions,
-        log_probs=log_probs,
-        makespan=st.makespan(),
-        log_prob_total=total,
-    )
+        owner = np.concatenate(owners)
+        members = np.zeros((owner.size, len(insts)))
+        members[np.arange(owner.size), owner] = 1.0
+        total = ad.matmul(ad.concat(step_terms, axis=0), members)
+    return Episodes(trajectories, total)
 
 
-def policy_loss(batch: list[tuple[Trajectory, float]], alpha_entropy: float) -> ad.Tensor:
+def policy_loss(log_prob_total: ad.Tensor, advantages: np.ndarray,
+                alpha_entropy: float) -> ad.Tensor:
     """Batch-mean surrogate whose gradient is the score-function estimator:
-    each trajectory contributes (A - alpha_entropy) * log pi with the
+    each episode contributes (A - alpha_entropy) * log pi with the
     advantage treated as a constant."""
-    total = None
-    for traj, advantage in batch:
-        if traj.log_prob_total is None:
-            raise ValueError("policy_loss needs taped trajectories")
-        term = ad.mul(traj.log_prob_total, advantage - alpha_entropy)
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, 1.0 / len(batch))
+    terms = ad.mul(log_prob_total, advantages - alpha_entropy)
+    return ad.mul(ad.tsum(terms), 1.0 / len(advantages))
 
 
-def critic_loss(values: list[ad.Tensor], targets: list[float]) -> ad.Tensor:
-    if len(values) != len(targets):
+def critic_loss(values: ad.Tensor, targets: np.ndarray) -> ad.Tensor:
+    if values.shape != targets.shape:
         raise ValueError("mismatched batch lengths")
-    total = None
-    for v, t in zip(values, targets):
-        term = ad.square(ad.sub(v, t))
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, 1.0 / len(values))
+    return ad.mul(ad.tsum(ad.square(ad.sub(values, targets))), 1.0 / len(targets))
+
+
+def _check_gradients(params, what: str, epoch: int) -> None:
+    if not all(np.isfinite(p.grad).all() for p in params):
+        raise TrainingDiverged(f"non-finite {what} gradient at epoch {epoch}")
 
 
 def embed(graph: HeteroGraph, store: ParamStore,
@@ -227,16 +258,15 @@ class EncoderCache:
     def draw(self, idx: int, rng: np.random.Generator):
         h_real, mu, sigma = self.entries[idx]
         eps = rng.standard_normal(mu.shape[0])
-        z = mu + eps * sigma
-        return ad.Tensor(h_real), ad.Tensor(z)
+        return h_real, mu + eps * sigma
 
 
 def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
                  pool: InstancePool, rng: np.random.Generator) -> LossReport:
     """Phase 2: the encoder/latent/decoder sections are read-only; per
-    epoch, B sampled rollouts feed one descent step on critic loss minus
-    policy objective, which ascends the policy and descends the critic
-    (the two losses share no parameter)."""
+    epoch, one lockstep rollout of B sampled episodes feeds one descent
+    step on critic loss minus policy objective, which ascends the policy
+    and descends the critic (the two losses share no parameter)."""
     params = store.section("policy.") + store.section("critic.")
     cache = EncoderCache(store, model_cfg)
     pool.refresh(1)
@@ -247,32 +277,31 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
     for epoch in range(1, cfg.policy_epochs + 1):
         if pool.refresh(epoch):
             cache.rebuild(pool)
-        batch = []
-        values = []
-        targets = []
-        cmaxes = []
-        with ad.Tape():
-            for _ in range(cfg.batch_size):
-                idx = pool.sample()
-                inst = pool.instances[idx]
-                h_real, z = cache.draw(idx, rng)
-                traj = rollout(inst, z, h_real, store, model_cfg, "sample",
+        insts, h_real, zs = [], [], []
+        for _ in range(cfg.batch_size):
+            idx = pool.sample()
+            h, z = cache.draw(idx, rng)
+            insts.append(pool.instances[idx])
+            h_real.append(h)
+            zs.append(z)
+        z = np.stack(zs)
+        with ad.Tape() as tape:
+            episodes = rollout(insts, z, h_real, store, model_cfg, "sample",
                                rng=rng, taped=True)
-                v = critic_value(z, store, model_cfg)
-                q = scaled_q(inst, traj.makespan, cfg.scale_q)
-                advantage = q - float(v.data)
-                batch.append((traj, advantage))
-                values.append(v)
-                targets.append(q - cfg.alpha_entropy * sum(traj.log_probs))
-                cmaxes.append(traj.makespan)
-            l_pol = policy_loss(batch, cfg.alpha_entropy)
+            values = critic_value(ad.Tensor(z), store, model_cfg)
+            trajs = episodes.trajectories
+            q = np.array([scaled_q(inst, traj.makespan, cfg.scale_q)
+                          for inst, traj in zip(insts, trajs)])
+            targets = q - cfg.alpha_entropy * np.array([sum(traj.log_probs) for traj in trajs])
+            l_pol = policy_loss(episodes.log_prob_total, q - values.data, cfg.alpha_entropy)
             l_cr = critic_loss(values, targets)
             if not (np.isfinite(l_pol.data) and np.isfinite(l_cr.data)):
                 raise TrainingDiverged(f"non-finite policy/critic loss at epoch {epoch}")
             ad.zero_grad(params)
             ad.backward(ad.sub(l_cr, l_pol))
-            _sgd_step(params, cfg.lr_policy)
+        _check_gradients(params, "policy/critic", epoch)
+        _sgd_step(params, cfg.lr_policy)
+        tape.nodes.clear()  # as in train_representation
         report.append(epoch, float(l_pol.data), float(l_cr.data),
-                      float(np.mean(cmaxes)))
+                      float(np.mean([traj.makespan for traj in trajs])))
     return report
-

@@ -4,7 +4,7 @@ Each test prints one PASS line (visible under `pytest -v -s`); the criteria
 cover oracle agreement, benchmark exactness, schedule invariants, gradient
 and KL correctness, both training phases, the freeze contract, masking,
 determinism, and the report metrics.  The two training criteria dominate
-the runtime (the phase-2 run alone is ~9 minutes) and are marked `slow`.
+the runtime (the phase-2 run alone is ~3 minutes) and are marked `slow`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from vg2s.env import reset, state_features
 from vg2s.graph import build_graph, reconstruction_targets
 from vg2s.instance import GenConfig, generate_random
 from vg2s.oracle import branch_and_bound, enumerate_all
-from vg2s.policy import build_critic_params, build_policy_params, decode_step
+from vg2s.policy import (build_critic_params, build_policy_params, decode_step,
+                         log_prob, project_keys)
 from vg2s.rules import Rule, dispatch, improvement_rate, optimality_gap
 from vg2s.trainer import (InstancePool, TrainConfig, build_model, train_policy,
                           train_representation)
@@ -182,10 +183,14 @@ def test_criterion_04_gradient_verification(two_by_two):
     st = reset(two_by_two)
     feats = state_features(st)
 
+    avail = np.zeros((1, 4), bool)
+    avail[0, st.available()] = True
+
     def pol_logprob():
-        out = decode_step(ad.as_tensor(z_fixed), ad.as_tensor(h_data[:4]), None,
-                          feats, np.zeros(4, bool), st.available(), store, cfg)
-        return ad.mul(out.log_prob(2), -1.0)
+        keys = project_keys(h_data[None, :4], store, cfg)
+        out = decode_step(z_fixed[None], None, keys, feats[None], np.ones((1, 4), bool),
+                          avail, store, cfg)
+        return ad.mul(ad.tsum(log_prob(out, np.array([2]))), -1.0)
 
     run(pol_logprob, store.section("policy."))
 
@@ -337,23 +342,27 @@ def test_criterion_09_masking_probability():
         inst = generate_random(gen, rng)
         graph = build_graph(inst)
         h = encode(graph, store, cfg)
-        h_real = ad.Tensor(h.data[: inst.num_ops])
+        h_real = h.data[None, : inst.num_ops]
+        keys = project_keys(h_real, store, cfg)
         z = latent(h, store, cfg).z
         st = reset(inst)
         prev = None
         while not st.done:
             avail = st.available()
-            out = decode_step(ad.Tensor(z.data), h_real, prev,
-                              state_features(st), st.scheduled.copy(),
-                              avail, store, cfg)
-            finite = np.isfinite(out.full)
-            probs = np.where(finite, np.exp(out.full - out.full[finite].max()), 0.0)
+            avail_mask = np.zeros((1, inst.num_ops), bool)
+            avail_mask[0, avail] = True
+            out = decode_step(z.data[None], None if prev is None else h_real[:, prev],
+                              keys, state_features(st)[None], ~st.scheduled[None],
+                              avail_mask, store, cfg)
+            full = out.data[0]
+            finite = np.isfinite(full)
+            probs = np.where(finite, np.exp(full - full[finite].max()), 0.0)
             probs = probs / probs.sum()
             off_mask = np.ones(inst.num_ops, bool)
             off_mask[avail] = False
             assert np.all(probs[off_mask] == 0.0)
             assert abs(probs.sum() - 1.0) < 1e-9
-            assert np.all(np.abs(out.full[avail]) <= cfg.logit_clip)
+            assert np.all(np.abs(full[avail]) <= cfg.logit_clip)
             action = int(rng.choice(avail))
             st.step(action)
             prev = action

@@ -42,6 +42,20 @@ class TestBasics:
         zero_grad([p])
         np.testing.assert_allclose(p.grad, [0.0])
 
+    def test_backward_consumes_graph(self):
+        p = Parameter(np.array([2.0]))
+        with Tape() as tape:
+            hidden = ad.square(p)
+            loss = ad.tsum(hidden)
+        backward(loss)
+        np.testing.assert_allclose(p.grad, [4.0])
+        assert len(tape.nodes) == 2  # the walked length stays readable
+        assert all(node.parents == () and node.vjp is None for node in tape.nodes)
+        np.testing.assert_allclose(hidden.data, [4.0])
+        with pytest.raises(ValueError, match="already consumed"):
+            backward(loss)
+        np.testing.assert_allclose(p.grad, [4.0])
+
     def test_no_tape_no_recording(self):
         p = Parameter(np.ones(2))
         y = ad.tsum(p * 3.0)

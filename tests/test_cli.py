@@ -150,6 +150,34 @@ class TestConfigErrors:
         assert not ckpt.exists()
 
 
+class TestMissingInputs:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{missing}", "--method", "fifo", "--out", "{out}"],
+        ["solve", "{ft06}", "--method", "vg2s", "--model", "{missing}", "--out", "{out}"],
+        ["eval", "--dir", "{missing}", "--methods", "fifo", "--out", "{out}"],
+        ["eval", "--dir", "{instances}", "--format", "json", "--methods", "vg2s",
+         "--model", "{missing}", "--out", "{out}"],
+        ["export-latents", "--model", "{missing}", "--instances", "{instances}",
+         "--out", "{out}"],
+        ["similarity", "--model", "{missing}", "--count", "1", "--out", "{out}"],
+        ["train-policy", "--encoder-ckpt", "{missing}", "--instances", "{instances}",
+         "--epochs", "1", "--checkpoint", "{out}"],
+        ["train-policy", "--skip-phase1", "--instances", "{missing}",
+         "--epochs", "1", "--checkpoint", "{out}"],
+    ], ids=["solve-file", "solve-model", "eval-dir", "eval-model", "export-latents-model",
+            "similarity-model", "train-policy-encoder", "train-policy-instances"])
+    def test_one_line_error_and_exit_2(self, tmp_path, ft06_file, instance_dir,
+                                       capsys, argv):
+        missing, out = tmp_path / "nothere", tmp_path / "out"
+        argv = [a.format(missing=missing, out=out, ft06=ft06_file, instances=instance_dir)
+                for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"vg2s: error: {missing}: No such file or directory\n"
+        assert not out.exists()
+
+
 class TestEval:
     def test_csv_report(self, tmp_path, ft06_file, capsys):
         d = tmp_path / "bench"
@@ -216,6 +244,14 @@ class TestGap:
     def test_improvement_rate(self, capsys):
         assert main(["gap", "97", "--baseline", "100"]) == 0
         assert capsys.readouterr().out.strip() == "3.0000"
+
+    @pytest.mark.parametrize("flags", [["--ub", "0"], ["--baseline", "0"]])
+    def test_nonpositive_reference_one_line_error(self, flags, capsys):
+        assert main(["gap", "65", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("vg2s: error: gap: nonpositive")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("flags", [[], ["--ub", "55", "--baseline", "60"]])
     def test_exactly_one_reference_required(self, flags, capsys):

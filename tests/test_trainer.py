@@ -10,8 +10,8 @@ from vg2s.bench import solve_with_model
 from vg2s.env import replay
 from vg2s.instance import GenConfig, generate_random
 from vg2s.trainer import (ENCODER_SECTIONS, EncoderCache, InstancePool,
-                          TrainConfig, build_model, rollout, scaled_q,
-                          train_policy, train_representation)
+                          TrainConfig, TrainingDiverged, build_model, rollout,
+                          scaled_q, train_policy, train_representation)
 
 
 @pytest.fixture()
@@ -111,6 +111,27 @@ class TestPhase1:
             gc.enable()
         assert alive == []
 
+    def test_non_finite_gradient_raises(self, tiny_cfg, small_pool, monkeypatch):
+        cfg, pool = small_pool
+        store = build_model(tiny_cfg, seed=0)
+        poison_backward(monkeypatch, store["encoder.embed.fc1.w"])
+        before = store.section_bytes("encoder.")
+        with pytest.raises(TrainingDiverged, match="gradient at epoch 1"):
+            train_representation(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
+        assert store.section_bytes("encoder.") == before
+
+
+def poison_backward(monkeypatch, param):
+    """Make every backward pass leave a NaN in `param`'s gradient, as an
+    overflow inside the backward pass would, while the loss stays finite."""
+    backward = ad.backward
+
+    def poisoned(loss):
+        backward(loss)
+        param.grad.flat[0] = np.nan
+
+    monkeypatch.setattr(ad, "backward", poisoned)
+
 
 class TestRollout:
     def test_valid_complete_schedule(self, two_by_two, tiny_cfg, rng):
@@ -119,7 +140,8 @@ class TestRollout:
         cache = EncoderCache(store, tiny_cfg)
         cache.rebuild(pool)
         h_real, z = cache.draw(0, rng)
-        traj = rollout(two_by_two, z, h_real, store, tiny_cfg, "sample", rng=rng)
+        traj = rollout([two_by_two], z[None], [h_real], store, tiny_cfg, "sample",
+                       rng=rng).trajectories[0]
         assert sorted(traj.actions) == [0, 1, 2, 3]
         assert replay(two_by_two, traj.actions).makespan() == traj.makespan
         assert traj.makespan in (7, 11)
@@ -130,9 +152,9 @@ class TestRollout:
         cache = EncoderCache(store, tiny_cfg)
         cache.rebuild(pool)
         h_real, mu, _ = cache.entries[0]
-        a = rollout(two_by_two, ad.Tensor(mu), ad.Tensor(h_real), store, tiny_cfg, "greedy")
-        b = rollout(two_by_two, ad.Tensor(mu), ad.Tensor(h_real), store, tiny_cfg, "greedy")
-        assert a.actions == b.actions
+        a = rollout([two_by_two], mu[None], [h_real], store, tiny_cfg, "greedy")
+        b = rollout([two_by_two], mu[None], [h_real], store, tiny_cfg, "greedy")
+        assert a.trajectories[0].actions == b.trajectories[0].actions
 
     def test_taped_log_prob_matches_sum(self, two_by_two, tiny_cfg, rng):
         store = build_model(tiny_cfg, seed=0)
@@ -141,9 +163,10 @@ class TestRollout:
         cache.rebuild(pool)
         h_real, z = cache.draw(0, rng)
         with ad.Tape():
-            traj = rollout(two_by_two, z, h_real, store, tiny_cfg, "sample",
-                           rng=rng, taped=True)
-        assert traj.log_prob_total.data == pytest.approx(sum(traj.log_probs))
+            episodes = rollout([two_by_two], z[None], [h_real], store, tiny_cfg,
+                               "sample", rng=rng, taped=True)
+        traj = episodes.trajectories[0]
+        assert episodes.log_prob_total.data[0] == pytest.approx(sum(traj.log_probs))
 
 
 class TestPhase2:
@@ -171,6 +194,30 @@ class TestPhase2:
             train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
             results.append(store.section_bytes("policy."))
         assert results[0] == results[1]
+
+    def test_epoch_tapes_freed_without_cyclic_gc(self, two_by_two, tiny_cfg):
+        # Peak memory must not depend on when the cyclic collector runs.
+        cfg = TrainConfig(policy_epochs=3, batch_size=2, seed=0)
+        store = build_model(tiny_cfg, seed=0)
+        pool = InstancePool(cfg, np.random.default_rng(0), frozen=[two_by_two])
+        gc.collect()
+        gc.disable()
+        try:
+            train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
+            alive = [o for o in gc.get_objects() if isinstance(o, ad.Tape)]
+        finally:
+            gc.enable()
+        assert alive == []
+
+    def test_non_finite_gradient_raises(self, two_by_two, tiny_cfg, monkeypatch):
+        cfg = TrainConfig(policy_epochs=2, batch_size=2, seed=0)
+        store = build_model(tiny_cfg, seed=0)
+        pool = InstancePool(cfg, np.random.default_rng(0), frozen=[two_by_two])
+        poison_backward(monkeypatch, store["critic.fc1.w"])
+        before = store.section_bytes("policy.") + store.section_bytes("critic.")
+        with pytest.raises(TrainingDiverged, match="gradient at epoch 1"):
+            train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
+        assert store.section_bytes("policy.") + store.section_bytes("critic.") == before
 
 
 class TestGreedyEval:
