@@ -105,6 +105,9 @@ def _record(out: Tensor) -> Tensor:
     if tape is not None and any(p.is_param or p.tape is tape for p in out.parents):
         out.tape = tape
         tape.nodes.append(out)
+    else:  # no backward pass will walk it: free its inputs now
+        out.parents = ()
+        out.vjp = None
     return out
 
 
@@ -570,34 +573,3 @@ def interp_linear(x, out_len) -> Tensor:
 
     return _record(Tensor(y, (x,), vjp))
 
-
-# ---------------------------------------------------------------- grad check
-
-def grad_check(f, params, h=1e-5, tol=1e-4):
-    """Compare analytic gradients of scalar f(params) against central
-    finite differences.  Returns (passed, max relative error)."""
-    zero_grad(params)
-    with Tape():
-        loss = f()
-    backward(loss)
-    analytic = [p.grad.copy() for p in params]
-
-    max_rel = 0.0
-    for p, ag in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        num = np.zeros_like(flat)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            with Tape():
-                fp = f().data.item()
-            flat[idx] = orig - h
-            with Tape():
-                fm = f().data.item()
-            flat[idx] = orig
-            num[idx] = (fp - fm) / (2.0 * h)
-        num = num.reshape(p.data.shape)
-        denom = max(np.abs(ag).max(), np.abs(num).max(), 1e-8)
-        rel = np.abs(ag - num).max() / denom
-        max_rel = max(max_rel, rel)
-    return max_rel < tol, max_rel

@@ -46,15 +46,6 @@ class ParamStore:
     def section(self, prefix: str) -> list[Parameter]:
         return [p for name, p in self._params.items() if name.startswith(prefix)]
 
-    def section_bytes(self, prefix: str) -> bytes:
-        """Concatenated little-endian bytes of a section, for freeze checks."""
-        chunks = [
-            np.ascontiguousarray(p.data, dtype="<f8").tobytes()
-            for name, p in self._params.items()
-            if name.startswith(prefix)
-        ]
-        return b"".join(chunks)
-
     def update(self, other: "ParamStore", prefix: str = "") -> None:
         """Copy values in from another store for all names under `prefix`."""
         for name, p in other._params.items():

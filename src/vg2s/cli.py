@@ -180,12 +180,28 @@ def cmd_train_policy(args) -> int:
     return 0
 
 
+def _load_ubs(path: str) -> dict[str, int]:
+    """Read a JSON object mapping instance id -> best-known makespan.  Any
+    value but a JSON integer >= 1 ends the program with one error line and
+    exit status 2."""
+    text = _read_input(Path.read_text, Path(path))
+    try:
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("expected a JSON object of instance id -> makespan")
+        for name, val in raw.items():
+            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+                raise ValueError(f"{name}: best-known makespan must be an integer "
+                                 f">= 1, got {json.dumps(val)}")
+    except ValueError as exc:
+        print(f"vg2s: error: ub file {path}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return raw
+
+
 def cmd_eval(args) -> int:
     instances = _read_input(_load_instance_dir, args.dir, args.format)
-    ubs = {}
-    if args.ub_file:
-        for name, val in json.loads(_read_input(Path.read_text, Path(args.ub_file))).items():
-            ubs[name] = int(val)
+    ubs = _load_ubs(args.ub_file) if args.ub_file else {}
     store = model_cfg = None
     if "vg2s" in args.methods:
         if not args.model:

@@ -37,12 +37,8 @@ class ScheduleState:
         self.end = np.full(n * m, UNSET, dtype=np.int64)
         self.t = 1
         # remaining unscheduled work per machine / per job
-        self.machine_remaining = np.array(
-            [inst.machine_total(i) for i in range(m)], dtype=np.int64
-        )
-        self.job_remaining = np.array(
-            [inst.job_total(j) for j in range(n)], dtype=np.int64
-        )
+        self.machine_remaining = np.array(inst.machine_totals, dtype=np.int64)
+        self.job_remaining = np.array(inst.job_totals, dtype=np.int64)
 
     @property
     def done(self) -> bool:

@@ -8,7 +8,7 @@ each job visits every machine exactly once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,12 +22,15 @@ class Instance:
     """Immutable job-shop instance.
 
     ops[j] is job j's ordered operation list of (machine, duration) pairs;
-    machines are 0-indexed, durations are positive integers.
+    machines are 0-indexed, durations are positive integers.  The per-job
+    and per-machine work totals are summed once, on construction.
     """
 
     n: int
     m: int
     ops: tuple[tuple[tuple[int, int], ...], ...]
+    job_totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    machine_totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -43,6 +46,12 @@ class Instance:
             for mi, p in job:
                 if p < 1:
                     raise ValueError(f"job {j}: nonpositive duration {p} on machine {mi}")
+        machine_totals = [0] * self.m
+        for job in self.ops:
+            for mi, p in job:
+                machine_totals[mi] += p
+        object.__setattr__(self, "job_totals", tuple(sum(p for _, p in job) for job in self.ops))
+        object.__setattr__(self, "machine_totals", tuple(machine_totals))
 
     @property
     def num_ops(self) -> int:
@@ -54,18 +63,9 @@ class Instance:
     def duration(self, j: int, k: int) -> int:
         return self.ops[j][k][1]
 
-    def job_total(self, j: int) -> int:
-        return sum(p for _, p in self.ops[j])
-
-    def machine_total(self, i: int) -> int:
-        return sum(p for job in self.ops for mi, p in job if mi == i)
-
     def load_lower_bound(self) -> int:
         """max(max machine load, max job load) -- a valid makespan lower bound."""
-        return max(
-            max(self.machine_total(i) for i in range(self.m)),
-            max(self.job_total(j) for j in range(self.n)),
-        )
+        return max(max(self.machine_totals), max(self.job_totals))
 
     def to_json(self) -> str:
         return json.dumps(

@@ -37,8 +37,8 @@ class _Search:
         self.machine_ready = [0] * m
         self.job_ready = [0] * n
         self.next_op = [0] * n
-        self.machine_remaining = [inst.machine_total(i) for i in range(m)]
-        self.job_remaining = [inst.job_total(j) for j in range(n)]
+        self.machine_remaining = list(inst.machine_totals)
+        self.job_remaining = list(inst.job_totals)
         self.best = float("inf")
         self.best_actions: tuple[int, ...] = ()
         self.trail: list[int] = []

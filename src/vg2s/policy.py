@@ -3,7 +3,7 @@ tanh-clipped pointer logits, plus the latent-state critic."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,33 +34,85 @@ def build_critic_params(store: ParamStore, cfg: ModelConfig, rng) -> None:
 
 
 @dataclass
-class EpisodeKeys:
-    """Key projections of a batch of episodes.  W holds every weight applied
-    to keys = [h_real, state_emb] side by side in K columns: each glimpse
-    head's wk and wv, then the pointer's wk.  Within an episode the h_real
-    half of the keys is constant, so `fixed` = h_real @ W[:d] is computed
-    once per rollout, shape (B, N, K); each step adds state_emb @
-    `w_state`, with `w_state` = W[d:]."""
+class Attention:
+    """One attention block of a batch of episodes over N op rows, head-major.
 
-    fixed: ad.Tensor
-    w_state: ad.Tensor
-    widths: list[int]
+    Its keys act on [h_real, state_emb] (2d = 2 * d_latent columns).  `wq`
+    (H, 2d, w) holds the query weights with the score scale folded in;
+    `keys_t` (B, H, w, N) the keys of every row with state_emb at the
+    constant c of an unavailable op; `wk_state_t` (H, w, d) the transposed
+    state half of the key weights, which corrects the keys of available
+    rows.  Glimpse blocks carry `values` (B, H, N, 2d) and `wv_state`
+    (H, d, 2d) the same way; the pointer is a one-head block without them.
+    """
+
+    wq: ad.Tensor
+    keys_t: ad.Tensor
+    wk_state_t: ad.Tensor
+    values: ad.Tensor | None = None
+    wv_state: ad.Tensor | None = None
+
+    def rows(self, episodes: np.ndarray) -> "Attention":
+        values = None if self.values is None else ad.take(self.values, episodes, axis=0)
+        return replace(self, keys_t=ad.take(self.keys_t, episodes, axis=0), values=values)
+
+
+@dataclass
+class EpisodeKeys:
+    """Key projections of a batch of episodes, computed once per rollout.
+
+    `state_features` is zero on every row outside the available set, so
+    those rows all embed to c = mlp("policy.state")(0) (`state_zero`).
+    Each block's fixed keys and values are projected with every row at c;
+    a decode step adds only the available rows' corrections, through
+    (mlp(f) - c) and the blocks' state weights.
+    """
+
+    state_zero: ad.Tensor
+    glimpses: list[Attention]
+    pointer: Attention
 
     def rows(self, episodes: np.ndarray) -> "EpisodeKeys":
-        return EpisodeKeys(ad.take(self.fixed, episodes, axis=0), self.w_state,
-                           self.widths)
+        return EpisodeKeys(self.state_zero, [blk.rows(episodes) for blk in self.glimpses],
+                           self.pointer.rows(episodes))
+
+
+def _heads(x: ad.Tensor, count: int, axes: tuple[int, ...]) -> ad.Tensor:
+    """Split the last axis of x into `count` heads, then permute the axes."""
+    return ad.transpose(ad.reshape(x, x.shape[:-1] + (count, -1)), axes)
 
 
 def project_keys(h_real: np.ndarray, store: ParamStore, cfg: ModelConfig) -> EpisodeKeys:
-    """h_real: (B, N, d_latent) real-node embeddings, zero-padded to N rows."""
-    names = [f"policy.glimpse.l{layer}.h{head}.{w}"
-             for layer in range(cfg.glimpse_layers)
-             for head in range(cfg.glimpse_heads) for w in ("wk", "wv")]
+    """The rollout's key projections; h_real: (B, N, d_latent) real-node
+    embeddings, zero-padded to N rows."""
+    d, heads = cfg.d_latent, cfg.glimpse_heads
+    d_qk = d + cfg.d_glimpse
+    tags = [f"policy.glimpse.l{layer}" for layer in range(cfg.glimpse_layers)]
+    # Every key weight side by side: per layer all heads' wk, then all
+    # heads' wv; the pointer's wk last.
+    names = [f"{tag}.h{head}.{w}" for tag in tags for w in ("wk", "wv")
+             for head in range(heads)]
     names.append("policy.lc.wk")
-    weights = ad.concat([store[name] for name in names], axis=1)
-    w_real, w_state = ad.split(weights, [cfg.d_latent, cfg.d_latent], axis=0)
-    return EpisodeKeys(ad.matmul(h_real, w_real), w_state,
-                       [store[name].data.shape[1] for name in names])
+    w_real, w_state = ad.split(ad.concat([store[name] for name in names], axis=1),
+                               [d, d], axis=0)
+    state_zero = mlp(store, "policy.state", np.zeros(6))
+    fixed = ad.add(ad.matmul(h_real, w_real), ad.matmul(state_zero, w_state))
+    widths = [heads * d_qk, heads * 2 * d] * cfg.glimpse_layers + [d + cfg.d_logit]
+    fixed_parts = iter(ad.split(fixed, widths, axis=2))
+    state_parts = iter(ad.split(w_state, widths, axis=1))
+
+    def block(wq: ad.Tensor, count: int, scale: float, values: bool) -> Attention:
+        out = Attention(ad.mul(_heads(wq, count, (1, 0, 2)), scale),
+                        _heads(next(fixed_parts), count, (0, 2, 3, 1)),
+                        _heads(next(state_parts), count, (1, 2, 0)))
+        if values:
+            out.values = _heads(next(fixed_parts), count, (0, 2, 1, 3))
+            out.wv_state = _heads(next(state_parts), count, (1, 0, 2))
+        return out
+
+    glimpses = [block(ad.concat([store[f"{tag}.h{head}.wq"] for head in range(heads)], axis=1),
+                      heads, 1.0 / np.sqrt(d_qk / heads), True) for tag in tags]
+    return EpisodeKeys(state_zero, glimpses, block(store["policy.lc.wq"], 1, 1.0 / d, False))
 
 
 def decode_step(z: np.ndarray, h_prev: np.ndarray | None, keys: EpisodeKeys,
@@ -75,41 +127,53 @@ def decode_step(z: np.ndarray, h_prev: np.ndarray | None, keys: EpisodeKeys,
     real ops (the glimpse attends to these only); avail_mask marks the
     selectable ops.  Returns the (b, N) taped logits, -inf wherever
     avail_mask is False.
+
+    Rows of state_feats outside avail_mask are not read: `keys` already
+    holds every row at the zero features `state_features` gives them.  Only
+    the available rows are embedded, as e = mlp(f) - c, and their
+    corrections enter each score as e . (W_state,k q) and each context as
+    (w_avail e) W_state,v, through a one-hot (b, n, N) selection.  All
+    heads of a layer share one batched matmul and one softmax.  For K key
+    columns a step thus costs O((N + d) * K) plus the selection products,
+    not the O(N * d * K) of projecting every row's keys.
     """
     if not avail_mask.any(axis=1).all():
         raise ValueError("decode_step with an empty available set")
     if not attend_mask.any(axis=1).all():
         raise ValueError("glimpse attention has no unscheduled operations")
     count, num_ops = avail_mask.shape
-    d_head = (cfg.d_latent + cfg.d_glimpse) / cfg.glimpse_heads
 
     if h_prev is None:
         h_prev = ad.mul(np.ones((count, 1)), store["policy.dummy_prev"])
-    context = ad.concat([z, h_prev], axis=1)
+    q = ad.reshape(ad.concat([z, h_prev], axis=1), (count, 1, 1, -1))
 
-    state_emb = mlp(store, "policy.state", ad.Tensor(state_feats))
-    projected = ad.add(keys.fixed, ad.matmul(state_emb, keys.w_state))
-    parts = iter(ad.split(projected, keys.widths, axis=2))  # in W's column order
+    # Slot s of episode r holds its s-th available op; `select` maps slots
+    # to op rows, and padded slots (zero features) map nowhere.
+    rows, ops = np.nonzero(avail_mask)
+    sizes = avail_mask.sum(axis=1)
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    select = np.zeros((count, 1, sizes.max(), num_ops))
+    select[rows, 0, slots, ops] = 1.0
+    feats = np.zeros((count, 1, sizes.max(), state_feats.shape[-1]))
+    feats[rows, 0, slots] = state_feats[rows, ops]
+    moved = ad.sub(mlp(store, "policy.state", feats), keys.state_zero)  # (b, 1, n, d)
+    moved_t = ad.transpose(moved, (0, 1, 3, 2))
 
-    q = context
-    for layer in range(cfg.glimpse_layers):
-        head_sum = None
-        for head in range(cfg.glimpse_heads):
-            tag = f"policy.glimpse.l{layer}.h{head}"
-            kh, vh = next(parts), next(parts)
-            qh = ad.matmul(q, store[f"{tag}.wq"])
-            scores = ad.matmul(kh, ad.reshape(qh, (count, -1, 1)))
-            scores = ad.mul(ad.reshape(scores, (count, num_ops)), 1.0 / np.sqrt(d_head))
-            weights = ad.masked_softmax(scores, attend_mask, axis=1)
-            contrib = ad.reshape(ad.matmul(ad.reshape(weights, (count, 1, num_ops)), vh),
-                                 (count, 2 * cfg.d_latent))
-            head_sum = contrib if head_sum is None else ad.add(head_sum, contrib)
-        q = head_sum
+    def scores(query: ad.Tensor, blk: Attention) -> ad.Tensor:
+        """(b, H, 1, N) scaled scores of every head of one block."""
+        qh = ad.matmul(query, blk.wq)
+        correction = ad.matmul(ad.matmul(ad.matmul(qh, blk.wk_state_t), moved_t), select)
+        return ad.add(ad.matmul(qh, blk.keys_t), correction)
 
-    q_lc = ad.matmul(q, store["policy.lc.wq"])
-    raw = ad.reshape(ad.matmul(next(parts), ad.reshape(q_lc, (count, -1, 1))),
-                     (count, num_ops))
-    logits = ad.mul(ad.tanh(ad.mul(raw, 1.0 / cfg.d_latent)), cfg.logit_clip)
+    attend = attend_mask[:, None, None, :]
+    for blk in keys.glimpses:
+        weights = ad.masked_softmax(scores(q, blk), attend)
+        picked = ad.matmul(ad.matmul(weights, np.swapaxes(select, 2, 3)), moved)
+        heads = ad.add(ad.matmul(weights, blk.values), ad.matmul(picked, blk.wv_state))
+        q = ad.tsum(heads, axis=1, keepdims=True)
+
+    raw = ad.reshape(scores(q, keys.pointer), (count, num_ops))
+    logits = ad.mul(ad.tanh(raw), cfg.logit_clip)
     return ad.add(logits, np.where(avail_mask, 0.0, -np.inf))
 
 

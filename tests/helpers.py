@@ -1,0 +1,54 @@
+"""Shared by the tests: finite-difference gradient verification, byte
+snapshots of parameter sections and seeded random instances."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from vg2s.autodiff import Tape, backward, zero_grad
+from vg2s.checkpoint import ParamStore
+from vg2s.instance import Instance
+
+
+def grad_check(f, params, h=1e-5, tol=1e-4):
+    """Compare analytic gradients of scalar f(params) against central
+    finite differences.  Returns (passed, max relative error)."""
+    zero_grad(params)
+    with Tape():
+        loss = f()
+    backward(loss)
+    analytic = [p.grad.copy() for p in params]
+
+    max_rel = 0.0
+    for p, ag in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        num = np.zeros_like(flat)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            with Tape():
+                fp = f().data.item()
+            flat[idx] = orig - h
+            with Tape():
+                fm = f().data.item()
+            flat[idx] = orig
+            num[idx] = (fp - fm) / (2.0 * h)
+        num = num.reshape(p.data.shape)
+        denom = max(np.abs(ag).max(), np.abs(num).max(), 1e-8)
+        rel = np.abs(ag - num).max() / denom
+        max_rel = max(max_rel, rel)
+    return max_rel < tol, max_rel
+
+
+def section_bytes(store: ParamStore, prefix: str) -> bytes:
+    """Concatenated little-endian bytes of a section, for freeze checks."""
+    return b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+                    for p in store.section(prefix))
+
+
+def random_instance(n: int, m: int, seed: int) -> Instance:
+    """n jobs x m machines: uniform machine orders, durations in 1..99."""
+    rng = np.random.default_rng(seed)
+    return Instance(n=n, m=m, ops=tuple(
+        tuple(zip(rng.permutation(m).tolist(), rng.integers(1, 100, m).tolist()))
+        for _ in range(n)))

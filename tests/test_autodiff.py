@@ -3,9 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import grad_check
 from vg2s import autodiff as ad
-from vg2s.autodiff import (Parameter, ShapeError, Tape, backward, grad_check,
-                           zero_grad)
+from vg2s.autodiff import Parameter, ShapeError, Tape, backward, zero_grad
 
 
 def check(f, params, tol=1e-6):
@@ -60,6 +60,11 @@ class TestBasics:
         p = Parameter(np.ones(2))
         y = ad.tsum(p * 3.0)
         assert y.tape is None
+        # nothing will walk it, so it keeps no inputs alive
+        assert y.parents == () and y.vjp is None
+        with Tape() as tape:
+            c = ad.exp(np.ones(2))  # constants only: not recorded either
+        assert tape.nodes == [] and c.parents == () and c.vjp is None
 
 
 class TestArithmeticGrads:

@@ -18,6 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import random_instance
 from vg2s import autodiff as ad
 from vg2s.env import replay, reset, state_features
 from vg2s.graph import build_graph
@@ -137,6 +138,11 @@ TWO_BY_THREE = Instance(n=2, m=3, ops=(((0, 3), (1, 2), (2, 4)), ((2, 2), (0, 4)
 IDENTICAL_JOBS = Instance(n=4, m=2, ops=(((0, 1), (1, 1)),) * 4)
 
 
+# 120 op rows but at most 12 available at a step: most rows take the fixed
+# keys, and the available-row corrections carry every decision.
+TWELVE_BY_TEN = random_instance(12, 10, seed=12)
+
+
 def _batch_inputs(insts, cfg, model_seed, seed):
     store = build_model(cfg, seed=model_seed)
     rng = np.random.default_rng(seed)
@@ -162,6 +168,7 @@ def _grads(store, loss):
 @example(insts=[ONE_BY_ONE], layers=1, model_seed=0, seed=0)
 @example(insts=[ONE_BY_FOUR, ONE_BY_ONE, TWO_BY_THREE], layers=1, model_seed=1, seed=1)
 @example(insts=[TWO_BY_THREE, ONE_BY_FOUR], layers=2, model_seed=2, seed=2)
+@example(insts=[TWELVE_BY_TEN, TWO_BY_THREE], layers=2, model_seed=3, seed=3)
 def test_batched_rollout_matches_scalar_reference(tiny_cfg, insts, layers, model_seed, seed):
     """With the batched rollout's sampled actions forced on the reference,
     per-step log-probs, per-episode totals and policy gradients agree."""
@@ -194,6 +201,7 @@ def test_batched_rollout_matches_scalar_reference(tiny_cfg, insts, layers, model
        model_seed=st.integers(0, 100))
 @example(insts=[ONE_BY_ONE, ONE_BY_FOUR], layers=1, model_seed=0)
 @example(insts=[IDENTICAL_JOBS, TWO_BY_THREE], layers=1, model_seed=0)
+@example(insts=[TWELVE_BY_TEN], layers=2, model_seed=3)
 def test_greedy_actions_match_scalar_reference(tiny_cfg, insts, layers, model_seed):
     """Greedy episodes at the latent means pick the reference's greedy
     action at every step.  Where the reference's top logits tie to within

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from helpers import section_bytes
 from vg2s.checkpoint import load_checkpoint
 from vg2s.cli import main
 from vg2s.instance import Instance
@@ -112,9 +113,9 @@ class TestTrainPipeline:
         trained = load_checkpoint(str(ckpt1))
         final = load_checkpoint(str(ckpt2))
         # phase 2 keeps the phase-1 encoder weights bit-for-bit
-        assert final.section_bytes("encoder.") == trained.section_bytes("encoder.")
-        assert final.section_bytes("latent.") == trained.section_bytes("latent.")
-        assert final.section_bytes("decoder.") == trained.section_bytes("decoder.")
+        assert section_bytes(final, "encoder.") == section_bytes(trained, "encoder.")
+        assert section_bytes(final, "latent.") == section_bytes(trained, "latent.")
+        assert section_bytes(final, "decoder.") == section_bytes(trained, "decoder.")
 
     def test_skip_phase1(self, tmp_path, tiny_config_file, instance_dir, capsys):
         ckpt = tmp_path / "baseline.ckpt"
@@ -193,6 +194,25 @@ class TestEval:
         by_method = {r["method"]: r for r in rows if r["instance"] == "ft06"}
         assert by_method["fifo"]["cmax"] == "65"
         assert by_method["mwkr"]["cmax"] == "61"
+
+    @pytest.mark.parametrize("value", ['"abc"', "0", "-3", "1.5", "true"])
+    def test_bad_ub_one_line_error(self, tmp_path, ft06_file, capsys, value):
+        """Only JSON integers >= 1 are best-known makespans; anything else
+        stops before any CSV is written (1.5 is not truncated to 1)."""
+        d = tmp_path / "bench"
+        d.mkdir()
+        (d / "ft06.txt").write_text(open(ft06_file).read())
+        ubs = tmp_path / "ubs.json"
+        ubs.write_text('{"ft06": %s}' % value)
+        out = tmp_path / "report.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--dir", str(d), "--methods", "fifo", "--ub-file", str(ubs),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"vg2s: error: ub file {ubs}: ft06: ") and err.count("\n") == 1
+        assert value in err
+        assert not out.exists()
 
     def test_unknown_method_rejected_before_running(self, tmp_path, ft06_file, capsys):
         d = tmp_path / "bench"

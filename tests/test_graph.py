@@ -12,8 +12,9 @@ from vg2s.instance import Instance
 def ref_static_features(inst: Instance) -> np.ndarray:
     """Loop reference for static_features."""
     n, m = inst.n, inst.m
-    job_totals = np.array([inst.job_total(j) for j in range(n)], dtype=np.float64)
-    mach_totals = np.array([inst.machine_total(i) for i in range(m)], dtype=np.float64)
+    job_totals = np.array([sum(p for _, p in job) for job in inst.ops], dtype=np.float64)
+    mach_totals = np.array([sum(p for job in inst.ops for mi, p in job if mi == i)
+                            for i in range(m)], dtype=np.float64)
     max_job_total = job_totals.max()
 
     x = np.zeros((n * m + 2, 6), dtype=np.float64)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vg2s.instance import (GenConfig, Instance, ParseError, generate_random,
                            parse_orlib, parse_taillard)
@@ -27,14 +29,34 @@ class TestInstanceInvariants:
             Instance(n=2, m=1, ops=(((0, 1),),))
 
     def test_totals(self, two_by_two):
-        assert two_by_two.job_total(0) == 5
-        assert two_by_two.job_total(1) == 6
-        assert two_by_two.machine_total(0) == 7
-        assert two_by_two.machine_total(1) == 4
+        assert two_by_two.job_totals == (5, 6)
+        assert two_by_two.machine_totals == (7, 4)
         assert two_by_two.load_lower_bound() == 7
 
     def test_json_round_trip(self, two_by_two):
         assert Instance.from_json(two_by_two.to_json()) == two_by_two
+
+
+@st.composite
+def instances(draw):
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return Instance(n=n, m=m, ops=tuple(
+        tuple(zip(draw(st.permutations(range(m))),
+                  draw(st.lists(st.integers(1, 10_000), min_size=m, max_size=m))))
+        for _ in range(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=instances())
+def test_totals_match_direct_sums(inst):
+    """The totals summed on construction equal a direct sum over the ops,
+    as Python ints, and give the load bound."""
+    jobs = [sum(p for _, p in job) for job in inst.ops]
+    machines = [sum(p for job in inst.ops for mi, p in job if mi == i) for i in range(inst.m)]
+    assert inst.job_totals == tuple(jobs)
+    assert inst.machine_totals == tuple(machines)
+    assert all(type(t) is int for t in inst.job_totals + inst.machine_totals)
+    assert inst.load_lower_bound() == max(jobs + machines)
 
 
 class TestParseOrlib:

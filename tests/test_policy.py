@@ -3,14 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import grad_check, random_instance
 from vg2s import autodiff as ad
-from vg2s.autodiff import grad_check
 from vg2s.checkpoint import ParamStore
 from vg2s.env import reset, state_features
 from vg2s.graph import build_graph
 from vg2s.policy import (build_critic_params, build_policy_params,
                          critic_value, decode_step, log_prob, project_keys,
                          select_action)
+from vg2s.trainer import build_model
 from vg2s.vge import build_encoder_params, encode, latent
 
 
@@ -74,6 +75,62 @@ class TestDecodeStep:
         with pytest.raises(ValueError):
             step_logits(policy_setup, tiny_cfg, avail=[0],
                         attend=np.zeros((1, 4), dtype=bool))
+
+
+def _two_episodes(tiny_cfg, n=6, m=5, seed=3):
+    """Inputs of one decode_step for two episodes of an n x m instance, at
+    different points of a random schedule: (store, z, h_real, feats,
+    attend, avail)."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(n, m, seed)
+    store = build_model(tiny_cfg, seed=seed)
+    h_real = rng.normal(size=(2, inst.num_ops, tiny_cfg.d_latent))
+    z = rng.normal(size=(2, tiny_cfg.d_latent))
+    feats, attend, avail = [], [], []
+    for steps in (3, 11):
+        st_ = reset(inst)
+        for _ in range(steps):
+            st_.step(int(rng.choice(st_.available())))
+        feats.append(state_features(st_))
+        attend.append(~st_.scheduled)
+        mask = np.zeros(inst.num_ops, dtype=bool)
+        mask[st_.available()] = True
+        avail.append(mask)
+    return store, z, h_real, np.stack(feats), np.stack(attend), np.stack(avail)
+
+
+class TestAvailableRows:
+    def test_rows_outside_avail_not_read(self, tiny_cfg):
+        """decode_step reads state features on available rows only:
+        garbage anywhere else leaves every logit unchanged, bit for bit."""
+        store, z, h_real, feats, attend, avail = _two_episodes(tiny_cfg)
+        keys = project_keys(h_real, store, tiny_cfg)
+        want = decode_step(z, h_real[:, 0], keys, feats, attend, avail, store, tiny_cfg).data
+        noisy = feats.copy()
+        noisy[~avail] = np.random.default_rng(0).normal(size=(int((~avail).sum()), 6)) * 50
+        got = decode_step(z, h_real[:, 0], keys, noisy, attend, avail, store, tiny_cfg).data
+        np.testing.assert_array_equal(got, want)
+        # ...and the features of available rows are read.
+        noisy[avail] += 1.0
+        moved = decode_step(z, h_real[:, 0], keys, noisy, attend, avail, store, tiny_cfg).data
+        assert not np.allclose(moved[avail], want[avail])
+
+    def test_no_step_node_spans_every_key(self, tiny_cfg):
+        """A taped step records no tensor of b * N * K values (K key columns
+        of every op row): the full per-step key projection stays gone."""
+        store, z, h_real, feats, attend, avail = _two_episodes(tiny_cfg, n=10, m=8)
+        count, num_ops = avail.shape
+        cfg = tiny_cfg  # K: each glimpse head's wk and wv, then the pointer's wk
+        key_columns = (cfg.glimpse_layers * cfg.glimpse_heads * (3 * cfg.d_latent + cfg.d_glimpse)
+                       + cfg.d_latent + cfg.d_logit)
+        with ad.Tape() as tape:
+            keys = project_keys(h_real, store, tiny_cfg)
+            before = len(tape.nodes)
+            out = decode_step(z, h_real[:, 0], keys, feats, attend, avail, store, tiny_cfg)
+            log_prob(out, np.argmax(out.data, axis=1))
+        step_nodes = tape.nodes[before:]
+        assert step_nodes
+        assert max(node.data.size for node in step_nodes) < count * num_ops * key_columns
 
 
 class TestSelectAction:

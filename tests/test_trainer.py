@@ -5,6 +5,7 @@ import gc
 import numpy as np
 import pytest
 
+from helpers import section_bytes
 from vg2s import autodiff as ad
 from vg2s.bench import solve_with_model
 from vg2s.env import replay
@@ -62,9 +63,9 @@ class TestBuildModel:
     def test_seed_determinism(self, tiny_cfg):
         a = build_model(tiny_cfg, seed=3)
         b = build_model(tiny_cfg, seed=3)
-        assert a.section_bytes("") == b.section_bytes("")
+        assert section_bytes(a, "") == section_bytes(b, "")
         c = build_model(tiny_cfg, seed=4)
-        assert a.section_bytes("") != c.section_bytes("")
+        assert section_bytes(a, "") != section_bytes(c, "")
 
 
 class TestScaledQ:
@@ -90,13 +91,13 @@ class TestPhase1:
     def test_only_encoder_sections_move(self, tiny_cfg, small_pool):
         cfg, pool = small_pool
         store = build_model(tiny_cfg, seed=0)
-        pol_before = store.section_bytes("policy.")
-        cr_before = store.section_bytes("critic.")
-        enc_before = store.section_bytes("encoder.")
+        pol_before = section_bytes(store, "policy.")
+        cr_before = section_bytes(store, "critic.")
+        enc_before = section_bytes(store, "encoder.")
         train_representation(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
-        assert store.section_bytes("policy.") == pol_before
-        assert store.section_bytes("critic.") == cr_before
-        assert store.section_bytes("encoder.") != enc_before
+        assert section_bytes(store, "policy.") == pol_before
+        assert section_bytes(store, "critic.") == cr_before
+        assert section_bytes(store, "encoder.") != enc_before
 
     def test_epoch_tapes_freed_without_cyclic_gc(self, tiny_cfg, small_pool):
         # Peak memory must not depend on when the cyclic collector runs.
@@ -115,10 +116,10 @@ class TestPhase1:
         cfg, pool = small_pool
         store = build_model(tiny_cfg, seed=0)
         poison_backward(monkeypatch, store["encoder.embed.fc1.w"])
-        before = store.section_bytes("encoder.")
+        before = section_bytes(store, "encoder.")
         with pytest.raises(TrainingDiverged, match="gradient at epoch 1"):
             train_representation(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
-        assert store.section_bytes("encoder.") == before
+        assert section_bytes(store, "encoder.") == before
 
 
 def poison_backward(monkeypatch, param):
@@ -174,14 +175,14 @@ class TestPhase2:
         cfg = TrainConfig(policy_epochs=3, batch_size=2, seed=0)
         store = build_model(tiny_cfg, seed=0)
         pool = InstancePool(cfg, np.random.default_rng(0), frozen=[two_by_two])
-        frozen_before = [store.section_bytes(s) for s in ENCODER_SECTIONS]
-        pol_before = store.section_bytes("policy.")
-        cr_before = store.section_bytes("critic.")
+        frozen_before = [section_bytes(store, s) for s in ENCODER_SECTIONS]
+        pol_before = section_bytes(store, "policy.")
+        cr_before = section_bytes(store, "critic.")
         report = train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
         for section, before in zip(ENCODER_SECTIONS, frozen_before):
-            assert store.section_bytes(section) == before, section
-        assert store.section_bytes("policy.") != pol_before
-        assert store.section_bytes("critic.") != cr_before
+            assert section_bytes(store, section) == before, section
+        assert section_bytes(store, "policy.") != pol_before
+        assert section_bytes(store, "critic.") != cr_before
         assert report.columns == ("epoch", "policy_loss", "critic_loss", "mean_cmax")
         assert len(report.rows) == 3
 
@@ -192,7 +193,7 @@ class TestPhase2:
             store = build_model(tiny_cfg, seed=0)
             pool = InstancePool(cfg, np.random.default_rng(0), frozen=[two_by_two])
             train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
-            results.append(store.section_bytes("policy."))
+            results.append(section_bytes(store, "policy."))
         assert results[0] == results[1]
 
     def test_epoch_tapes_freed_without_cyclic_gc(self, two_by_two, tiny_cfg):
@@ -214,10 +215,10 @@ class TestPhase2:
         store = build_model(tiny_cfg, seed=0)
         pool = InstancePool(cfg, np.random.default_rng(0), frozen=[two_by_two])
         poison_backward(monkeypatch, store["critic.fc1.w"])
-        before = store.section_bytes("policy.") + store.section_bytes("critic.")
+        before = section_bytes(store, "policy.") + section_bytes(store, "critic.")
         with pytest.raises(TrainingDiverged, match="gradient at epoch 1"):
             train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
-        assert store.section_bytes("policy.") + store.section_bytes("critic.") == before
+        assert section_bytes(store, "policy.") + section_bytes(store, "critic.") == before
 
 
 class TestGreedyEval:

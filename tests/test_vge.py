@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import grad_check
 from vg2s import autodiff as ad
-from vg2s.autodiff import Tape, backward, grad_check
+from vg2s.autodiff import Tape, backward
 from vg2s.checkpoint import ParamStore
 from vg2s.graph import build_graph, reconstruction_targets
 from vg2s.vge import (SIGMA_FLOOR, ModelConfig, build_decoder_params,
