@@ -154,6 +154,11 @@ def zero_grad(params) -> None:
         p.grad[...] = 0.0
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Whether backward can use a gradient for t: a parameter or taped."""
+    return t.is_param or t.tape is not None
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     if g.shape == tuple(shape):
         return g
@@ -221,18 +226,27 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 1 or b.data.ndim < 2:
         raise ShapeError(f"matmul: unsupported shapes {a.shape} x {b.shape}")
+    # An operand that is neither a parameter nor taped is a constant whose
+    # gradient backward would drop, so its VJP output is None, not computed.
     if a.data.ndim == 1:
         y = a.data @ b.data
         out = Tensor(y, (a, b),
-                     lambda g: (g @ b.data.T, np.outer(a.data, g)))
+                     lambda g: (g @ b.data.T if _needs_grad(a) else None,
+                                np.outer(a.data, g) if _needs_grad(b) else None))
         return _record(out)
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
     y = a.data @ b.data
-    out = Tensor(y, (a, b),
-                 lambda g: (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
-                            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)))
-    return _record(out)
+
+    def vjp(g):
+        ga = gb = None
+        if _needs_grad(a):
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if _needs_grad(b):
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return ga, gb
+
+    return _record(Tensor(y, (a, b), vjp))
 
 
 # ---------------------------------------------------------------- reductions

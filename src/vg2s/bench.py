@@ -103,8 +103,8 @@ def _similarity_records(inst: Instance, pick_action, instance_id: int) -> list[d
         avail = st.available()
         action = pick_action(st)
         j, k = divmod(action, inst.m)
-        durations = sorted(inst.duration(*divmod(u, inst.m)) for u in avail)
-        rank = durations.index(inst.duration(j, k)) + 1
+        durations = np.sort(inst.durations.ravel()[avail])
+        rank = int(np.searchsorted(durations, inst.durations[j, k])) + 1
         records.append({
             "instance": instance_id,
             "step": step,
@@ -175,9 +175,10 @@ def gantt_svg(st, path) -> None:
     for i in range(inst.m):
         y = pad + i * row_h
         parts.append(f'<text x="4" y="{y + row_h // 2}" font-size="11">M{i}</text>')
+    machines = inst.machines.ravel().tolist()
     for u in range(inst.num_ops):
         j, k = divmod(u, inst.m)
-        i = inst.machine(j, k)
+        i = machines[u]
         x = pad + float(st.start[u]) * scale
         w = max(1.0, (float(st.end[u]) - float(st.start[u])) * scale)
         y = pad + i * row_h + 2

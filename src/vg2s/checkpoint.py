@@ -52,8 +52,10 @@ class ParamStore:
             if name.startswith(prefix):
                 if name not in self._params:
                     raise KeyError(f"unknown parameter {name!r}")
-                if self._params[name].data.shape != p.data.shape:
-                    raise ValueError(f"shape mismatch for {name!r}")
+                have = self._params[name].data.shape
+                if have != p.data.shape:
+                    raise ValueError(f"shape mismatch for {name!r}: {p.data.shape}, "
+                                     f"expected {have}")
                 self._params[name].data[...] = p.data
 
 
@@ -77,17 +79,26 @@ def save_checkpoint(store: ParamStore, path) -> None:
 
 
 def load_checkpoint(path) -> ParamStore:
+    """Read a checkpoint; a file that is not a whole one raises ValueError
+    naming it."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: truncated header")
     (hlen,) = struct.unpack("<Q", raw[8:16])
-    manifest = json.loads(raw[16:16 + hlen].decode())
+    try:
+        manifest = json.loads(raw[16:16 + hlen].decode())
+    except ValueError as exc:  # also a cut or garbled UTF-8 manifest
+        raise ValueError(f"{path}: unreadable manifest ({exc})") from None
     blob = raw[16 + hlen:]
     store = ParamStore()
     for entry in manifest:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         off = entry["byte_offset"]
+        if not 0 <= off <= len(blob) - 8 * count:
+            raise ValueError(f"{path}: parameter {entry['name']!r} lies outside the file")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
         store.add(entry["name"], arr.astype(np.float64))
     return store

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bench import (PDR_METHODS, eval_bench, export_latents, gantt_svg,
                     pdr_similarity, solve_with_model, write_csv)
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import ParamStore, load_checkpoint, save_checkpoint
 from .env import replay, schedule_records
 from .instance import GenConfig, Instance, parse_orlib, parse_taillard, generate_random
 from .oracle import DEFAULT_BUDGET, branch_and_bound
@@ -52,6 +52,33 @@ def _read_input(load, path: str, *args):
         return load(path, *args)
     except OSError as exc:
         print(f"vg2s: error: {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _read_checkpoint(path: str, role: str) -> ParamStore:
+    """load_checkpoint(path); a missing, unreadable or cut file ends the
+    program with one error line and exit status 2."""
+    try:
+        return _read_input(load_checkpoint, path)
+    except ValueError as exc:  # the message starts with the path
+        print(f"vg2s: error: {role} {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _load_encoder(store: ParamStore, path: str) -> None:
+    """Copy the frozen encoder (every ENCODER_SECTIONS parameter of `store`)
+    from the checkpoint at `path`.  A checkpoint that lacks one of them,
+    holds one in another shape or holds one the model does not have ends
+    the program with one error line and exit status 2."""
+    trained = _read_checkpoint(path, "encoder checkpoint")
+    try:
+        for name in store.names():
+            if name.startswith(ENCODER_SECTIONS) and name not in trained:
+                raise ValueError(f"missing parameter {name!r}")
+        for section in ENCODER_SECTIONS:
+            store.update(trained, section)
+    except (KeyError, ValueError) as exc:
+        print(f"vg2s: error: encoder checkpoint {path}: {exc.args[0]}", file=sys.stderr)
         raise SystemExit(2) from None
 
 
@@ -105,10 +132,10 @@ def cmd_solve(args) -> int:
         print(f"cmax {c} proven={res.proven} nodes={res.nodes_explored}")
     elif args.method == "vg2s":
         if not args.model:
-            print("solve --method vg2s requires --model", file=sys.stderr)
+            print("vg2s: error: solve --method vg2s requires --model", file=sys.stderr)
             return 2
         _, model_cfg = load_configs(args.config)
-        store = _read_input(load_checkpoint, args.model)
+        store = _read_checkpoint(args.model, "model checkpoint")
         st, c = solve_with_model(inst, store, model_cfg)
         print(f"cmax {c}")
     else:
@@ -165,11 +192,10 @@ def cmd_train_policy(args) -> int:
         pass  # baseline: the freshly initialized encoder is frozen as-is
     else:
         if not args.encoder_ckpt:
-            print("train-policy requires --encoder-ckpt (or --skip-phase1)", file=sys.stderr)
+            print("vg2s: error: train-policy requires --encoder-ckpt (or --skip-phase1)",
+                  file=sys.stderr)
             return 2
-        trained = _read_input(load_checkpoint, args.encoder_ckpt)
-        for section in ENCODER_SECTIONS:
-            store.update(trained, section)
+        _load_encoder(store, args.encoder_ckpt)
     pool = _pool_from_args(args, train_cfg, rng)
     report = train_policy(train_cfg, model_cfg, store, pool, rng)
     save_checkpoint(store, args.checkpoint)
@@ -205,10 +231,10 @@ def cmd_eval(args) -> int:
     store = model_cfg = None
     if "vg2s" in args.methods:
         if not args.model:
-            print("eval with method vg2s requires --model", file=sys.stderr)
+            print("vg2s: error: eval with method vg2s requires --model", file=sys.stderr)
             return 2
         _, model_cfg = load_configs(args.config)
-        store = _read_input(load_checkpoint, args.model)
+        store = _read_checkpoint(args.model, "model checkpoint")
     rows = eval_bench(instances, args.methods, ubs, store=store,
                       model_cfg=model_cfg, oracle_budget=args.budget)
     write_csv(rows, args.out, ["instance", "size", "method", "cmax", "ub", "gap"])
@@ -218,7 +244,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_latents(args) -> int:
     _, model_cfg = load_configs(args.config)
-    store = _read_input(load_checkpoint, args.model)
+    store = _read_checkpoint(args.model, "model checkpoint")
     instances = _read_input(_load_instance_dir, args.instances, "json")
     rows = export_latents(instances, store, model_cfg)
     columns = ["instance"] + [f"mu_{i}" for i in range(model_cfg.d_latent)] + ["greedy_cmax"]
@@ -237,10 +263,10 @@ def cmd_similarity(args) -> int:
         rule = Rule(args.rule)
     else:
         if not args.model:
-            print("similarity requires --model or --rule", file=sys.stderr)
+            print("vg2s: error: similarity requires --model or --rule", file=sys.stderr)
             return 2
         _, model_cfg = load_configs(args.config)
-        store = _read_input(load_checkpoint, args.model)
+        store = _read_checkpoint(args.model, "model checkpoint")
     rows = pdr_similarity(args.count, args.jobs, args.machines,
                           _seed_override(args.seed),
                           store=store, model_cfg=model_cfg, rule=rule)

@@ -46,22 +46,15 @@ class ScheduleState:
 
     def available(self) -> list[int]:
         """Op nodes selectable now: the next op of every unfinished job."""
-        m = self.inst.m
-        return [
-            j * m + int(self.next_op[j])
-            for j in range(self.inst.n)
-            if self.next_op[j] < m
-        ]
-
-    def is_available(self, u: int) -> bool:
-        j, k = divmod(u, self.inst.m)
-        return 0 <= j < self.inst.n and self.next_op[j] == k
+        jobs = np.flatnonzero(self.next_op < self.inst.m)
+        return (jobs * self.inst.m + self.next_op[jobs]).tolist()
 
     def step(self, u: int) -> None:
         """Schedule op u semi-actively; rejects unavailable actions."""
-        if not self.is_available(u):
-            raise ActionError(f"operation {u} is not available at step {self.t}")
         j, k = divmod(u, self.inst.m)
+        if not (0 <= j < self.inst.n and self.next_op[j] == k):
+            raise ActionError(f"operation {u} is not available at step {self.t}")
+        # scalar reads from the tuples: cheaper than numpy scalar indexing
         i, p = self.inst.ops[j][k]
         start = max(int(self.machine_ready[i]), int(self.job_ready[j]))
         self.start[u] = start
@@ -114,12 +107,10 @@ def state_features(st: ScheduleState) -> np.ndarray:
     if jobs.size == 0:
         return feats
     ks = st.next_op[jobs]
-    # machine and duration of each candidate, and the machine of its job's
-    # op k+1 (for a terminal op, its own machine: a placeholder masked below)
-    mach, p, follow_mach = np.array([
-        (*inst.ops[j][k], inst.ops[j][min(k + 1, m - 1)][0])
-        for j, k in zip(jobs.tolist(), ks.tolist())
-    ]).T
+    mach, p = inst.machines[jobs, ks], inst.durations[jobs, ks]
+    # machine of the job's op k+1 (for a terminal op, its own machine: a
+    # placeholder masked below)
+    follow_mach = inst.machines[jobs, np.minimum(ks + 1, m - 1)]
     est = np.maximum(st.machine_ready[mach], st.job_ready[jobs])
     machine_load = st.machine_ready + st.machine_remaining
     job_load = st.job_ready[jobs] + st.job_remaining[jobs]
@@ -153,20 +144,17 @@ def state_features(st: ScheduleState) -> np.ndarray:
 
 def schedule_records(st: ScheduleState) -> list[dict]:
     """JSON-friendly rows {job, op, machine, start, end} sorted by start."""
-    inst = st.inst
-    rows = []
-    for u in range(inst.num_ops):
-        if st.start[u] == UNSET:
-            continue
-        j, k = divmod(u, inst.m)
-        rows.append(
-            {
-                "job": j,
-                "op": k,
-                "machine": inst.machine(j, k),
-                "start": int(st.start[u]),
-                "end": int(st.end[u]),
-            }
-        )
+    m = st.inst.m
+    machines = st.inst.machines.ravel()
+    rows = [
+        {
+            "job": u // m,
+            "op": u % m,
+            "machine": int(machines[u]),
+            "start": int(st.start[u]),
+            "end": int(st.end[u]),
+        }
+        for u in np.flatnonzero(st.start != UNSET).tolist()
+    ]
     rows.sort(key=lambda r: (r["start"], r["machine"], r["job"]))
     return rows

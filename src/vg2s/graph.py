@@ -44,16 +44,13 @@ def static_features(inst: Instance) -> np.ndarray:
     Source row is all zeros; sink row is (0, 0, 1, 1, 1, 0).
     """
     n, m = inst.n, inst.m
-    ops = np.array(inst.ops, dtype=np.int64)  # n x m x (machine, duration)
-    mach = ops[..., 0]
-    p = ops[..., 1].astype(np.float64)
-    # Integer-valued sums are exact in float64, so summation order is moot.
-    job_totals = p.sum(axis=1, keepdims=True)
-    mach_totals = np.bincount(mach.ravel(), weights=p.ravel(), minlength=m)
+    p = inst.durations.astype(np.float64)
+    job_totals = np.array(inst.job_totals, dtype=np.float64)[:, None]
+    mach_totals = np.array(inst.machine_totals, dtype=np.float64)
     cols = (
         p / job_totals,
         p / p.max(axis=1, keepdims=True),
-        p / mach_totals[mach],
+        p / mach_totals[inst.machines],
         np.cumsum(p, axis=1) / job_totals,
         np.broadcast_to(np.arange(1, m + 1) / m, (n, m)),
         np.broadcast_to(job_totals / job_totals.max(), (n, m)),
@@ -81,7 +78,7 @@ def build_graph(inst: Instance) -> HeteroGraph:
     adj = np.zeros((3, num + 2, num + 2), dtype=bool)
     adj[0, u, np.where(k > 0, u - 1, source)] = True
     adj[1, u, np.where(k < m - 1, u + 1, sink)] = True
-    mach = np.array(inst.ops)[..., 0].ravel()
+    mach = inst.machines.ravel()
     share = mach[:, None] == mach[None, :]
     np.fill_diagonal(share, n == 1)
     adj[2, :num, :num] = share

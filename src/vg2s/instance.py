@@ -22,13 +22,16 @@ class Instance:
     """Immutable job-shop instance.
 
     ops[j] is job j's ordered operation list of (machine, duration) pairs;
-    machines are 0-indexed, durations are positive integers.  The per-job
-    and per-machine work totals are summed once, on construction.
+    machines are 0-indexed, durations are positive integers.  On
+    construction it is laid out once as the read-only (n, m) int64 arrays
+    machines[j, k] and durations[j, k], and the work totals are summed.
     """
 
     n: int
     m: int
     ops: tuple[tuple[tuple[int, int], ...], ...]
+    machines: np.ndarray = field(init=False, repr=False, compare=False)
+    durations: np.ndarray = field(init=False, repr=False, compare=False)
     job_totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
     machine_totals: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -46,22 +49,18 @@ class Instance:
             for mi, p in job:
                 if p < 1:
                     raise ValueError(f"job {j}: nonpositive duration {p} on machine {mi}")
-        machine_totals = [0] * self.m
-        for job in self.ops:
-            for mi, p in job:
-                machine_totals[mi] += p
-        object.__setattr__(self, "job_totals", tuple(sum(p for _, p in job) for job in self.ops))
-        object.__setattr__(self, "machine_totals", tuple(machine_totals))
+        table = np.array(self.ops, dtype=np.int64)  # n x m x (machine, duration)
+        machines, durations = table[..., 0].copy(), table[..., 1].copy()
+        machines.flags.writeable = durations.flags.writeable = False
+        machine_totals = np.bincount(machines.ravel(), durations.ravel(), self.m)
+        object.__setattr__(self, "machines", machines)
+        object.__setattr__(self, "durations", durations)
+        object.__setattr__(self, "job_totals", tuple(durations.sum(axis=1).tolist()))
+        object.__setattr__(self, "machine_totals", tuple(int(t) for t in machine_totals))
 
     @property
     def num_ops(self) -> int:
         return self.n * self.m
-
-    def machine(self, j: int, k: int) -> int:
-        return self.ops[j][k][0]
-
-    def duration(self, j: int, k: int) -> int:
-        return self.ops[j][k][1]
 
     def load_lower_bound(self) -> int:
         """max(max machine load, max job load) -- a valid makespan lower bound."""

@@ -46,6 +46,8 @@ class _Search:
     def place(self, j: int):
         inst = self.inst
         k = self.next_op[j]
+        # the search reads single ops from the tuples: cheaper than numpy
+        # scalar indexing of inst.machines / inst.durations
         i, p = inst.ops[j][k]
         prev_m, prev_j = self.machine_ready[i], self.job_ready[j]
         end = max(prev_m, prev_j) + p

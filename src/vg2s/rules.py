@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from .env import ScheduleState, reset
 from .instance import Instance
 
@@ -17,43 +19,34 @@ class Rule(str, Enum):
     MWKR = "mwkr"   # most work remaining for the op's job
 
 
-def _priority(rule: Rule, st: ScheduleState, u: int) -> float:
-    """Lower is better; argmax rules negate their score."""
-    inst = st.inst
-    j, k = divmod(u, inst.m)
-    i, p = inst.ops[j][k]
-    if rule is Rule.FIFO:
-        return float(st.job_ready[j])
-    if rule is Rule.SPT:
-        return float(p)
-    if rule is Rule.LPT:
-        return -float(p)
-    if rule is Rule.SRM:
-        return float(st.machine_remaining[i])
-    if rule is Rule.SRPT:
-        return float(st.job_remaining[j])
-    if rule is Rule.MWKR:
-        return -float(st.job_remaining[j])
-    raise ValueError(f"unknown rule {rule!r}")
-
-
 def select(rule: Rule, st: ScheduleState) -> int:
     """Pick the next op non-delay style: restrict to available ops with the
-    minimal earliest start time, apply the rule's priority among those, and
-    break remaining ties by lowest job index, then lowest machine index."""
-    best_u = -1
-    best_key = None
-    for u in st.available():
-        j, k = divmod(u, st.inst.m)
-        i = st.inst.machine(j, k)
-        est = max(int(st.machine_ready[i]), int(st.job_ready[j]))
-        key = (est, _priority(rule, st, u), j, i)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_u = u
-    if best_u < 0:
+    minimal earliest start time, apply the rule's priority among those
+    (lower is better; argmax rules negate their score), and break remaining
+    ties by lowest job index."""
+    inst = st.inst
+    jobs = np.flatnonzero(st.next_op < inst.m)
+    if jobs.size == 0:
         raise ValueError("no available operations")
-    return best_u
+    ks = st.next_op[jobs]
+    mach = inst.machines[jobs, ks]
+    est = np.maximum(st.machine_ready[mach], st.job_ready[jobs])
+    if rule is Rule.FIFO:
+        priority = st.job_ready[jobs]
+    elif rule is Rule.SPT:
+        priority = inst.durations[jobs, ks]
+    elif rule is Rule.LPT:
+        priority = -inst.durations[jobs, ks]
+    elif rule is Rule.SRM:
+        priority = st.machine_remaining[mach]
+    elif rule is Rule.SRPT:
+        priority = st.job_remaining[jobs]
+    elif rule is Rule.MWKR:
+        priority = -st.job_remaining[jobs]
+    else:
+        raise ValueError(f"unknown rule {rule!r}")
+    best = np.lexsort((jobs, priority, est))[0]
+    return int(jobs[best] * inst.m + ks[best])
 
 
 def dispatch(inst: Instance, rule: Rule) -> tuple[ScheduleState, int]:

@@ -91,7 +91,7 @@ def test_criterion_03_semi_active_suite():
             job_before = st.job_ready.copy()
             u = int(rng.choice(st.available()))
             j, k = divmod(u, inst.m)
-            i = inst.machine(j, k)
+            i = inst.machines[j, k]
             st.step(u)
             assert st.start[u] == max(machine_before[i], job_before[j])
             steps += 1

@@ -83,6 +83,23 @@ class TestArithmeticGrads:
         m = Parameter(rng.uniform(-1, 1, (4, 3)))
         check(lambda: ad.tsum(v @ m), [v, m])
 
+    @pytest.mark.parametrize("const_shape, param_shape", [((2, 5, 3), (3, 4)), ((3,), (3, 4))])
+    def test_matmul_vjp_skips_constant(self, rng, const_shape, param_shape):
+        """A constant operand gets no gradient computed; the other gets the
+        same gradient as when both are parameters."""
+        const = rng.uniform(-1, 1, const_shape)
+        p = Parameter(rng.uniform(-1, 1, param_shape))
+        with Tape():
+            y = ad.matmul(const, p)
+            taped_const = ad.matmul(Parameter(const), p)
+        g = rng.uniform(-1, 1, y.shape)
+        g_const, g_p = y.vjp(g)
+        assert g_const is None
+        np.testing.assert_array_equal(g_p, taped_const.vjp(g)[1])
+        with Tape():
+            y = ad.matmul(p, p.data.T)  # the constant on the right
+        assert y.vjp(np.ones(y.shape))[1] is None
+
     def test_matmul_shape_error(self):
         a = Parameter(np.ones((2, 3)))
         b = Parameter(np.ones((2, 3)))

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -80,6 +84,26 @@ class TestCheckpointIO:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(ValueError, match="not a checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("keep", [
+        lambda raw, hlen: raw[:12],               # short header
+        lambda raw, hlen: raw[:16 + hlen // 2],   # cut manifest
+        lambda raw, hlen: raw[:-4],               # cut blob
+    ], ids=["header", "manifest", "blob"])
+    def test_truncated_file_names_it(self, rng, tmp_path, keep):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(make_store(rng), path)
+        raw = path.read_bytes()
+        path.write_bytes(keep(raw, struct.unpack("<Q", raw[8:16])[0]))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
+
+    def test_negative_offset_names_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        header = json.dumps([{"name": "a", "shape": [1], "byte_offset": -8}]).encode()
+        path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + bytes(16))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)
 
     def test_identical_stores_identical_files(self, tmp_path):

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import csv
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from helpers import section_bytes
-from vg2s.checkpoint import load_checkpoint
+from vg2s.checkpoint import ParamStore, load_checkpoint, save_checkpoint
 from vg2s.cli import main
 from vg2s.instance import Instance
+from vg2s.trainer import build_model
+from vg2s.vge import ModelConfig
 
 TINY_MODEL = {
     "d_graph": 4, "d_latent": 4, "n_heads": 2,
@@ -129,6 +133,102 @@ class TestTrainPipeline:
         assert main(["train-policy", "--epochs", "1", "--config", tiny_config_file,
                      "--instances", instance_dir,
                      "--checkpoint", str(tmp_path / "x.ckpt")]) == 2
+
+
+def _cut_checkpoint(path, part: str) -> None:
+    """Truncate a checkpoint file inside its header, manifest or blob."""
+    raw = path.read_bytes()
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    path.write_bytes({"header": raw[:12], "manifest": raw[:16 + hlen // 2],
+                      "blob": raw[:-4]}[part])
+
+
+def _save_model(path, overrides=None) -> None:
+    save_checkpoint(build_model(ModelConfig(**{**TINY_MODEL, **(overrides or {})}), 0), path)
+
+
+class TestEncoderCheckpoint:
+    """train-policy copies the whole frozen encoder from --encoder-ckpt, or
+    stops with one error line before training."""
+
+    def _train(self, tmp_path, tiny_config_file, instance_dir, ckpt, capsys):
+        out = tmp_path / "policy.ckpt"
+        with pytest.raises(SystemExit) as exc:
+            main(["train-policy", "--encoder-ckpt", str(ckpt), "--epochs", "1",
+                  "--batch", "1", "--config", tiny_config_file,
+                  "--instances", instance_dir, "--checkpoint", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"vg2s: error: encoder checkpoint {ckpt}: ")
+        assert err.count("\n") == 1
+        return err
+
+    def test_no_encoder_names(self, tmp_path, tiny_config_file, instance_dir, capsys):
+        ckpt = tmp_path / "other.ckpt"
+        store = ParamStore()
+        store.add("policy.w", np.ones(3))
+        save_checkpoint(store, ckpt)
+        err = self._train(tmp_path, tiny_config_file, instance_dir, ckpt, capsys)
+        assert "missing parameter 'encoder." in err
+
+    def test_smaller_canvas(self, tmp_path, tiny_config_file, instance_dir, capsys):
+        ckpt = tmp_path / "small.ckpt"
+        _save_model(ckpt, {"canvas_jobs": 1})  # one decoder layer fewer
+        err = self._train(tmp_path, tiny_config_file, instance_dir, ckpt, capsys)
+        assert "missing parameter 'decoder.up1.w'" in err
+
+    def test_larger_canvas(self, tmp_path, tiny_config_file, instance_dir, capsys):
+        ckpt = tmp_path / "large.ckpt"
+        _save_model(ckpt, {"canvas_jobs": 4})  # one decoder layer more
+        err = self._train(tmp_path, tiny_config_file, instance_dir, ckpt, capsys)
+        assert "unknown parameter 'decoder.up2.w'" in err
+
+    def test_d_graph_mismatch(self, tmp_path, tiny_config_file, instance_dir, capsys):
+        ckpt = tmp_path / "wide.ckpt"
+        _save_model(ckpt, {"d_graph": 6})
+        err = self._train(tmp_path, tiny_config_file, instance_dir, ckpt, capsys)
+        assert "shape mismatch for 'encoder." in err
+
+    @pytest.mark.parametrize("part", ["header", "manifest", "blob"])
+    def test_cut_file(self, tmp_path, tiny_config_file, instance_dir, capsys, part):
+        ckpt = tmp_path / "cut.ckpt"
+        _save_model(ckpt)
+        _cut_checkpoint(ckpt, part)
+        self._train(tmp_path, tiny_config_file, instance_dir, ckpt, capsys)
+
+
+@pytest.mark.parametrize("part", ["header", "manifest", "blob"])
+def test_cut_model_checkpoint_one_line_error(tmp_path, ft06_file, tiny_config_file,
+                                            capsys, part):
+    ckpt, out = tmp_path / "cut.ckpt", tmp_path / "sched.json"
+    _save_model(ckpt)
+    _cut_checkpoint(ckpt, part)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", ft06_file, "--method", "vg2s", "--model", str(ckpt),
+              "--config", tiny_config_file, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"vg2s: error: model checkpoint {ckpt}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{ft06}", "--method", "vg2s"],
+    ["train-policy", "--instances", "{instances}", "--checkpoint", "{out}"],
+    ["eval", "--dir", "{instances}", "--format", "json", "--methods", "vg2s",
+     "--out", "{out}"],
+    ["similarity", "--out", "{out}"],
+], ids=["solve", "train-policy", "eval", "similarity"])
+def test_missing_required_source_one_line_error(tmp_path, ft06_file, instance_dir,
+                                                capsys, argv):
+    out = tmp_path / "out"
+    argv = [a.format(out=out, ft06=ft06_file, instances=instance_dir) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vg2s: error: ") and "requires --" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestConfigErrors:

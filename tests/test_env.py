@@ -28,7 +28,7 @@ def reference_bounds(st_, u) -> tuple[float, float]:
         j, k = divmod(v, inst.m)
         if k == inst.m - 1:
             return 0.0
-        i = inst.machine(j, k)
+        i = inst.machines[j, k]
         return float(max(nxt.machine_ready[i] + nxt.machine_remaining[i],
                          nxt.job_ready[j] + nxt.job_remaining[j]))
 
@@ -214,7 +214,7 @@ def test_random_rollout_invariants(seed):
         job_before = st_.job_ready.copy()
         u = int(rng.choice(avail))
         j, k = divmod(u, inst.m)
-        i = inst.machine(j, k)
+        i = inst.machines[j, k]
         st_.step(u)
         assert st_.start[u] == max(machine_before[i], job_before[j])
         steps += 1

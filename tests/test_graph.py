@@ -42,7 +42,7 @@ def ref_edges(inst: Instance):
     by_machine: dict[int, list[int]] = {i: [] for i in range(m)}
     for j in range(n):
         for k in range(m):
-            by_machine[inst.machine(j, k)].append(j * m + k)
+            by_machine[inst.ops[j][k][0]].append(j * m + k)
 
     prec, succ, share = [], [], []
     for j in range(n):
@@ -50,7 +50,7 @@ def ref_edges(inst: Instance):
             u = j * m + k
             prec.append((u - 1,) if k > 0 else (source,))
             succ.append((u + 1,) if k < m - 1 else (sink,))
-            peers = tuple(v for v in by_machine[inst.machine(j, k)] if v != u)
+            peers = tuple(v for v in by_machine[inst.ops[j][k][0]] if v != u)
             share.append(peers if peers else (u,))
     for d in (source, sink):
         prec.append((d,))

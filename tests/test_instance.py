@@ -13,7 +13,7 @@ class TestInstanceInvariants:
     def test_minimal_instance(self):
         inst = Instance(n=1, m=1, ops=(((0, 5),),))
         assert inst.num_ops == 1
-        assert inst.duration(0, 0) == 5
+        assert inst.durations[0, 0] == 5
         assert inst.load_lower_bound() == 5
 
     def test_rejects_duplicate_machine(self):
@@ -57,6 +57,18 @@ def test_totals_match_direct_sums(inst):
     assert inst.machine_totals == tuple(machines)
     assert all(type(t) is int for t in inst.job_totals + inst.machine_totals)
     assert inst.load_lower_bound() == max(jobs + machines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=instances())
+def test_arrays_match_ops_and_are_read_only(inst):
+    """machines[j, k] and durations[j, k] are ops[j][k], as read-only
+    (n, m) int64 arrays."""
+    for arr, field in ((inst.machines, 0), (inst.durations, 1)):
+        assert arr.shape == (inst.n, inst.m) and arr.dtype == np.int64
+        assert arr.tolist() == [[op[field] for op in job] for job in inst.ops]
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
 
 
 class TestParseOrlib:

@@ -2,12 +2,75 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vg2s.env import replay, reset
+from vg2s.env import ScheduleState, replay, reset
 from vg2s.instance import GenConfig, Instance, generate_random
 from vg2s.rules import Rule, dispatch, improvement_rate, optimality_gap, select
+
+
+def reference_priority(rule: Rule, st_: ScheduleState, u: int) -> float:
+    """Per-candidate priority read from the op tuples; lower is better,
+    argmax rules negate their score."""
+    inst = st_.inst
+    j, k = divmod(u, inst.m)
+    i, p = inst.ops[j][k]
+    if rule is Rule.FIFO:
+        return float(st_.job_ready[j])
+    if rule is Rule.SPT:
+        return float(p)
+    if rule is Rule.LPT:
+        return -float(p)
+    if rule is Rule.SRM:
+        return float(st_.machine_remaining[i])
+    if rule is Rule.SRPT:
+        return float(st_.job_remaining[j])
+    if rule is Rule.MWKR:
+        return -float(st_.job_remaining[j])
+    raise ValueError(f"unknown rule {rule!r}")
+
+
+def reference_select(rule: Rule, st_: ScheduleState) -> int:
+    """One candidate at a time: the lowest (earliest start, priority, job,
+    machine) key among the available ops."""
+    best_u = -1
+    best_key = None
+    for u in st_.available():
+        j, k = divmod(u, st_.inst.m)
+        i = st_.inst.ops[j][k][0]
+        est = max(int(st_.machine_ready[i]), int(st_.job_ready[j]))
+        key = (est, reference_priority(rule, st_, u), j, i)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_u = u
+    return best_u
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """n < m included; durations in 1..3, so equal keys are common."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return Instance(n=n, m=m, ops=tuple(
+        tuple(zip(draw(st.permutations(range(m))),
+                  draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))))
+        for _ in range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=tie_heavy_instances(), seed=st.integers(0, 10_000))
+@example(inst=Instance(n=2, m=3, ops=(((0, 1), (1, 1), (2, 1)), ((2, 1), (1, 1), (0, 1)))),
+         seed=0)
+def test_select_matches_reference_along_random_rollouts(inst, seed):
+    """At every state of a random rollout, each rule's array pass picks the
+    op the one-candidate-at-a-time reference picks."""
+    rng = np.random.default_rng(seed)
+    st_ = reset(inst)
+    while not st_.done:
+        for rule in Rule:
+            assert select(rule, st_) == reference_select(rule, st_)
+        st_.step(int(rng.choice(st_.available())))
+
 
 FT06_MAKESPANS = {
     Rule.FIFO: 65,
