@@ -8,6 +8,7 @@ float64 blob holding all parameters back to back.  Round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -78,9 +79,30 @@ def save_checkpoint(store: ParamStore, path) -> None:
         fh.write(bytes(blob))
 
 
+def _entry(path, entry) -> tuple[str, tuple[int, ...], int]:
+    """(name, shape, byte_offset) of one manifest entry; a malformed one
+    raises ValueError naming the file."""
+    if not isinstance(entry, dict) or not {"name", "shape", "byte_offset"} <= entry.keys():
+        raise ValueError(f"{path}: manifest entry {entry!r} lacks a name, shape or byte_offset")
+    name, shape, off = entry["name"], entry["shape"], entry["byte_offset"]
+
+    def size(x) -> bool:
+        return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+    if not isinstance(name, str):
+        raise ValueError(f"{path}: parameter name {name!r} is not a string")
+    if not (isinstance(shape, list) and all(size(dim) for dim in shape)):
+        raise ValueError(f"{path}: parameter {name!r} has shape {shape!r}, "
+                         f"not a list of sizes >= 0")
+    if not size(off):
+        raise ValueError(f"{path}: parameter {name!r} has byte_offset {off!r}, "
+                         f"not an integer >= 0")
+    return name, tuple(shape), off
+
+
 def load_checkpoint(path) -> ParamStore:
-    """Read a checkpoint; a file that is not a whole one raises ValueError
-    naming it."""
+    """Read a checkpoint; a file that is not a whole, well-formed one, or
+    that holds a non-finite parameter, raises ValueError naming it."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
@@ -91,14 +113,21 @@ def load_checkpoint(path) -> ParamStore:
         manifest = json.loads(raw[16:16 + hlen].decode())
     except ValueError as exc:  # also a cut or garbled UTF-8 manifest
         raise ValueError(f"{path}: unreadable manifest ({exc})") from None
+    if not isinstance(manifest, list):
+        raise ValueError(f"{path}: manifest is not a list of parameter entries")
     blob = raw[16 + hlen:]
     store = ParamStore()
     for entry in manifest:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        off = entry["byte_offset"]
-        if not 0 <= off <= len(blob) - 8 * count:
-            raise ValueError(f"{path}: parameter {entry['name']!r} lies outside the file")
+        name, shape, off = _entry(path, entry)
+        count = math.prod(shape)
+        if off > len(blob) - 8 * count:
+            raise ValueError(f"{path}: parameter {name!r} lies outside the file")
+        if name in store:
+            raise ValueError(f"{path}: parameter {name!r} appears twice")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        store.add(entry["name"], arr.astype(np.float64))
+        store.add(name, arr.astype(np.float64))
+    # One pass over the whole blob; only a failure looks for the culprits.
+    if not np.isfinite(np.frombuffer(blob, dtype="<f8", count=len(blob) // 8)).all():
+        bad = [name for name in store.names() if not np.isfinite(store[name].data).all()]
+        raise ValueError(f"{path}: non-finite values in {', '.join(map(repr, bad)) or 'the blob'}")
     return store

@@ -65,15 +65,19 @@ class EpisodeKeys:
     those rows all embed to c = mlp("policy.state")(0) (`state_zero`).
     Each block's fixed keys and values are projected with every row at c;
     a decode step adds only the available rows' corrections, through
-    (mlp(f) - c) and the blocks' state weights.
+    (mlp(f) - c) and the blocks' state weights.  `h_real` (B, N, d_latent)
+    holds the embeddings the keys were projected from, which a decision
+    reads back as its previous action's.
     """
 
+    h_real: np.ndarray
     state_zero: ad.Tensor
     glimpses: list[Attention]
     pointer: Attention
 
     def rows(self, episodes: np.ndarray) -> "EpisodeKeys":
-        return EpisodeKeys(self.state_zero, [blk.rows(episodes) for blk in self.glimpses],
+        return EpisodeKeys(self.h_real[episodes], self.state_zero,
+                           [blk.rows(episodes) for blk in self.glimpses],
                            self.pointer.rows(episodes))
 
 
@@ -112,77 +116,104 @@ def project_keys(h_real: np.ndarray, store: ParamStore, cfg: ModelConfig) -> Epi
 
     glimpses = [block(ad.concat([store[f"{tag}.h{head}.wq"] for head in range(heads)], axis=1),
                       heads, 1.0 / np.sqrt(d_qk / heads), True) for tag in tags]
-    return EpisodeKeys(state_zero, glimpses, block(store["policy.lc.wq"], 1, 1.0 / d, False))
+    return EpisodeKeys(h_real, state_zero, glimpses,
+                       block(store["policy.lc.wq"], 1, 1.0 / d, False))
 
 
-def decode_step(z: np.ndarray, h_prev: np.ndarray | None, keys: EpisodeKeys,
+def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
                 state_feats: np.ndarray, attend_mask: np.ndarray,
                 avail_mask: np.ndarray, store: ParamStore, cfg: ModelConfig) -> ad.Tensor:
-    """One pointer step of b episodes over N (padded) operation rows.
+    """T pointer decisions of each of b episodes over N (padded) op rows.
 
-    z: latent vectors (b, d_latent); h_prev: embeddings of each episode's
-    previous action (b, d_latent), or None at the first step, which uses
-    the learned dummy; keys: the b episodes' rows of the rollout's
-    projections; state_feats: (b, N, 6); attend_mask marks the unscheduled
-    real ops (the glimpse attends to these only); avail_mask marks the
-    selectable ops.  Returns the (b, N) taped logits, -inf wherever
-    avail_mask is False.
+    z: latent vectors (b, d_latent); prev: (b, T) op row of each decision's
+    previous action, or -1 at an episode's first decision, which uses the
+    learned dummy; keys: the b episodes' rows of the rollout's projections;
+    state_feats: (b, T, N, 6); attend_mask (b, T, N) marks the unscheduled
+    real ops (the glimpse attends to these only); avail_mask (b, T, N)
+    marks the selectable ops.  Returns the (b, T, N) taped logits, -inf
+    wherever avail_mask is False.  A rollout step is T = 1; scoring the
+    recorded decisions of a rollout is T = its longest episode.
 
-    Rows of state_feats outside avail_mask are not read: `keys` already
-    holds every row at the zero features `state_features` gives them.  Only
-    the available rows are embedded, as e = mlp(f) - c, and their
-    corrections enter each score as e . (W_state,k q) and each context as
-    (w_avail e) W_state,v, through a one-hot (b, n, N) selection.  All
-    heads of a layer share one batched matmul and one softmax.  For K key
-    columns a step thus costs O((N + d) * K) plus the selection products,
-    not the O(N * d * K) of projecting every row's keys.
+    The T decisions of an episode are the query rows of one product per
+    head with its keys and one with its values, so no per-decision copy of
+    the keys is built.  Rows of state_feats outside avail_mask are not
+    read: `keys` already holds every row at the zero features
+    `state_features` gives them.  Only the available rows are embedded, as
+    e = mlp(f) - c, and their corrections enter each score as
+    e . (W_state,k q) and each context as (w_avail e) W_state,v, through a
+    one-hot (b, 1, T, n, N) selection; only these corrections batch over
+    decisions.  All heads of a layer share one batched matmul and one
+    softmax.  For K key columns a decision thus costs O((N + d) * K) plus
+    the selection products, not the O(N * d * K) of projecting every row's
+    keys.
     """
-    if not avail_mask.any(axis=1).all():
+    if not avail_mask.any(axis=-1).all():
         raise ValueError("decode_step with an empty available set")
-    if not attend_mask.any(axis=1).all():
+    if not attend_mask.any(axis=-1).all():
         raise ValueError("glimpse attention has no unscheduled operations")
-    count, num_ops = avail_mask.shape
+    count, steps, num_ops = avail_mask.shape
 
-    if h_prev is None:
-        h_prev = ad.mul(np.ones((count, 1)), store["policy.dummy_prev"])
-    q = ad.reshape(ad.concat([z, h_prev], axis=1), (count, 1, 1, -1))
+    first = prev < 0
+    h_prev = keys.h_real[np.arange(count)[:, None], prev]  # -1 reads a row zeroed below
+    if first.any():
+        h_prev[first] = 0.0
+        h_prev = ad.add(h_prev, ad.mul(first[..., None] * 1.0, store["policy.dummy_prev"]))
+    q = ad.reshape(ad.concat([np.repeat(z[:, None], steps, axis=1), h_prev], axis=2),
+                   (count, 1, steps, -1))
 
-    # Slot s of episode r holds its s-th available op; `select` maps slots
+    # Slot s of a decision holds its s-th available op; `select` maps slots
     # to op rows, and padded slots (zero features) map nowhere.
-    rows, ops = np.nonzero(avail_mask)
-    sizes = avail_mask.sum(axis=1)
+    flat_avail = avail_mask.reshape(count * steps, num_ops)
+    rows, ops = np.nonzero(flat_avail)
+    sizes = flat_avail.sum(axis=1)
     slots = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    select = np.zeros((count, 1, sizes.max(), num_ops))
-    select[rows, 0, slots, ops] = 1.0
-    feats = np.zeros((count, 1, sizes.max(), state_feats.shape[-1]))
-    feats[rows, 0, slots] = state_feats[rows, ops]
-    moved = ad.sub(mlp(store, "policy.state", feats), keys.state_zero)  # (b, 1, n, d)
-    moved_t = ad.transpose(moved, (0, 1, 3, 2))
+    select = np.zeros((count * steps, sizes.max(), num_ops))
+    select[rows, slots, ops] = 1.0
+    feats = np.zeros((count * steps, sizes.max(), state_feats.shape[-1]))
+    feats[rows, slots] = state_feats.reshape(count * steps, num_ops, -1)[rows, ops]
+    # The corrections' products take the decisions as a batch axis, (b, 1,
+    # T, ...), shared by all heads; `across` moves a head-major (b, H, T,
+    # ...) tensor's decision rows to that axis (tail (1, -1)) and back
+    # (tail (-1,)).  A single decision, a rollout step, needs no such axis,
+    # and leaving it out spares each step those moves.
+    lead = (count, 1, steps) if steps > 1 else (count, 1)
+
+    def across(x: ad.Tensor, *tail: int) -> ad.Tensor:
+        return ad.reshape(x, x.shape[:3] + tail) if steps > 1 else x
+
+    select = select.reshape(lead + (-1, num_ops))
+    moved = ad.sub(mlp(store, "policy.state", feats.reshape(lead + (-1, feats.shape[-1]))),
+                   keys.state_zero)  # lead + (n, d)
+    moved_t = ad.transpose(moved, tuple(range(len(lead))) + (len(lead) + 1, len(lead)))
 
     def scores(query: ad.Tensor, blk: Attention) -> ad.Tensor:
-        """(b, H, 1, N) scaled scores of every head of one block."""
+        """(b, H, T, N) scaled scores of every head of one block."""
         qh = ad.matmul(query, blk.wq)
-        correction = ad.matmul(ad.matmul(ad.matmul(qh, blk.wk_state_t), moved_t), select)
-        return ad.add(ad.matmul(qh, blk.keys_t), correction)
+        state_q = across(ad.matmul(qh, blk.wk_state_t), 1, -1)
+        correction = ad.matmul(ad.matmul(state_q, moved_t), select)
+        return ad.add(ad.matmul(qh, blk.keys_t), across(correction, -1))
 
-    attend = attend_mask[:, None, None, :]
+    attend = attend_mask[:, None]
     for blk in keys.glimpses:
         weights = ad.masked_softmax(scores(q, blk), attend)
-        picked = ad.matmul(ad.matmul(weights, np.swapaxes(select, 2, 3)), moved)
-        heads = ad.add(ad.matmul(weights, blk.values), ad.matmul(picked, blk.wv_state))
+        picked = ad.matmul(ad.matmul(across(weights, 1, -1), np.swapaxes(select, -1, -2)), moved)
+        heads = ad.add(ad.matmul(weights, blk.values),
+                       ad.matmul(across(picked, -1), blk.wv_state))
         q = ad.tsum(heads, axis=1, keepdims=True)
 
-    raw = ad.reshape(scores(q, keys.pointer), (count, num_ops))
+    raw = ad.reshape(scores(q, keys.pointer), (count, steps, num_ops))
     logits = ad.mul(ad.tanh(raw), cfg.logit_clip)
     return ad.add(logits, np.where(avail_mask, 0.0, -np.inf))
 
 
 def log_prob(logits: ad.Tensor, actions: np.ndarray) -> ad.Tensor:
-    """Taped (b,) log-probabilities of one action per row of decode_step's
-    masked logits."""
-    count, num_ops = logits.shape
-    chosen = ad.take(ad.reshape(logits, (-1,)), np.arange(count) * num_ops + actions)
-    return ad.sub(chosen, ad.logsumexp(logits, axis=1))
+    """Taped log-probabilities of one action per decision of decode_step's
+    masked (..., N) logits; actions has the leading shape, and so does the
+    result."""
+    num_ops = logits.shape[-1]
+    flat = np.arange(actions.size).reshape(actions.shape) * num_ops + actions
+    chosen = ad.take(ad.reshape(logits, (-1,)), flat)
+    return ad.sub(chosen, ad.logsumexp(logits, axis=-1))
 
 
 def select_action(logits: np.ndarray, mode: str, rng=None) -> tuple[np.ndarray, np.ndarray]:

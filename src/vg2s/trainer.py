@@ -138,12 +138,33 @@ class Trajectory:
 
 
 @dataclass
+class Decisions:
+    """Every decision of a lockstep batch, as (B, T, ...) arrays with T the
+    longest episode: what decode_step read at each one, and the action.
+
+    `feats` holds the state features of each decision's available rows
+    only (the others are zero), in op order, so it grows with the number
+    of jobs rather than of ops; `attend` and `avail` are decode_step's
+    masks over the zero-padded op rows of `h_real`.  Steps after an
+    episode's end are padding: op row 0 alone attended and available,
+    action 0, and `valid` False.
+    """
+
+    z: np.ndarray        # (B, d_latent)
+    h_real: np.ndarray   # (B, N, d_latent)
+    actions: np.ndarray  # (B, T)
+    feats: np.ndarray    # (B, T, n_max, 6)
+    attend: np.ndarray   # (B, T, N)
+    avail: np.ndarray    # (B, T, N)
+    valid: np.ndarray    # (B, T)
+
+
+@dataclass
 class Episodes:
-    """Episodes decoded in lockstep; with a taped rollout, `log_prob_total`
-    is the (B,) differentiable sum of each episode's log-probabilities."""
+    """Episodes decoded in lockstep, and the decisions that drove them."""
 
     trajectories: list[Trajectory]
-    log_prob_total: ad.Tensor | None = None
+    decisions: Decisions
 
 
 def scaled_q(inst: Instance, makespan: int, scale: bool) -> float:
@@ -154,63 +175,67 @@ def scaled_q(inst: Instance, makespan: int, scale: bool) -> float:
 
 def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
             store: ParamStore, model_cfg: ModelConfig, mode: str,
-            rng: np.random.Generator | None = None,
-            taped: bool = False) -> Episodes:
-    """Run one full episode per instance, all in lockstep.
+            rng: np.random.Generator | None = None) -> Episodes:
+    """Run one full episode per instance, all in lockstep, without a tape.
 
     z: latent vectors (B, d_latent); h_real: each instance's real-node
     embeddings (n*m, d_latent).  Op rows are zero-padded to the largest
     n*m; step t is one decode_step call over the episodes that have a t-th
     decision, so an episode leaves the batch when its schedule is complete.
-    With `taped`, each episode's summed log-probability is differentiable
-    w.r.t. the policy parameters.
+    `log_prob_totals` scores the recorded decisions on a tape.
     """
     sizes = np.array([inst.num_ops for inst in insts])
-    width = int(sizes.max())
-    padded = np.zeros((len(insts), width, model_cfg.d_latent))
+    count, width = len(insts), int(sizes.max())
+    padded = np.zeros((count, width, model_cfg.d_latent))
     for e, rows in enumerate(h_real):
         padded[e, :sizes[e]] = rows
+    valid = np.arange(width) < sizes[:, None]
+    padding = ~valid[..., None] & (np.arange(width) == 0)  # op row 0 after the end
+    dec = Decisions(z, padded, np.zeros((count, width), dtype=np.int64),
+                    np.zeros((count, width, max(inst.n for inst in insts), 6)),
+                    padding.copy(), padding, valid)
     all_keys = project_keys(padded, store, model_cfg)
     states = [reset(inst) for inst in insts]
-    actions = [[] for _ in insts]
     log_probs = [[] for _ in insts]
-    prev = np.zeros(len(insts), dtype=np.int64)
-    active = np.arange(len(insts))
+    active = np.arange(count)
     keys = all_keys
-    step_terms, owners = [], []
     for t in range(width):
         if (sizes[active] <= t).any():
             active = np.flatnonzero(sizes > t)
             keys = all_keys.rows(active)
-        feats = np.zeros((len(active), width, 6))
-        attend = np.zeros((len(active), width), dtype=bool)
-        avail = np.zeros((len(active), width), dtype=bool)
+        feats = np.zeros((len(active), 1, width, 6))
         for row, e in enumerate(active):
             st = states[e]
-            feats[row, :sizes[e]] = state_features(st)
-            attend[row, :sizes[e]] = ~st.scheduled
-            avail[row, st.available()] = True
-        h_prev = None if t == 0 else padded[active, prev[active]]
-        logits = decode_step(z[active], h_prev, keys, feats, attend, avail,
-                             store, model_cfg)
-        picks, lps = select_action(logits.data, mode, rng)
-        if taped:
-            step_terms.append(log_prob(logits, picks))
-            owners.append(active)
+            avail = st.available()
+            feats[row, 0, :sizes[e]] = state_features(st)
+            dec.feats[e, t, :len(avail)] = feats[row, 0, avail]
+            dec.attend[e, t, :sizes[e]] = ~st.scheduled
+            dec.avail[e, t, avail] = True
+        prev = dec.actions[active, t - 1:t] if t else np.full((len(active), 1), -1)
+        logits = decode_step(z[active], prev, keys, feats, dec.attend[active, t:t + 1],
+                             dec.avail[active, t:t + 1], store, model_cfg)
+        picks, lps = select_action(logits.data[:, 0], mode, rng)
+        dec.actions[active, t] = picks
         for e, action, lp in zip(active, picks.tolist(), lps.tolist()):
             states[e].step(action)
-            actions[e].append(action)
             log_probs[e].append(lp)
-        prev[active] = picks
-    trajectories = [Trajectory(a, lp, st.makespan())
-                    for a, lp, st in zip(actions, log_probs, states)]
-    total = None
-    if taped:
-        owner = np.concatenate(owners)
-        members = np.zeros((owner.size, len(insts)))
-        members[np.arange(owner.size), owner] = 1.0
-        total = ad.matmul(ad.concat(step_terms, axis=0), members)
-    return Episodes(trajectories, total)
+    trajectories = [Trajectory(dec.actions[e, :size].tolist(), lp, st.makespan())
+                    for e, (size, lp, st) in enumerate(zip(sizes, log_probs, states))]
+    return Episodes(trajectories, dec)
+
+
+def log_prob_totals(dec: Decisions, store: ParamStore, model_cfg: ModelConfig) -> ad.Tensor:
+    """Taped (B,) sums of each episode's log-probabilities under the current
+    policy, teacher forced through the recorded decisions: one project_keys
+    and one decode_step over all B * T of them, padded ones weighted 0."""
+    prev = np.concatenate([np.full((len(dec.actions), 1), -1), dec.actions[:, :-1]], axis=1)
+    # A decision's k-th available op (in op order) takes its k-th recorded row.
+    recorded = np.arange(dec.feats.shape[2]) < dec.avail.sum(axis=2)[..., None]
+    feats = np.zeros(dec.avail.shape + dec.feats.shape[-1:])
+    feats[dec.avail] = dec.feats[recorded]
+    logits = decode_step(dec.z, prev, project_keys(dec.h_real, store, model_cfg), feats,
+                         dec.attend, dec.avail, store, model_cfg)
+    return ad.tsum(ad.mul(log_prob(logits, dec.actions), dec.valid * 1.0), axis=1)
 
 
 def policy_loss(log_prob_total: ad.Tensor, advantages: np.ndarray,
@@ -264,9 +289,10 @@ class EncoderCache:
 def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
                  pool: InstancePool, rng: np.random.Generator) -> LossReport:
     """Phase 2: the encoder/latent/decoder sections are read-only; per
-    epoch, one lockstep rollout of B sampled episodes feeds one descent
-    step on critic loss minus policy objective, which ascends the policy
-    and descends the critic (the two losses share no parameter)."""
+    epoch, one untaped lockstep rollout samples B episodes, one taped pass
+    scores all their decisions, and one descent step follows on critic
+    loss minus policy objective, which ascends the policy and descends the
+    critic (the two losses share no parameter)."""
     params = store.section("policy.") + store.section("critic.")
     cache = EncoderCache(store, model_cfg)
     pool.refresh(1)
@@ -285,15 +311,15 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
             h_real.append(h)
             zs.append(z)
         z = np.stack(zs)
+        episodes = rollout(insts, z, h_real, store, model_cfg, "sample", rng=rng)
+        trajs = episodes.trajectories
+        q = np.array([scaled_q(inst, traj.makespan, cfg.scale_q)
+                      for inst, traj in zip(insts, trajs)])
+        targets = q - cfg.alpha_entropy * np.array([sum(traj.log_probs) for traj in trajs])
         with ad.Tape() as tape:
-            episodes = rollout(insts, z, h_real, store, model_cfg, "sample",
-                               rng=rng, taped=True)
+            log_prob_total = log_prob_totals(episodes.decisions, store, model_cfg)
             values = critic_value(ad.Tensor(z), store, model_cfg)
-            trajs = episodes.trajectories
-            q = np.array([scaled_q(inst, traj.makespan, cfg.scale_q)
-                          for inst, traj in zip(insts, trajs)])
-            targets = q - cfg.alpha_entropy * np.array([sum(traj.log_probs) for traj in trajs])
-            l_pol = policy_loss(episodes.log_prob_total, q - values.data, cfg.alpha_entropy)
+            l_pol = policy_loss(log_prob_total, q - values.data, cfg.alpha_entropy)
             l_cr = critic_loss(values, targets)
             if not (np.isfinite(l_pol.data) and np.isfinite(l_cr.data)):
                 raise TrainingDiverged(f"non-finite policy/critic loss at epoch {epoch}")

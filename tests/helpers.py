@@ -1,12 +1,16 @@
 """Shared by the tests: finite-difference gradient verification, byte
-snapshots of parameter sections and seeded random instances."""
+snapshots of parameter sections, seeded random instances and malformed
+checkpoint files."""
 
 from __future__ import annotations
+
+import json
+import struct
 
 import numpy as np
 
 from vg2s.autodiff import Tape, backward, zero_grad
-from vg2s.checkpoint import ParamStore
+from vg2s.checkpoint import MAGIC, ParamStore
 from vg2s.instance import Instance
 
 
@@ -52,3 +56,21 @@ def random_instance(n: int, m: int, seed: int) -> Instance:
     return Instance(n=n, m=m, ops=tuple(
         tuple(zip(rng.permutation(m).tolist(), rng.integers(1, 100, m).tolist()))
         for _ in range(n)))
+
+
+# (manifest, blob) of checkpoint files whose every byte is present but whose
+# manifest or values are wrong.
+MALFORMED_CHECKPOINTS = {
+    "entry-without-shape": ([{"name": "a", "byte_offset": 0}], bytes(8)),
+    "manifest-not-a-list": ({"name": "a", "shape": [1], "byte_offset": 0}, bytes(8)),
+    "string-offset": ([{"name": "a", "shape": [1], "byte_offset": "0"}], bytes(8)),
+    "negative-size": ([{"name": "a", "shape": [-1], "byte_offset": 0}], bytes(16)),
+    "nan-parameter": ([{"name": "a", "shape": [2], "byte_offset": 0}],
+                      np.array([1.0, np.nan]).tobytes()),
+}
+
+
+def write_malformed_checkpoint(path, case: str) -> None:
+    manifest, blob = MALFORMED_CHECKPOINTS[case]
+    header = json.dumps(manifest).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + blob)

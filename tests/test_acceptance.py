@@ -4,7 +4,8 @@ Each test prints one PASS line (visible under `pytest -v -s`); the criteria
 cover oracle agreement, benchmark exactness, schedule invariants, gradient
 and KL correctness, both training phases, the freeze contract, masking,
 determinism, and the report metrics.  The two training criteria dominate
-the runtime (the phase-2 run alone is ~3 minutes) and are marked `slow`.
+the runtime (the phase-2 run alone takes under 2 minutes) and are marked
+`slow`.
 """
 
 from __future__ import annotations
@@ -183,14 +184,14 @@ def test_criterion_04_gradient_verification(two_by_two):
     st = reset(two_by_two)
     feats = state_features(st)
 
-    avail = np.zeros((1, 4), bool)
-    avail[0, st.available()] = True
+    avail = np.zeros((1, 1, 4), bool)
+    avail[0, 0, st.available()] = True
 
     def pol_logprob():
         keys = project_keys(h_data[None, :4], store, cfg)
-        out = decode_step(z_fixed[None], None, keys, feats[None], np.ones((1, 4), bool),
-                          avail, store, cfg)
-        return ad.mul(ad.tsum(log_prob(out, np.array([2]))), -1.0)
+        out = decode_step(z_fixed[None], np.array([[-1]]), keys, feats[None, None],
+                          np.ones((1, 1, 4), bool), avail, store, cfg)
+        return ad.mul(ad.tsum(log_prob(out, np.array([[2]]))), -1.0)
 
     run(pol_logprob, store.section("policy."))
 
@@ -349,12 +350,12 @@ def test_criterion_09_masking_probability():
         prev = None
         while not st.done:
             avail = st.available()
-            avail_mask = np.zeros((1, inst.num_ops), bool)
-            avail_mask[0, avail] = True
-            out = decode_step(z.data[None], None if prev is None else h_real[:, prev],
-                              keys, state_features(st)[None], ~st.scheduled[None],
+            avail_mask = np.zeros((1, 1, inst.num_ops), bool)
+            avail_mask[0, 0, avail] = True
+            out = decode_step(z.data[None], np.array([[-1 if prev is None else prev]]),
+                              keys, state_features(st)[None, None], ~st.scheduled[None, None],
                               avail_mask, store, cfg)
-            full = out.data[0]
+            full = out.data[0, 0]
             finite = np.isfinite(full)
             probs = np.where(finite, np.exp(full - full[finite].max()), 0.0)
             probs = probs / probs.sum()

@@ -24,7 +24,7 @@ from vg2s.env import replay, reset, state_features
 from vg2s.graph import build_graph
 from vg2s.instance import Instance
 from vg2s.nnutil import mlp
-from vg2s.trainer import build_model, embed, rollout
+from vg2s.trainer import Decisions, build_model, embed, log_prob_totals, rollout
 
 LOG_PROB_TOL = 1e-12   # absolute, per step and per episode total
 GRAD_TOL = 1e-10       # relative to each parameter's largest |gradient|
@@ -175,9 +175,10 @@ def test_batched_rollout_matches_scalar_reference(tiny_cfg, insts, layers, model
     cfg = dataclasses.replace(tiny_cfg, glimpse_layers=layers)
     store, rng, h_real, _, z = _batch_inputs(insts, cfg, model_seed, seed)
     weights = rng.uniform(-2.0, 2.0, len(insts))
+    episodes = rollout(insts, z, h_real, store, cfg, "sample", rng=rng)
     with ad.Tape():
-        episodes = rollout(insts, z, h_real, store, cfg, "sample", rng=rng, taped=True)
-        grads = _grads(store, ad.tsum(ad.mul(episodes.log_prob_total, weights)))
+        totals = log_prob_totals(episodes.decisions, store, cfg)
+        grads = _grads(store, ad.tsum(ad.mul(totals, weights)))
     with ad.Tape():
         loss = None
         for e, (inst, traj) in enumerate(zip(insts, episodes.trajectories)):
@@ -185,7 +186,7 @@ def test_batched_rollout_matches_scalar_reference(tiny_cfg, insts, layers, model
                                                     traj.actions)
             assert traj.makespan == replay(inst, traj.actions).makespan()
             np.testing.assert_allclose(traj.log_probs, log_probs, rtol=0, atol=LOG_PROB_TOL)
-            np.testing.assert_allclose(episodes.log_prob_total.data[e], total.data,
+            np.testing.assert_allclose(totals.data[e], total.data,
                                        rtol=0, atol=LOG_PROB_TOL)
             term = ad.mul(total, weights[e])
             loss = term if loss is None else ad.add(loss, term)
@@ -211,10 +212,34 @@ def test_greedy_actions_match_scalar_reference(tiny_cfg, insts, layers, model_se
     cfg = dataclasses.replace(tiny_cfg, glimpse_layers=layers)
     store, _, h_real, mu, _ = _batch_inputs(insts, cfg, model_seed, 0)
     episodes = rollout(insts, mu, h_real, store, cfg, "greedy")
-    assert episodes.log_prob_total is None
     for e, (inst, traj) in enumerate(zip(insts, episodes.trajectories)):
         log_probs, _, fulls = reference_rollout(inst, mu[e], h_real[e], store, cfg,
                                                 traj.actions)
         for action, full in zip(traj.actions, fulls):
             assert full[action] >= full.max() - LOG_PROB_TOL
         np.testing.assert_allclose(traj.log_probs, log_probs, rtol=0, atol=LOG_PROB_TOL)
+
+
+def test_padded_decisions_contribute_nothing(tiny_cfg):
+    """A 2x2 episode batched with a 4x3 one is padded to 12 op rows and 12
+    decisions.  Its log-probability total and policy gradient equal those of
+    the same episode (same z, same actions) scored alone."""
+    insts = [random_instance(2, 2, seed=4), random_instance(4, 3, seed=5)]
+    store, rng, h_real, _, z = _batch_inputs(insts, tiny_cfg, 0, 0)
+    batched = rollout(insts, z, h_real, store, tiny_cfg, "sample", rng=rng).decisions
+    steps, jobs = 4, 2
+    assert not batched.valid[0, steps:].any()
+    assert not (batched.attend[0, :steps, steps:].any() or batched.avail[0, :steps, steps:].any())
+    alone = Decisions(batched.z[:1], batched.h_real[:1, :steps], batched.actions[:1, :steps],
+                      batched.feats[:1, :steps, :jobs], batched.attend[:1, :steps, :steps],
+                      batched.avail[:1, :steps, :steps], batched.valid[:1, :steps])
+    with ad.Tape():
+        totals = log_prob_totals(batched, store, tiny_cfg)
+        grads = _grads(store, ad.tsum(ad.mul(totals, np.array([1.0, 0.0]))))
+    with ad.Tape():
+        total = log_prob_totals(alone, store, tiny_cfg)
+        ref_grads = _grads(store, ad.tsum(total))
+    np.testing.assert_allclose(totals.data[0], total.data[0], rtol=0, atol=LOG_PROB_TOL)
+    for got, want in zip(grads, ref_grads):
+        scale = max(np.abs(want).max(), GRAD_SCALE_FLOOR)
+        assert np.abs(got - want).max() <= GRAD_TOL * scale

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import section_bytes
+from helpers import MALFORMED_CHECKPOINTS, section_bytes, write_malformed_checkpoint
 from vg2s.checkpoint import (MAGIC, ParamStore, load_checkpoint,
                              save_checkpoint)
 
@@ -105,6 +105,23 @@ class TestCheckpointIO:
         path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + bytes(16))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_file_names_it(self, tmp_path, case):
+        path = tmp_path / "model.ckpt"
+        write_malformed_checkpoint(path, case)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
+
+    def test_empty_parameter_loads(self, tmp_path):
+        store = ParamStore()
+        store.add("a", np.zeros((0, 3)))
+        store.add("b", np.ones(2))
+        path = tmp_path / "e.ckpt"
+        save_checkpoint(store, path)
+        loaded = load_checkpoint(path)
+        assert loaded["a"].data.shape == (0, 3)
+        assert loaded["b"].data.tolist() == [1.0, 1.0]
 
     def test_identical_stores_identical_files(self, tmp_path):
         a = make_store(np.random.default_rng(5))

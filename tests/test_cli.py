@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import section_bytes
+from helpers import MALFORMED_CHECKPOINTS, section_bytes, write_malformed_checkpoint
 from vg2s.checkpoint import ParamStore, load_checkpoint, save_checkpoint
 from vg2s.cli import main
 from vg2s.instance import Instance
@@ -197,6 +197,12 @@ class TestEncoderCheckpoint:
         _cut_checkpoint(ckpt, part)
         self._train(tmp_path, tiny_config_file, instance_dir, ckpt, capsys)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_file(self, tmp_path, tiny_config_file, instance_dir, capsys, case):
+        ckpt = tmp_path / "bad.ckpt"
+        write_malformed_checkpoint(ckpt, case)
+        self._train(tmp_path, tiny_config_file, instance_dir, ckpt, capsys)
+
 
 @pytest.mark.parametrize("part", ["header", "manifest", "blob"])
 def test_cut_model_checkpoint_one_line_error(tmp_path, ft06_file, tiny_config_file,
@@ -204,6 +210,20 @@ def test_cut_model_checkpoint_one_line_error(tmp_path, ft06_file, tiny_config_fi
     ckpt, out = tmp_path / "cut.ckpt", tmp_path / "sched.json"
     _save_model(ckpt)
     _cut_checkpoint(ckpt, part)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", ft06_file, "--method", "vg2s", "--model", str(ckpt),
+              "--config", tiny_config_file, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"vg2s: error: model checkpoint {ckpt}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_malformed_model_checkpoint_one_line_error(tmp_path, ft06_file, tiny_config_file,
+                                                  capsys, case):
+    ckpt, out = tmp_path / "bad.ckpt", tmp_path / "sched.json"
+    write_malformed_checkpoint(ckpt, case)
     with pytest.raises(SystemExit) as exc:
         main(["solve", ft06_file, "--method", "vg2s", "--model", str(ckpt),
               "--config", tiny_config_file, "--out", str(out)])

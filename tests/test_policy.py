@@ -11,7 +11,7 @@ from vg2s.graph import build_graph
 from vg2s.policy import (build_critic_params, build_policy_params,
                          critic_value, decode_step, log_prob, project_keys,
                          select_action)
-from vg2s.trainer import build_model
+from vg2s.trainer import build_model, log_prob_totals, rollout
 from vg2s.vge import build_encoder_params, encode, latent
 
 
@@ -32,13 +32,14 @@ def policy_setup(two_by_two, tiny_cfg, rng):
 def step_logits(setup, cfg, prev=None, avail=None, attend=None):
     """decode_step for the one episode of `setup` (a batch of one)."""
     store, h_real, z, st_ = setup
-    avail_mask = np.zeros((1, 4), dtype=bool)
-    avail_mask[0, st_.available() if avail is None else avail] = True
+    avail_mask = np.zeros((1, 1, 4), dtype=bool)
+    avail_mask[0, 0, st_.available() if avail is None else avail] = True
     if attend is None:
-        attend = np.ones((1, 4), dtype=bool)
-    h_prev = None if prev is None else h_real.data[None, prev]
-    return decode_step(z.data[None], h_prev, project_keys(h_real.data[None], store, cfg),
-                       state_features(st_)[None], attend, avail_mask, store, cfg)
+        attend = np.ones((1, 1, 4), dtype=bool)
+    prev = np.array([[-1 if prev is None else prev]])
+    out = decode_step(z.data[None], prev, project_keys(h_real.data[None], store, cfg),
+                      state_features(st_)[None, None], attend, avail_mask, store, cfg)
+    return ad.reshape(out, (1, 4))
 
 
 class TestDecodeStep:
@@ -74,13 +75,13 @@ class TestDecodeStep:
     def test_all_scheduled_rejected(self, policy_setup, tiny_cfg):
         with pytest.raises(ValueError):
             step_logits(policy_setup, tiny_cfg, avail=[0],
-                        attend=np.zeros((1, 4), dtype=bool))
+                        attend=np.zeros((1, 1, 4), dtype=bool))
 
 
 def _two_episodes(tiny_cfg, n=6, m=5, seed=3):
     """Inputs of one decode_step for two episodes of an n x m instance, at
-    different points of a random schedule: (store, z, h_real, feats,
-    attend, avail)."""
+    different points of a random schedule, one decision each (T = 1):
+    (store, z, h_real, feats, attend, avail)."""
     rng = np.random.default_rng(seed)
     inst = random_instance(n, m, seed)
     store = build_model(tiny_cfg, seed=seed)
@@ -96,7 +97,11 @@ def _two_episodes(tiny_cfg, n=6, m=5, seed=3):
         mask = np.zeros(inst.num_ops, dtype=bool)
         mask[st_.available()] = True
         avail.append(mask)
-    return store, z, h_real, np.stack(feats), np.stack(attend), np.stack(avail)
+    return (store, z, h_real, np.stack(feats)[:, None], np.stack(attend)[:, None],
+            np.stack(avail)[:, None])
+
+
+PREV = np.zeros((2, 1), dtype=np.int64)  # op 0 was each episode's previous action
 
 
 class TestAvailableRows:
@@ -105,32 +110,48 @@ class TestAvailableRows:
         garbage anywhere else leaves every logit unchanged, bit for bit."""
         store, z, h_real, feats, attend, avail = _two_episodes(tiny_cfg)
         keys = project_keys(h_real, store, tiny_cfg)
-        want = decode_step(z, h_real[:, 0], keys, feats, attend, avail, store, tiny_cfg).data
+        want = decode_step(z, PREV, keys, feats, attend, avail, store, tiny_cfg).data
         noisy = feats.copy()
         noisy[~avail] = np.random.default_rng(0).normal(size=(int((~avail).sum()), 6)) * 50
-        got = decode_step(z, h_real[:, 0], keys, noisy, attend, avail, store, tiny_cfg).data
+        got = decode_step(z, PREV, keys, noisy, attend, avail, store, tiny_cfg).data
         np.testing.assert_array_equal(got, want)
         # ...and the features of available rows are read.
         noisy[avail] += 1.0
-        moved = decode_step(z, h_real[:, 0], keys, noisy, attend, avail, store, tiny_cfg).data
+        moved = decode_step(z, PREV, keys, noisy, attend, avail, store, tiny_cfg).data
         assert not np.allclose(moved[avail], want[avail])
 
     def test_no_step_node_spans_every_key(self, tiny_cfg):
-        """A taped step records no tensor of b * N * K values (K key columns
-        of every op row): the full per-step key projection stays gone."""
-        store, z, h_real, feats, attend, avail = _two_episodes(tiny_cfg, n=10, m=8)
-        count, num_ops = avail.shape
+        """Neither a taped step nor the taped scoring of a whole rollout
+        records a tensor of B * N * K values (K key columns of every op row),
+        the size of project_keys' one fixed projection: the full per-step
+        key projection stays gone, and the T decisions of an episode share
+        its keys rather than each gathering a copy (B * T * N * K).  The
+        scoring pass's largest nodes are its (B, H, T, N) attention scores,
+        under B * N * K while H * T < K, as in the 4x4 and 3x4 batch here."""
         cfg = tiny_cfg  # K: each glimpse head's wk and wv, then the pointer's wk
         key_columns = (cfg.glimpse_layers * cfg.glimpse_heads * (3 * cfg.d_latent + cfg.d_glimpse)
                        + cfg.d_latent + cfg.d_logit)
+        store, z, h_real, feats, attend, avail = _two_episodes(tiny_cfg, n=10, m=8)
+        count, _, num_ops = avail.shape
         with ad.Tape() as tape:
             keys = project_keys(h_real, store, tiny_cfg)
             before = len(tape.nodes)
-            out = decode_step(z, h_real[:, 0], keys, feats, attend, avail, store, tiny_cfg)
-            log_prob(out, np.argmax(out.data, axis=1))
+            out = decode_step(z, PREV, keys, feats, attend, avail, store, tiny_cfg)
+            log_prob(out, np.argmax(out.data, axis=-1))
         step_nodes = tape.nodes[before:]
         assert step_nodes
         assert max(node.data.size for node in step_nodes) < count * num_ops * key_columns
+
+        insts = [random_instance(4, 4, seed=1), random_instance(3, 4, seed=2)]
+        h_real = [np.random.default_rng(e).normal(size=(inst.num_ops, cfg.d_latent))
+                  for e, inst in enumerate(insts)]
+        decisions = rollout(insts, z, h_real, store, cfg, "sample",
+                            rng=np.random.default_rng(0)).decisions
+        assert cfg.glimpse_heads * decisions.actions.shape[1] < key_columns
+        with ad.Tape() as tape:
+            log_prob_totals(decisions, store, cfg)
+        num_ops = decisions.h_real.shape[1]
+        assert max(node.data.size for node in tape.nodes) <= count * num_ops * key_columns
 
 
 class TestSelectAction:
@@ -216,14 +237,14 @@ class TestGradients:
         h_fixed = h_real.data.copy()
         params = store.section("policy.")
 
-        avail = np.zeros((1, 4), dtype=bool)
-        avail[0, st_.available()] = True
+        avail = np.zeros((1, 1, 4), dtype=bool)
+        avail[0, 0, st_.available()] = True
 
         def f():
             keys = project_keys(h_fixed[None], store, tiny_cfg)
-            out = decode_step(z_fixed[None], None, keys, feats[None], ~sched[None],
-                              avail, store, tiny_cfg)
-            return ad.mul(ad.tsum(log_prob(out, np.array([2]))), -1.0)
+            out = decode_step(z_fixed[None], np.array([[-1]]), keys, feats[None, None],
+                              ~sched[None, None], avail, store, tiny_cfg)
+            return ad.mul(ad.tsum(log_prob(out, np.array([[2]]))), -1.0)
 
         passed, rel = grad_check(f, params)
         assert passed, f"policy gradient mismatch {rel}"

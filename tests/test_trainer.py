@@ -5,14 +5,15 @@ import gc
 import numpy as np
 import pytest
 
-from helpers import section_bytes
+from helpers import random_instance, section_bytes
 from vg2s import autodiff as ad
 from vg2s.bench import solve_with_model
 from vg2s.env import replay
 from vg2s.instance import GenConfig, generate_random
 from vg2s.trainer import (ENCODER_SECTIONS, EncoderCache, InstancePool,
-                          TrainConfig, TrainingDiverged, build_model, rollout,
-                          scaled_q, train_policy, train_representation)
+                          TrainConfig, TrainingDiverged, build_model,
+                          log_prob_totals, rollout, scaled_q, train_policy,
+                          train_representation)
 
 
 @pytest.fixture()
@@ -163,11 +164,11 @@ class TestRollout:
         cache = EncoderCache(store, tiny_cfg)
         cache.rebuild(pool)
         h_real, z = cache.draw(0, rng)
+        episodes = rollout([two_by_two], z[None], [h_real], store, tiny_cfg, "sample", rng=rng)
         with ad.Tape():
-            episodes = rollout([two_by_two], z[None], [h_real], store, tiny_cfg,
-                               "sample", rng=rng, taped=True)
+            total = log_prob_totals(episodes.decisions, store, tiny_cfg)
         traj = episodes.trajectories[0]
-        assert episodes.log_prob_total.data[0] == pytest.approx(sum(traj.log_probs))
+        assert total.data[0] == pytest.approx(sum(traj.log_probs))
 
 
 class TestPhase2:
@@ -209,6 +210,25 @@ class TestPhase2:
         finally:
             gc.enable()
         assert alive == []
+
+    def test_tape_does_not_grow_with_episode_length(self, two_by_two, tiny_cfg, monkeypatch):
+        """Each epoch runs one backward pass, over a tape of the same length
+        whether its episodes take 4 decisions or 16."""
+        backward = ad.backward
+        lengths = []
+
+        def counted(loss):
+            lengths.append(len(loss.tape.nodes))
+            backward(loss)
+
+        monkeypatch.setattr(ad, "backward", counted)
+        for inst in (two_by_two, random_instance(4, 4, seed=0)):
+            cfg = TrainConfig(policy_epochs=2, batch_size=2, seed=0)
+            store = build_model(tiny_cfg, seed=0)
+            pool = InstancePool(cfg, np.random.default_rng(0), frozen=[inst])
+            train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
+        assert len(lengths) == 4
+        assert len(set(lengths)) == 1
 
     def test_non_finite_gradient_raises(self, two_by_two, tiny_cfg, monkeypatch):
         cfg = TrainConfig(policy_epochs=2, batch_size=2, seed=0)
