@@ -9,29 +9,30 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import ParamStore
-from .env import replay, reset
+from .env import ScheduleState, reset
 from .graph import build_graph
 from .instance import GenConfig, Instance, generate_random
 from .oracle import branch_and_bound
 from .rules import Rule, dispatch, optimality_gap, select
-from .trainer import Trajectory, embed, rollout
+from .trainer import Decisions, embed, rollout
 from .vge import ModelConfig
 
 PDR_METHODS = tuple(r.value for r in Rule)
 
 
 def _greedy(inst: Instance, store: ParamStore,
-            cfg: ModelConfig) -> tuple[np.ndarray, Trajectory]:
-    """Greedy decode conditioned on the latent mean; returns (mu, episode)."""
+            cfg: ModelConfig) -> tuple[Decisions, ScheduleState]:
+    """Greedy decode conditioned on the latent mean (the decisions' z);
+    returns the one episode's decisions and its complete schedule."""
     h_real, mu, _ = embed(build_graph(inst), store, cfg)
-    episodes = rollout([inst], mu[None], [h_real], store, cfg, "greedy")
-    return mu, episodes.trajectories[0]
+    dec, (st,) = rollout([inst], mu[None], [h_real], store, cfg, "greedy")
+    return dec, st
 
 
 def solve_with_model(inst: Instance, store: ParamStore, cfg: ModelConfig):
     """Greedy decode at the latent mean; returns (state, makespan)."""
-    _, traj = _greedy(inst, store, cfg)
-    return replay(inst, traj.actions), traj.makespan
+    _, st = _greedy(inst, store, cfg)
+    return st, st.makespan()
 
 
 def eval_bench(instances: dict[str, Instance], methods: list[str],
@@ -135,7 +136,7 @@ def pdr_similarity(count: int, n: int, m: int, seed: int,
         else:
             if store is None or model_cfg is None:
                 raise ValueError("pdr_similarity needs a model or a rule")
-            actions = iter(_greedy(inst, store, model_cfg)[1].actions)
+            actions = iter(_greedy(inst, store, model_cfg)[0].actions[0].tolist())
             pick = lambda st: next(actions)
         rows.extend(_similarity_records(inst, pick, idx))
     return rows
@@ -147,11 +148,11 @@ def export_latents(instances: dict[str, Instance], store: ParamStore,
     greedy-decode makespan (projection to 2-D is done externally)."""
     rows = []
     for name in sorted(instances):
-        mu, traj = _greedy(instances[name], store, model_cfg)
+        dec, st = _greedy(instances[name], store, model_cfg)
         row = {"instance": name}
-        for i, v in enumerate(mu):
+        for i, v in enumerate(dec.z[0]):
             row[f"mu_{i}"] = repr(float(v))
-        row["greedy_cmax"] = traj.makespan
+        row["greedy_cmax"] = st.makespan()
         rows.append(row)
     return rows
 

@@ -128,21 +128,24 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     z: latent vectors (b, d_latent); prev: (b, T) op row of each decision's
     previous action, or -1 at an episode's first decision, which uses the
     learned dummy; keys: the b episodes' rows of the rollout's projections;
-    state_feats: (b, T, N, 6); attend_mask (b, T, N) marks the unscheduled
-    real ops (the glimpse attends to these only); avail_mask (b, T, N)
-    marks the selectable ops.  Returns the (b, T, N) taped logits, -inf
-    wherever avail_mask is False.  A rollout step is T = 1; scoring the
-    recorded decisions of a rollout is T = its longest episode.
+    attend_mask (b, T, N) marks the unscheduled real ops (the glimpse
+    attends to these only); avail_mask (b, T, N) marks the selectable ops.
+    state_feats (b, T, n, 6) is in slot order: slot s of a decision holds
+    the state features of its s-th available op in op order, and n is the
+    largest available count among the decisions; the slots after a
+    decision's last available op are not read.  Returns the (b, T, N)
+    taped logits, -inf wherever avail_mask is False.  A rollout step is
+    T = 1; scoring the recorded decisions of a rollout is T = its longest
+    episode.
 
     The T decisions of an episode are the query rows of one product per
     head with its keys and one with its values, so no per-decision copy of
-    the keys is built.  Rows of state_feats outside avail_mask are not
-    read: `keys` already holds every row at the zero features
-    `state_features` gives them.  Only the available rows are embedded, as
-    e = mlp(f) - c, and their corrections enter each score as
-    e . (W_state,k q) and each context as (w_avail e) W_state,v, through a
-    one-hot (b, 1, T, n, N) selection; only these corrections batch over
-    decisions.  All heads of a layer share one batched matmul and one
+    the keys is built.  `keys` already holds every op row at the zero
+    features `state_features` gives an unavailable op.  Only the available
+    ops are embedded, as e = mlp(f) - c, and their corrections enter each
+    score as e . (W_state,k q) and each context as (w_avail e) W_state,v,
+    through a one-hot (b, 1, T, n, N) selection from slots to op rows; only
+    these corrections batch over decisions.  All heads of a layer share one batched matmul and one
     softmax.  For K key columns a decision thus costs O((N + d) * K) plus
     the selection products, not the O(N * d * K) of projecting every row's
     keys.
@@ -152,6 +155,11 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     if not attend_mask.any(axis=-1).all():
         raise ValueError("glimpse attention has no unscheduled operations")
     count, steps, num_ops = avail_mask.shape
+    flat_avail = avail_mask.reshape(count * steps, num_ops)
+    sizes = flat_avail.sum(axis=1)
+    if state_feats.shape[2] != sizes.max():
+        raise ValueError(f"state_feats has {state_feats.shape[2]} slots per decision, "
+                         f"not the largest available count {sizes.max()}")
 
     first = prev < 0
     h_prev = keys.h_real[np.arange(count)[:, None], prev]  # -1 reads a row zeroed below
@@ -161,16 +169,12 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     q = ad.reshape(ad.concat([np.repeat(z[:, None], steps, axis=1), h_prev], axis=2),
                    (count, 1, steps, -1))
 
-    # Slot s of a decision holds its s-th available op; `select` maps slots
-    # to op rows, and padded slots (zero features) map nowhere.
-    flat_avail = avail_mask.reshape(count * steps, num_ops)
+    # `select` maps each decision's slots to its op rows; the slots after
+    # its last available op map nowhere.
     rows, ops = np.nonzero(flat_avail)
-    sizes = flat_avail.sum(axis=1)
     slots = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     select = np.zeros((count * steps, sizes.max(), num_ops))
     select[rows, slots, ops] = 1.0
-    feats = np.zeros((count * steps, sizes.max(), state_feats.shape[-1]))
-    feats[rows, slots] = state_feats.reshape(count * steps, num_ops, -1)[rows, ops]
     # The corrections' products take the decisions as a batch axis, (b, 1,
     # T, ...), shared by all heads; `across` moves a head-major (b, H, T,
     # ...) tensor's decision rows to that axis (tail (1, -1)) and back
@@ -182,7 +186,7 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
         return ad.reshape(x, x.shape[:3] + tail) if steps > 1 else x
 
     select = select.reshape(lead + (-1, num_ops))
-    moved = ad.sub(mlp(store, "policy.state", feats.reshape(lead + (-1, feats.shape[-1]))),
+    moved = ad.sub(mlp(store, "policy.state", state_feats.reshape(lead + state_feats.shape[2:])),
                    keys.state_zero)  # lead + (n, d)
     moved_t = ad.transpose(moved, tuple(range(len(lead))) + (len(lead) + 1, len(lead)))
 

@@ -9,13 +9,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import ParamStore
-from .env import reset, state_features
+from .env import ScheduleState, reset, state_features
 from .graph import HeteroGraph, build_graph
 from .instance import GenConfig, Instance, generate_random
 from .policy import (build_critic_params, build_policy_params, critic_value,
                      decode_step, log_prob, project_keys, select_action)
 from .vge import (ModelConfig, build_decoder_params, build_encoder_params,
-                  latent, representation_loss)
+                  check_fields, latent, representation_loss)
 from . import vge
 
 ENCODER_SECTIONS = ("encoder.", "latent.", "decoder.")
@@ -39,8 +39,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("repr_epochs", "policy_epochs", "batch_size",
-                     "lr_repr", "lr_policy", "pool_refresh", "pool_size"):
+        check_fields(self, {"seed": 0})
+        for name in ("lr_repr", "lr_policy"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -131,40 +131,28 @@ def train_representation(cfg: TrainConfig, model_cfg: ModelConfig,
 
 
 @dataclass
-class Trajectory:
-    actions: list[int]
-    log_probs: list[float]
-    makespan: int
-
-
-@dataclass
 class Decisions:
     """Every decision of a lockstep batch, as (B, T, ...) arrays with T the
-    longest episode: what decode_step read at each one, and the action.
+    longest episode: what decode_step read at each one, the action and
+    its log-probability under the policy that sampled it.
 
-    `feats` holds the state features of each decision's available rows
-    only (the others are zero), in op order, so it grows with the number
-    of jobs rather than of ops; `attend` and `avail` are decode_step's
-    masks over the zero-padded op rows of `h_real`.  Steps after an
-    episode's end are padding: op row 0 alone attended and available,
-    action 0, and `valid` False.
+    `feats` is decode_step's slot-order input: slot s of a decision holds
+    the state features of its s-th available op, in op order, and the
+    slots after its last available op are zero, so it grows with the
+    number of jobs rather than of ops.  `attend` and `avail` are
+    decode_step's masks over the zero-padded op rows of `h_real`.  Steps
+    after an episode's end are padding: op row 0 alone attended and
+    available, action 0, log-probability 0, and `valid` False.
     """
 
-    z: np.ndarray        # (B, d_latent)
-    h_real: np.ndarray   # (B, N, d_latent)
-    actions: np.ndarray  # (B, T)
-    feats: np.ndarray    # (B, T, n_max, 6)
-    attend: np.ndarray   # (B, T, N)
-    avail: np.ndarray    # (B, T, N)
-    valid: np.ndarray    # (B, T)
-
-
-@dataclass
-class Episodes:
-    """Episodes decoded in lockstep, and the decisions that drove them."""
-
-    trajectories: list[Trajectory]
-    decisions: Decisions
+    z: np.ndarray          # (B, d_latent)
+    h_real: np.ndarray     # (B, N, d_latent)
+    actions: np.ndarray    # (B, T)
+    log_probs: np.ndarray  # (B, T)
+    feats: np.ndarray      # (B, T, n_max, 6)
+    attend: np.ndarray     # (B, T, N)
+    avail: np.ndarray      # (B, T, N)
+    valid: np.ndarray      # (B, T)
 
 
 def scaled_q(inst: Instance, makespan: int, scale: bool) -> float:
@@ -175,8 +163,9 @@ def scaled_q(inst: Instance, makespan: int, scale: bool) -> float:
 
 def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
             store: ParamStore, model_cfg: ModelConfig, mode: str,
-            rng: np.random.Generator | None = None) -> Episodes:
-    """Run one full episode per instance, all in lockstep, without a tape.
+            rng: np.random.Generator | None = None) -> tuple[Decisions, list[ScheduleState]]:
+    """Run one full episode per instance, all in lockstep, without a tape;
+    returns the decisions and each episode's complete schedule.
 
     z: latent vectors (B, d_latent); h_real: each instance's real-node
     embeddings (n*m, d_latent).  Op rows are zero-padded to the largest
@@ -191,37 +180,35 @@ def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
         padded[e, :sizes[e]] = rows
     valid = np.arange(width) < sizes[:, None]
     padding = ~valid[..., None] & (np.arange(width) == 0)  # op row 0 after the end
-    dec = Decisions(z, padded, np.zeros((count, width), dtype=np.int64),
+    dec = Decisions(z, padded, np.zeros((count, width), dtype=np.int64), np.zeros((count, width)),
                     np.zeros((count, width, max(inst.n for inst in insts), 6)),
                     padding.copy(), padding, valid)
     all_keys = project_keys(padded, store, model_cfg)
     states = [reset(inst) for inst in insts]
-    log_probs = [[] for _ in insts]
     active = np.arange(count)
     keys = all_keys
     for t in range(width):
         if (sizes[active] <= t).any():
             active = np.flatnonzero(sizes > t)
             keys = all_keys.rows(active)
-        feats = np.zeros((len(active), 1, width, 6))
-        for row, e in enumerate(active):
+        slots = 0
+        for e in active:
             st = states[e]
             avail = st.available()
-            feats[row, 0, :sizes[e]] = state_features(st)
-            dec.feats[e, t, :len(avail)] = feats[row, 0, avail]
+            slots = max(slots, len(avail))
+            dec.feats[e, t, :len(avail)] = state_features(st)[avail]
             dec.attend[e, t, :sizes[e]] = ~st.scheduled
             dec.avail[e, t, avail] = True
         prev = dec.actions[active, t - 1:t] if t else np.full((len(active), 1), -1)
-        logits = decode_step(z[active], prev, keys, feats, dec.attend[active, t:t + 1],
-                             dec.avail[active, t:t + 1], store, model_cfg)
+        logits = decode_step(z[active], prev, keys, dec.feats[active, t:t + 1, :slots],
+                             dec.attend[active, t:t + 1], dec.avail[active, t:t + 1],
+                             store, model_cfg)
         picks, lps = select_action(logits.data[:, 0], mode, rng)
         dec.actions[active, t] = picks
-        for e, action, lp in zip(active, picks.tolist(), lps.tolist()):
+        dec.log_probs[active, t] = lps
+        for e, action in zip(active, picks.tolist()):
             states[e].step(action)
-            log_probs[e].append(lp)
-    trajectories = [Trajectory(dec.actions[e, :size].tolist(), lp, st.makespan())
-                    for e, (size, lp, st) in enumerate(zip(sizes, log_probs, states))]
-    return Episodes(trajectories, dec)
+    return dec, states
 
 
 def log_prob_totals(dec: Decisions, store: ParamStore, model_cfg: ModelConfig) -> ad.Tensor:
@@ -229,11 +216,7 @@ def log_prob_totals(dec: Decisions, store: ParamStore, model_cfg: ModelConfig) -
     policy, teacher forced through the recorded decisions: one project_keys
     and one decode_step over all B * T of them, padded ones weighted 0."""
     prev = np.concatenate([np.full((len(dec.actions), 1), -1), dec.actions[:, :-1]], axis=1)
-    # A decision's k-th available op (in op order) takes its k-th recorded row.
-    recorded = np.arange(dec.feats.shape[2]) < dec.avail.sum(axis=2)[..., None]
-    feats = np.zeros(dec.avail.shape + dec.feats.shape[-1:])
-    feats[dec.avail] = dec.feats[recorded]
-    logits = decode_step(dec.z, prev, project_keys(dec.h_real, store, model_cfg), feats,
+    logits = decode_step(dec.z, prev, project_keys(dec.h_real, store, model_cfg), dec.feats,
                          dec.attend, dec.avail, store, model_cfg)
     return ad.tsum(ad.mul(log_prob(logits, dec.actions), dec.valid * 1.0), axis=1)
 
@@ -311,13 +294,13 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
             h_real.append(h)
             zs.append(z)
         z = np.stack(zs)
-        episodes = rollout(insts, z, h_real, store, model_cfg, "sample", rng=rng)
-        trajs = episodes.trajectories
-        q = np.array([scaled_q(inst, traj.makespan, cfg.scale_q)
-                      for inst, traj in zip(insts, trajs)])
-        targets = q - cfg.alpha_entropy * np.array([sum(traj.log_probs) for traj in trajs])
+        dec, states = rollout(insts, z, h_real, store, model_cfg, "sample", rng=rng)
+        makespans = [st.makespan() for st in states]
+        q = np.array([scaled_q(inst, c, cfg.scale_q) for inst, c in zip(insts, makespans)])
+        # Python's left-to-right sum; numpy's row sums round differently.
+        targets = q - cfg.alpha_entropy * np.array([sum(row) for row in dec.log_probs.tolist()])
         with ad.Tape() as tape:
-            log_prob_total = log_prob_totals(episodes.decisions, store, model_cfg)
+            log_prob_total = log_prob_totals(dec, store, model_cfg)
             values = critic_value(ad.Tensor(z), store, model_cfg)
             l_pol = policy_loss(log_prob_total, q - values.data, cfg.alpha_entropy)
             l_cr = critic_loss(values, targets)
@@ -329,5 +312,5 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
         _sgd_step(params, cfg.lr_policy)
         tape.nodes.clear()  # as in train_representation
         report.append(epoch, float(l_pol.data), float(l_cr.data),
-                      float(np.mean([traj.makespan for traj in trajs])))
+                      float(np.mean(makespans)))
     return report

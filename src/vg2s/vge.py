@@ -5,7 +5,7 @@ generative head with its reconstruction / divergence losses."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,6 +16,25 @@ from .nnutil import add_linear, add_mlp, glorot, linear, mlp
 
 SIGMA_FLOOR = 1e-5
 PROB_CLAMP = 1e-7
+
+
+def check_fields(cfg, minimum: dict[str, int]) -> None:
+    """Reject a config dataclass whose int fields are not ints (a bool is
+    not one) or fall below their minimum (1 unless `minimum` names it),
+    whose float fields are not finite numbers, or whose bool fields are not
+    bools."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "int":
+            least = minimum.get(f.name, 1)
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{f.name} must be an integer >= {least}, got {value!r}")
+        elif f.type == "float":
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        elif f.type == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +59,13 @@ class ModelConfig:
     logit_clip: float = 10.0
     critic_hidden: int = 64
 
+    def __post_init__(self):
+        check_fields(self, {"appnp_iters": 0})
+        if not 0 <= self.appnp_teleport <= 1:
+            raise ValueError("appnp_teleport must lie in [0, 1]")
+        if self.logit_clip <= 0:
+            raise ValueError("logit_clip must be positive")
+
     @property
     def canvas(self) -> int:
         return self.canvas_jobs * self.canvas_machines
@@ -59,7 +85,6 @@ class ModelConfig:
 class LatentSample:
     mu: ad.Tensor
     sigma: ad.Tensor
-    eps: np.ndarray
     z: ad.Tensor
 
 
@@ -147,7 +172,7 @@ def latent(h: ad.Tensor, store: ParamStore, cfg: ModelConfig,
         eps = (rng.standard_normal(cfg.d_latent) if rng is not None
                else np.zeros(cfg.d_latent))
     z = ad.add(mu, ad.mul(sigma, eps))
-    return LatentSample(mu=mu, sigma=sigma, eps=eps, z=z)
+    return LatentSample(mu=mu, sigma=sigma, z=z)
 
 
 def kl_loss(mu: ad.Tensor, sigma: ad.Tensor) -> ad.Tensor:

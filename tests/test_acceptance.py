@@ -182,7 +182,7 @@ def test_criterion_04_gradient_verification(two_by_two):
     # (d) one policy-decoder step log-probability
     h_data = encode(graph, store, cfg).data
     st = reset(two_by_two)
-    feats = state_features(st)
+    feats = state_features(st)[st.available()]
 
     avail = np.zeros((1, 1, 4), bool)
     avail[0, 0, st.available()] = True
@@ -352,8 +352,8 @@ def test_criterion_09_masking_probability():
             avail = st.available()
             avail_mask = np.zeros((1, 1, inst.num_ops), bool)
             avail_mask[0, 0, avail] = True
-            out = decode_step(z.data[None], np.array([[-1 if prev is None else prev]]),
-                              keys, state_features(st)[None, None], ~st.scheduled[None, None],
+            out = decode_step(z.data[None], np.array([[-1 if prev is None else prev]]), keys,
+                              state_features(st)[avail][None, None], ~st.scheduled[None, None],
                               avail_mask, store, cfg)
             full = out.data[0, 0]
             finite = np.isfinite(full)

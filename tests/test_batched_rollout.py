@@ -171,21 +171,26 @@ def _grads(store, loss):
 @example(insts=[TWELVE_BY_TEN, TWO_BY_THREE], layers=2, model_seed=3, seed=3)
 def test_batched_rollout_matches_scalar_reference(tiny_cfg, insts, layers, model_seed, seed):
     """With the batched rollout's sampled actions forced on the reference,
-    per-step log-probs, per-episode totals and policy gradients agree."""
+    per-step log-probs, per-episode totals and policy gradients agree, and
+    each returned schedule is the one its actions build."""
     cfg = dataclasses.replace(tiny_cfg, glimpse_layers=layers)
     store, rng, h_real, _, z = _batch_inputs(insts, cfg, model_seed, seed)
     weights = rng.uniform(-2.0, 2.0, len(insts))
-    episodes = rollout(insts, z, h_real, store, cfg, "sample", rng=rng)
+    dec, states = rollout(insts, z, h_real, store, cfg, "sample", rng=rng)
     with ad.Tape():
-        totals = log_prob_totals(episodes.decisions, store, cfg)
+        totals = log_prob_totals(dec, store, cfg)
         grads = _grads(store, ad.tsum(ad.mul(totals, weights)))
     with ad.Tape():
         loss = None
-        for e, (inst, traj) in enumerate(zip(insts, episodes.trajectories)):
-            log_probs, total, _ = reference_rollout(inst, z[e], h_real[e], store, cfg,
-                                                    traj.actions)
-            assert traj.makespan == replay(inst, traj.actions).makespan()
-            np.testing.assert_allclose(traj.log_probs, log_probs, rtol=0, atol=LOG_PROB_TOL)
+        for e, (inst, state) in enumerate(zip(insts, states)):
+            actions = dec.actions[e, :inst.num_ops].tolist()
+            log_probs, total, _ = reference_rollout(inst, z[e], h_real[e], store, cfg, actions)
+            replayed = replay(inst, actions)
+            np.testing.assert_array_equal(state.start, replayed.start)
+            np.testing.assert_array_equal(state.end, replayed.end)
+            np.testing.assert_allclose(dec.log_probs[e, :inst.num_ops], log_probs,
+                                       rtol=0, atol=LOG_PROB_TOL)
+            assert not dec.log_probs[e, inst.num_ops:].any()
             np.testing.assert_allclose(totals.data[e], total.data,
                                        rtol=0, atol=LOG_PROB_TOL)
             term = ad.mul(total, weights[e])
@@ -211,13 +216,14 @@ def test_greedy_actions_match_scalar_reference(tiny_cfg, insts, layers, model_se
     which differs between any two summation orders."""
     cfg = dataclasses.replace(tiny_cfg, glimpse_layers=layers)
     store, _, h_real, mu, _ = _batch_inputs(insts, cfg, model_seed, 0)
-    episodes = rollout(insts, mu, h_real, store, cfg, "greedy")
-    for e, (inst, traj) in enumerate(zip(insts, episodes.trajectories)):
-        log_probs, _, fulls = reference_rollout(inst, mu[e], h_real[e], store, cfg,
-                                                traj.actions)
-        for action, full in zip(traj.actions, fulls):
+    dec, _ = rollout(insts, mu, h_real, store, cfg, "greedy")
+    for e, inst in enumerate(insts):
+        actions = dec.actions[e, :inst.num_ops].tolist()
+        log_probs, _, fulls = reference_rollout(inst, mu[e], h_real[e], store, cfg, actions)
+        for action, full in zip(actions, fulls):
             assert full[action] >= full.max() - LOG_PROB_TOL
-        np.testing.assert_allclose(traj.log_probs, log_probs, rtol=0, atol=LOG_PROB_TOL)
+        np.testing.assert_allclose(dec.log_probs[e, :inst.num_ops], log_probs,
+                                   rtol=0, atol=LOG_PROB_TOL)
 
 
 def test_padded_decisions_contribute_nothing(tiny_cfg):
@@ -226,12 +232,12 @@ def test_padded_decisions_contribute_nothing(tiny_cfg):
     the same episode (same z, same actions) scored alone."""
     insts = [random_instance(2, 2, seed=4), random_instance(4, 3, seed=5)]
     store, rng, h_real, _, z = _batch_inputs(insts, tiny_cfg, 0, 0)
-    batched = rollout(insts, z, h_real, store, tiny_cfg, "sample", rng=rng).decisions
+    batched, _ = rollout(insts, z, h_real, store, tiny_cfg, "sample", rng=rng)
     steps, jobs = 4, 2
     assert not batched.valid[0, steps:].any()
     assert not (batched.attend[0, :steps, steps:].any() or batched.avail[0, :steps, steps:].any())
     alone = Decisions(batched.z[:1], batched.h_real[:1, :steps], batched.actions[:1, :steps],
-                      batched.feats[:1, :steps, :jobs], batched.attend[:1, :steps, :steps],
+                      batched.log_probs[:1, :steps], batched.feats[:1, :steps, :jobs], batched.attend[:1, :steps, :steps],
                       batched.avail[:1, :steps, :steps], batched.valid[:1, :steps])
     with ad.Tape():
         totals = log_prob_totals(batched, store, tiny_cfg)

@@ -255,6 +255,18 @@ class TestConfigErrors:
     @pytest.mark.parametrize("raw, key", [
         ({"model": {"batch_norm": True}}, "batch_norm"),   # unknown key
         ({"train": {"repr_epochs": 0}}, "repr_epochs"),    # out of range
+        ({"train": {"lr_repr": float("nan")}}, "lr_repr"),  # not finite
+        ({"train": {"alpha_entropy": float("inf")}}, "alpha_entropy"),
+        ({"train": {"batch_size": 2.5}}, "batch_size"),    # not an integer
+        ({"train": {"pool_size": True}}, "pool_size"),     # a bool is not an integer
+        ({"train": {"seed": -1}}, "seed"),
+        ({"train": {"scale_q": 1}}, "scale_q"),            # not a bool
+        ({"model": {"d_latent": 0}}, "d_latent"),
+        ({"model": {"appnp_iters": -1}}, "appnp_iters"),
+        ({"model": {"glimpse_heads": 1.0}}, "glimpse_heads"),
+        ({"model": {"appnp_teleport": 1.5}}, "appnp_teleport"),
+        ({"model": {"logit_clip": 0}}, "logit_clip"),
+        ({"model": {"logit_clip": float("nan")}}, "logit_clip"),
         (None, "No such file"),                            # missing file
     ])
     def test_one_line_error_and_exit_2(self, tmp_path, capsys, raw, key):

@@ -32,13 +32,14 @@ def policy_setup(two_by_two, tiny_cfg, rng):
 def step_logits(setup, cfg, prev=None, avail=None, attend=None):
     """decode_step for the one episode of `setup` (a batch of one)."""
     store, h_real, z, st_ = setup
+    avail = st_.available() if avail is None else avail
     avail_mask = np.zeros((1, 1, 4), dtype=bool)
-    avail_mask[0, 0, st_.available() if avail is None else avail] = True
+    avail_mask[0, 0, avail] = True
     if attend is None:
         attend = np.ones((1, 1, 4), dtype=bool)
     prev = np.array([[-1 if prev is None else prev]])
     out = decode_step(z.data[None], prev, project_keys(h_real.data[None], store, cfg),
-                      state_features(st_)[None, None], attend, avail_mask, store, cfg)
+                      state_features(st_)[avail][None, None], attend, avail_mask, store, cfg)
     return ad.reshape(out, (1, 4))
 
 
@@ -77,28 +78,42 @@ class TestDecodeStep:
             step_logits(policy_setup, tiny_cfg, avail=[0],
                         attend=np.zeros((1, 1, 4), dtype=bool))
 
+    def test_dense_features_rejected(self, policy_setup, tiny_cfg):
+        """state_feats holds one slot per available op: the dense (N, 6)
+        features of every op row, 4 rows for 2 available ops, fail."""
+        store, h_real, z, st_ = policy_setup
+        keys = project_keys(h_real.data[None], store, tiny_cfg)
+        avail = np.zeros((1, 1, 4), dtype=bool)
+        avail[0, 0, st_.available()] = True
+        with pytest.raises(ValueError, match="slots"):
+            decode_step(z.data[None], np.array([[-1]]), keys, state_features(st_)[None, None],
+                        np.ones((1, 1, 4), dtype=bool), avail, store, tiny_cfg)
 
-def _two_episodes(tiny_cfg, n=6, m=5, seed=3):
+
+def _two_episodes(tiny_cfg, n=6, m=5, seed=3, points=(3, 11)):
     """Inputs of one decode_step for two episodes of an n x m instance, at
-    different points of a random schedule, one decision each (T = 1):
-    (store, z, h_real, feats, attend, avail)."""
+    two points (step counts) of a random schedule, one decision each
+    (T = 1): (store, z, h_real, feats, attend, avail), feats in slot
+    order."""
     rng = np.random.default_rng(seed)
     inst = random_instance(n, m, seed)
     store = build_model(tiny_cfg, seed=seed)
     h_real = rng.normal(size=(2, inst.num_ops, tiny_cfg.d_latent))
     z = rng.normal(size=(2, tiny_cfg.d_latent))
-    feats, attend, avail = [], [], []
-    for steps in (3, 11):
+    feats, attend, avail = np.zeros((2, 1, n, 6)), [], []
+    for e, steps in enumerate(points):
         st_ = reset(inst)
         for _ in range(steps):
             st_.step(int(rng.choice(st_.available())))
-        feats.append(state_features(st_))
+        ops = st_.available()
+        feats[e, 0, :len(ops)] = state_features(st_)[ops]
         attend.append(~st_.scheduled)
         mask = np.zeros(inst.num_ops, dtype=bool)
-        mask[st_.available()] = True
+        mask[ops] = True
         avail.append(mask)
-    return (store, z, h_real, np.stack(feats)[:, None], np.stack(attend)[:, None],
-            np.stack(avail)[:, None])
+    avail = np.stack(avail)[:, None]
+    slots = avail.sum(axis=-1).max()
+    return (store, z, h_real, feats[:, :, :slots], np.stack(attend)[:, None], avail)
 
 
 PREV = np.zeros((2, 1), dtype=np.int64)  # op 0 was each episode's previous action
@@ -106,17 +121,21 @@ PREV = np.zeros((2, 1), dtype=np.int64)  # op 0 was each episode's previous acti
 
 class TestAvailableRows:
     def test_rows_outside_avail_not_read(self, tiny_cfg):
-        """decode_step reads state features on available rows only:
-        garbage anywhere else leaves every logit unchanged, bit for bit."""
-        store, z, h_real, feats, attend, avail = _two_episodes(tiny_cfg)
+        """decode_step reads the slots of available ops only: garbage in
+        the slots after a decision's available count leaves every logit
+        unchanged, bit for bit."""
+        # 4 ops left of 30 in the second episode: fewer available than 6
+        store, z, h_real, feats, attend, avail = _two_episodes(tiny_cfg, points=(3, 26))
         keys = project_keys(h_real, store, tiny_cfg)
         want = decode_step(z, PREV, keys, feats, attend, avail, store, tiny_cfg).data
+        real = np.arange(feats.shape[2]) < avail.sum(axis=-1)[..., None]
+        assert not real.all()
         noisy = feats.copy()
-        noisy[~avail] = np.random.default_rng(0).normal(size=(int((~avail).sum()), 6)) * 50
+        noisy[~real] = np.random.default_rng(0).normal(size=(int((~real).sum()), 6)) * 50
         got = decode_step(z, PREV, keys, noisy, attend, avail, store, tiny_cfg).data
         np.testing.assert_array_equal(got, want)
-        # ...and the features of available rows are read.
-        noisy[avail] += 1.0
+        # ...and the features of the real slots are read.
+        noisy[real] += 1.0
         moved = decode_step(z, PREV, keys, noisy, attend, avail, store, tiny_cfg).data
         assert not np.allclose(moved[avail], want[avail])
 
@@ -145,8 +164,8 @@ class TestAvailableRows:
         insts = [random_instance(4, 4, seed=1), random_instance(3, 4, seed=2)]
         h_real = [np.random.default_rng(e).normal(size=(inst.num_ops, cfg.d_latent))
                   for e, inst in enumerate(insts)]
-        decisions = rollout(insts, z, h_real, store, cfg, "sample",
-                            rng=np.random.default_rng(0)).decisions
+        decisions, _ = rollout(insts, z, h_real, store, cfg, "sample",
+                               rng=np.random.default_rng(0))
         assert cfg.glimpse_heads * decisions.actions.shape[1] < key_columns
         with ad.Tape() as tape:
             log_prob_totals(decisions, store, cfg)
@@ -231,7 +250,7 @@ class TestCritic:
 class TestGradients:
     def test_policy_log_prob_gradient(self, policy_setup, tiny_cfg):
         store, h_real, z, st_ = policy_setup
-        feats = state_features(st_)
+        feats = state_features(st_)[st_.available()]
         sched = np.zeros(4, dtype=bool)
         z_fixed = z.data.copy()
         h_fixed = h_real.data.copy()

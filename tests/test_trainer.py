@@ -142,11 +142,12 @@ class TestRollout:
         cache = EncoderCache(store, tiny_cfg)
         cache.rebuild(pool)
         h_real, z = cache.draw(0, rng)
-        traj = rollout([two_by_two], z[None], [h_real], store, tiny_cfg, "sample",
-                       rng=rng).trajectories[0]
-        assert sorted(traj.actions) == [0, 1, 2, 3]
-        assert replay(two_by_two, traj.actions).makespan() == traj.makespan
-        assert traj.makespan in (7, 11)
+        dec, (st_,) = rollout([two_by_two], z[None], [h_real], store, tiny_cfg, "sample",
+                              rng=rng)
+        actions = dec.actions[0].tolist()
+        assert sorted(actions) == [0, 1, 2, 3]
+        assert replay(two_by_two, actions).makespan() == st_.makespan()
+        assert st_.makespan() in (7, 11)
 
     def test_greedy_deterministic(self, two_by_two, tiny_cfg, rng):
         store = build_model(tiny_cfg, seed=0)
@@ -154,9 +155,9 @@ class TestRollout:
         cache = EncoderCache(store, tiny_cfg)
         cache.rebuild(pool)
         h_real, mu, _ = cache.entries[0]
-        a = rollout([two_by_two], mu[None], [h_real], store, tiny_cfg, "greedy")
-        b = rollout([two_by_two], mu[None], [h_real], store, tiny_cfg, "greedy")
-        assert a.trajectories[0].actions == b.trajectories[0].actions
+        a, _ = rollout([two_by_two], mu[None], [h_real], store, tiny_cfg, "greedy")
+        b, _ = rollout([two_by_two], mu[None], [h_real], store, tiny_cfg, "greedy")
+        assert a.actions[0].tolist() == b.actions[0].tolist()
 
     def test_taped_log_prob_matches_sum(self, two_by_two, tiny_cfg, rng):
         store = build_model(tiny_cfg, seed=0)
@@ -164,11 +165,10 @@ class TestRollout:
         cache = EncoderCache(store, tiny_cfg)
         cache.rebuild(pool)
         h_real, z = cache.draw(0, rng)
-        episodes = rollout([two_by_two], z[None], [h_real], store, tiny_cfg, "sample", rng=rng)
+        dec, _ = rollout([two_by_two], z[None], [h_real], store, tiny_cfg, "sample", rng=rng)
         with ad.Tape():
-            total = log_prob_totals(episodes.decisions, store, tiny_cfg)
-        traj = episodes.trajectories[0]
-        assert total.data[0] == pytest.approx(sum(traj.log_probs))
+            total = log_prob_totals(dec, store, tiny_cfg)
+        assert total.data[0] == pytest.approx(sum(dec.log_probs[0].tolist()))
 
 
 class TestPhase2:
