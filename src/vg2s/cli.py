@@ -24,52 +24,84 @@ from .trainer import (ENCODER_SECTIONS, InstancePool, TrainConfig,
 from .vge import ModelConfig
 
 METHODS = [*PDR_METHODS, "oracle", "vg2s"]
+PARSERS = {"orlib": parse_orlib, "taillard": parse_taillard, "json": Instance.from_json}
 
 
-def _seed_override(seed: int) -> int:
-    env = os.environ.get("VG2S_SEED")
-    return int(env) if env else seed
+class UsageError(Exception):
+    """A bad input from the command line or a file it names; `main` prints
+    it as one `vg2s: error:` line and exits with status 2."""
 
 
-def load_configs(path: str | None) -> tuple[TrainConfig, ModelConfig]:
+def load_configs(path: str | None, args=None, **options: str) -> tuple[TrainConfig, ModelConfig]:
     """Read {"train": {...}, "model": {...}} JSON; missing keys keep defaults.
-    An unreadable file, malformed JSON, an unknown key or an out-of-range
-    value ends the program with one error line and exit status 2."""
-    if not path:
-        return TrainConfig(), ModelConfig()
-    try:
-        raw = json.loads(Path(path).read_text())
-        return TrainConfig(**raw.get("train", {})), ModelConfig(**raw.get("model", {}))
-    except (OSError, TypeError, ValueError) as exc:
-        print(f"vg2s: error: config {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+    Then each TrainConfig field named in `options` (field=dest) takes the
+    value of the command-line option args.<dest> when it is given, and the
+    seed takes VG2S_SEED when that is set.  An unreadable file, malformed
+    JSON, an unknown key or a value the configs' own checks reject raises
+    UsageError naming the file, or the option."""
+    train_cfg, model_cfg = TrainConfig(), ModelConfig()
+    if path:
+        try:
+            raw = json.loads(Path(path).read_text())
+            if not isinstance(raw, dict):
+                raise ValueError('expected a JSON object with "train" and "model"')
+            train_cfg = TrainConfig(**raw.get("train", {}))
+            model_cfg = ModelConfig(**raw.get("model", {}))
+        except (OSError, TypeError, ValueError) as exc:
+            raise UsageError(f"config {path}: {exc}") from None
+    given = {name: (f"--{dest}", getattr(args, dest, None)) for name, dest in options.items()}
+    env = os.environ.get("VG2S_SEED")
+    if "seed" in options and env:
+        try:
+            env = int(env)
+        except ValueError:
+            pass  # not an integer: the seed check below rejects it by name
+        given["seed"] = ("VG2S_SEED", env)
+    for name, (option, value) in given.items():
+        if value is not None:
+            try:
+                train_cfg = dataclasses.replace(train_cfg, **{name: value})
+            except ValueError as exc:
+                raise UsageError(f"{option}: {exc}") from None
+    return train_cfg, model_cfg
+
+
+def _seed(args) -> int:
+    """--seed, or VG2S_SEED when set, checked as TrainConfig checks its seed."""
+    return load_configs(None, args, seed="seed")[0].seed
 
 
 def _read_input(load, path: str, *args):
-    """load(path, *args); a missing or unreadable input path ends the
-    program with one error line and exit status 2."""
+    """load(path, *args); a missing or unreadable input path raises UsageError."""
     try:
         return load(path, *args)
     except OSError as exc:
-        print(f"vg2s: error: {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise UsageError(f"{exc.filename or path}: {exc.strerror or exc}") from None
 
 
 def _read_checkpoint(path: str, role: str) -> ParamStore:
-    """load_checkpoint(path); a missing, unreadable or cut file ends the
-    program with one error line and exit status 2."""
+    """load_checkpoint(path); a missing, unreadable, cut or malformed file
+    raises UsageError."""
     try:
         return _read_input(load_checkpoint, path)
     except ValueError as exc:  # the message starts with the path
-        print(f"vg2s: error: {role} {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise UsageError(f"{role} {exc}") from None
+
+
+def _load_model(args, missing: str) -> tuple[ParamStore, ModelConfig]:
+    """The --model checkpoint and the --config model settings; without
+    --model, raises UsageError with the message `missing`."""
+    if not args.model:
+        raise UsageError(missing)
+    _, model_cfg = load_configs(args.config)
+    return _read_checkpoint(args.model, "model checkpoint"), model_cfg
 
 
 def _load_encoder(store: ParamStore, path: str) -> None:
     """Copy the frozen encoder (every ENCODER_SECTIONS parameter of `store`)
     from the checkpoint at `path`.  A checkpoint that lacks one of them,
-    holds one in another shape or holds one the model does not have ends
-    the program with one error line and exit status 2."""
+    holds one in another shape or holds one the model does not have raises
+    UsageError."""
     trained = _read_checkpoint(path, "encoder checkpoint")
     try:
         for name in store.names():
@@ -78,19 +110,19 @@ def _load_encoder(store: ParamStore, path: str) -> None:
         for section in ENCODER_SECTIONS:
             store.update(trained, section)
     except (KeyError, ValueError) as exc:
-        print(f"vg2s: error: encoder checkpoint {path}: {exc.args[0]}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise UsageError(f"encoder checkpoint {path}: {exc.args[0]}") from None
 
 
 def _load_instance(path: str, fmt: str) -> Instance:
-    text = Path(path).read_text()
-    if fmt == "orlib":
-        return parse_orlib(text)
-    if fmt == "taillard":
-        return parse_taillard(text)
-    if fmt == "json":
-        return Instance.from_json(text)
-    raise ValueError(f"unknown format {fmt!r}")
+    """Parse the instance file at `path`; a malformed one raises UsageError
+    naming the file, with the parser's message (and line number)."""
+    parse = PARSERS[fmt]
+    try:
+        return parse(Path(path).read_text())
+    except KeyError as exc:  # a JSON instance without "n", "m" or "jobs"
+        raise UsageError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _load_instance_dir(path: str, fmt: str) -> dict[str, Instance]:
@@ -103,7 +135,7 @@ def _load_instance_dir(path: str, fmt: str) -> dict[str, Instance]:
 
 
 def cmd_gen(args) -> int:
-    rng = np.random.default_rng(_seed_override(args.seed))
+    rng = np.random.default_rng(_seed(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = GenConfig()
@@ -131,11 +163,7 @@ def cmd_solve(args) -> int:
         c = res.c_star
         print(f"cmax {c} proven={res.proven} nodes={res.nodes_explored}")
     elif args.method == "vg2s":
-        if not args.model:
-            print("vg2s: error: solve --method vg2s requires --model", file=sys.stderr)
-            return 2
-        _, model_cfg = load_configs(args.config)
-        store = _read_checkpoint(args.model, "model checkpoint")
+        store, model_cfg = _load_model(args, "solve --method vg2s requires --model")
         st, c = solve_with_model(inst, store, model_cfg)
         print(f"cmax {c}")
     else:
@@ -148,71 +176,41 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _write_report(report, path) -> None:
-    rows = [dict(zip(report.columns, row)) for row in report.rows]
-    write_csv(rows, path, list(report.columns))
-
-
-def _pool_from_args(args, train_cfg, rng) -> InstancePool:
-    frozen = None
-    if getattr(args, "instances", None):
-        frozen = list(_read_input(_load_instance_dir, args.instances, "json").values())
-    return InstancePool(train_cfg, rng, frozen=frozen)
-
-
-def cmd_train_repr(args) -> int:
-    train_cfg, model_cfg = load_configs(args.config)
-    if args.epochs:
-        train_cfg = dataclasses.replace(train_cfg, repr_epochs=args.epochs)
-    seed = _seed_override(args.seed if args.seed is not None else train_cfg.seed)
-    train_cfg = dataclasses.replace(train_cfg, seed=seed)
-    rng = np.random.default_rng(seed)
-    store = build_model(model_cfg, seed)
-    pool = _pool_from_args(args, train_cfg, rng)
-    report = train_representation(train_cfg, model_cfg, store, pool, rng)
-    save_checkpoint(store, args.checkpoint)
-    if args.log:
-        _write_report(report, args.log)
-    print(f"phase 1 done: final loss {report.rows[-1][-1]:.4f}, "
-          f"checkpoint {args.checkpoint}")
-    return 0
-
-
-def cmd_train_policy(args) -> int:
-    train_cfg, model_cfg = load_configs(args.config)
-    if args.epochs:
-        train_cfg = dataclasses.replace(train_cfg, policy_epochs=args.epochs)
-    if args.batch:
-        train_cfg = dataclasses.replace(train_cfg, batch_size=args.batch)
-    seed = _seed_override(args.seed if args.seed is not None else train_cfg.seed)
-    train_cfg = dataclasses.replace(train_cfg, seed=seed)
-    rng = np.random.default_rng(seed + 1)
-    store = build_model(model_cfg, seed)
-    if args.skip_phase1:
-        pass  # baseline: the freshly initialized encoder is frozen as-is
-    else:
+def cmd_train(args) -> int:
+    """train-repr (phase 1) and train-policy (phase 2, on the frozen encoder
+    of --encoder-ckpt or, with --skip-phase1, a freshly initialized one)."""
+    policy = args.command == "train-policy"
+    epochs = "policy_epochs" if policy else "repr_epochs"
+    train_cfg, model_cfg = load_configs(args.config, args, **{epochs: "epochs"},
+                                        batch_size="batch", seed="seed")
+    store = build_model(model_cfg, train_cfg.seed)
+    if policy and not args.skip_phase1:
         if not args.encoder_ckpt:
-            print("vg2s: error: train-policy requires --encoder-ckpt (or --skip-phase1)",
-                  file=sys.stderr)
-            return 2
+            raise UsageError("train-policy requires --encoder-ckpt (or --skip-phase1)")
         _load_encoder(store, args.encoder_ckpt)
-    pool = _pool_from_args(args, train_cfg, rng)
-    report = train_policy(train_cfg, model_cfg, store, pool, rng)
+    rng = np.random.default_rng(train_cfg.seed + 1 if policy else train_cfg.seed)
+    frozen = None
+    if args.instances:
+        frozen = list(_read_input(_load_instance_dir, args.instances, "json").values())
+    pool = InstancePool(train_cfg, rng, frozen=frozen)
+    report = (train_policy if policy else train_representation)(
+        train_cfg, model_cfg, store, pool, rng)
     save_checkpoint(store, args.checkpoint)
     if args.log:
-        _write_report(report, args.log)
-    print(f"phase 2 done: final mean cmax {report.rows[-1][-1]:.2f}, "
-          f"checkpoint {args.checkpoint}")
+        write_csv([dict(zip(report.columns, row)) for row in report.rows], args.log,
+                  list(report.columns))
+    final = report.rows[-1][-1]
+    done = (f"phase 2 done: final mean cmax {final:.2f}" if policy
+            else f"phase 1 done: final loss {final:.4f}")
+    print(f"{done}, checkpoint {args.checkpoint}")
     return 0
 
 
 def _load_ubs(path: str) -> dict[str, int]:
     """Read a JSON object mapping instance id -> best-known makespan.  Any
-    value but a JSON integer >= 1 ends the program with one error line and
-    exit status 2."""
-    text = _read_input(Path.read_text, Path(path))
+    value but a JSON integer >= 1 raises UsageError."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(_read_input(Path.read_text, Path(path)))
         if not isinstance(raw, dict):
             raise ValueError("expected a JSON object of instance id -> makespan")
         for name, val in raw.items():
@@ -220,8 +218,7 @@ def _load_ubs(path: str) -> dict[str, int]:
                 raise ValueError(f"{name}: best-known makespan must be an integer "
                                  f">= 1, got {json.dumps(val)}")
     except ValueError as exc:
-        print(f"vg2s: error: ub file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        raise UsageError(f"ub file {path}: {exc}") from None
     return raw
 
 
@@ -230,11 +227,7 @@ def cmd_eval(args) -> int:
     ubs = _load_ubs(args.ub_file) if args.ub_file else {}
     store = model_cfg = None
     if "vg2s" in args.methods:
-        if not args.model:
-            print("vg2s: error: eval with method vg2s requires --model", file=sys.stderr)
-            return 2
-        _, model_cfg = load_configs(args.config)
-        store = _read_checkpoint(args.model, "model checkpoint")
+        store, model_cfg = _load_model(args, "eval with method vg2s requires --model")
     rows = eval_bench(instances, args.methods, ubs, store=store,
                       model_cfg=model_cfg, oracle_budget=args.budget)
     write_csv(rows, args.out, ["instance", "size", "method", "cmax", "ub", "gap"])
@@ -243,8 +236,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_latents(args) -> int:
-    _, model_cfg = load_configs(args.config)
-    store = _read_checkpoint(args.model, "model checkpoint")
+    store, model_cfg = _load_model(args, "export-latents requires --model")
     instances = _read_input(_load_instance_dir, args.instances, "json")
     rows = export_latents(instances, store, model_cfg)
     columns = ["instance"] + [f"mu_{i}" for i in range(model_cfg.d_latent)] + ["greedy_cmax"]
@@ -255,20 +247,14 @@ def cmd_export_latents(args) -> int:
 
 def cmd_similarity(args) -> int:
     if not 1 <= args.machines <= args.jobs:
-        print(f"vg2s: error: similarity needs 1 <= --machines <= --jobs, got "
-              f"--jobs {args.jobs} --machines {args.machines}", file=sys.stderr)
-        return 2
+        raise UsageError(f"similarity needs 1 <= --machines <= --jobs, got "
+                         f"--jobs {args.jobs} --machines {args.machines}")
     store = model_cfg = rule = None
     if args.rule:
         rule = Rule(args.rule)
     else:
-        if not args.model:
-            print("vg2s: error: similarity requires --model or --rule", file=sys.stderr)
-            return 2
-        _, model_cfg = load_configs(args.config)
-        store = _read_checkpoint(args.model, "model checkpoint")
-    rows = pdr_similarity(args.count, args.jobs, args.machines,
-                          _seed_override(args.seed),
+        store, model_cfg = _load_model(args, "similarity requires --model or --rule")
+    rows = pdr_similarity(args.count, args.jobs, args.machines, _seed(args),
                           store=store, model_cfg=model_cfg, rule=rule)
     write_csv(rows, args.out,
               ["instance", "step", "completed_ops", "pt_rank", "num_available"])
@@ -283,8 +269,7 @@ def cmd_gap(args) -> int:
         else:
             value = optimality_gap(args.cmax, args.ub)
     except ValueError as exc:  # a nonpositive reference makespan
-        print(f"vg2s: error: gap: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"gap: {exc}") from None
     print(f"{value:.4f}")
     return 0
 
@@ -324,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", help="directory of JSON instances (frozen pool)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", help="per-epoch loss CSV path")
-    p.set_defaults(func=cmd_train_repr)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-policy", help="phase 2: policy learning")
     p.add_argument("--encoder-ckpt")
@@ -337,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", help="directory of JSON instances (frozen pool)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", help="per-epoch loss CSV path")
-    p.set_defaults(func=cmd_train_policy)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="benchmark evaluation report")
     p.add_argument("--dir", required=True)
@@ -379,8 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A bad input ends it with one `vg2s: error:` line on
+    stderr and exit status 2, as argparse ends its own usage errors."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"vg2s: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 if __name__ == "__main__":

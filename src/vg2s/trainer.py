@@ -35,7 +35,6 @@ class TrainConfig:
     alpha_entropy: float = 0.01
     pool_refresh: int = 5
     pool_size: int = 64
-    scale_q: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -155,10 +154,8 @@ class Decisions:
     valid: np.ndarray      # (B, T)
 
 
-def scaled_q(inst: Instance, makespan: int, scale: bool) -> float:
-    if scale:
-        return -makespan / inst.load_lower_bound()
-    return -float(makespan)
+def scaled_q(inst: Instance, makespan: int) -> float:
+    return -makespan / inst.load_lower_bound()
 
 
 def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
@@ -296,7 +293,7 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
         z = np.stack(zs)
         dec, states = rollout(insts, z, h_real, store, model_cfg, "sample", rng=rng)
         makespans = [st.makespan() for st in states]
-        q = np.array([scaled_q(inst, c, cfg.scale_q) for inst, c in zip(insts, makespans)])
+        q = np.array([scaled_q(inst, c) for inst, c in zip(insts, makespans)])
         # Python's left-to-right sum; numpy's row sums round differently.
         targets = q - cfg.alpha_entropy * np.array([sum(row) for row in dec.log_probs.tolist()])
         with ad.Tape() as tape:

@@ -20,9 +20,8 @@ PROB_CLAMP = 1e-7
 
 def check_fields(cfg, minimum: dict[str, int]) -> None:
     """Reject a config dataclass whose int fields are not ints (a bool is
-    not one) or fall below their minimum (1 unless `minimum` names it),
-    whose float fields are not finite numbers, or whose bool fields are not
-    bools."""
+    not one) or fall below their minimum (1 unless `minimum` names it), or
+    whose float fields are not finite numbers."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if f.type == "int":
@@ -33,8 +32,6 @@ def check_fields(cfg, minimum: dict[str, int]) -> None:
             if (not isinstance(value, (int, float)) or isinstance(value, bool)
                     or not math.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        elif f.type == "bool" and not isinstance(value, bool):
-            raise ValueError(f"{f.name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,6 @@ class ModelConfig:
     n_heads: int = 4
     appnp_iters: int = 3
     appnp_teleport: float = 0.1
-    residual: bool = True
     canvas_jobs: int = 9
     canvas_machines: int = 9
     conv_channels: int = 256
@@ -128,7 +124,8 @@ def _union_propagation(graph: HeteroGraph) -> np.ndarray:
 
 def encode(graph: HeteroGraph, store: ParamStore, cfg: ModelConfig) -> ad.Tensor:
     """Node embeddings (N_O x d_latent) via edge-typed attention heads,
-    a shared projection, and teleport-smoothed aggregation."""
+    a shared projection, and teleport-smoothed aggregation plus the
+    projection itself (a residual connection)."""
     x = ad.Tensor(graph.features)
     h_embed = mlp(store, "encoder.embed", x)
     n = graph.node_count
@@ -155,9 +152,7 @@ def encode(graph: HeteroGraph, store: ParamStore, cfg: ModelConfig) -> ad.Tensor
             ad.mul(ad.matmul(prop, h), 1.0 - cfg.appnp_teleport),
             ad.mul(h_proj, cfg.appnp_teleport),
         )
-    if cfg.residual:
-        h = ad.add(h, h_proj)
-    return h
+    return ad.add(h, h_proj)
 
 
 def latent(h: ad.Tensor, store: ParamStore, cfg: ModelConfig,

@@ -23,6 +23,18 @@ TINY_MODEL = {
 }
 
 
+def _usage_error(argv, capsys) -> str:
+    """Run main(argv), which must end in exit status 2 with exactly one
+    `vg2s: error:` line on stderr and nothing on stdout; return that line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("vg2s: error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 @pytest.fixture()
 def tiny_config_file(tmp_path):
     path = tmp_path / "config.json"
@@ -70,12 +82,11 @@ class TestParse:
         out = capsys.readouterr().out
         assert "6 jobs x 6 machines" in out
 
-    def test_parse_error_propagates(self, tmp_path):
+    def test_parse_error_propagates(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("2 2\n0 3 0 2\n1 1 0 1")
-        from vg2s.instance import ParseError
-        with pytest.raises(ParseError):
-            main(["parse", str(bad), "--format", "orlib"])
+        err = _usage_error(["parse", str(bad), "--format", "orlib"], capsys)
+        assert err == f"vg2s: error: {bad}: line 2: duplicate machine 0 in job 0\n"
 
 
 class TestSolve:
@@ -94,7 +105,8 @@ class TestSolve:
         assert svg.read_text().startswith("<svg")
 
     def test_model_requires_checkpoint(self, ft06_file, capsys):
-        assert main(["solve", ft06_file, "--method", "vg2s"]) == 2
+        err = _usage_error(["solve", ft06_file, "--method", "vg2s"], capsys)
+        assert err == "vg2s: error: solve --method vg2s requires --model\n"
 
 
 class TestTrainPipeline:
@@ -130,9 +142,11 @@ class TestTrainPipeline:
 
     def test_policy_requires_encoder_source(self, tmp_path, tiny_config_file,
                                             instance_dir, capsys):
-        assert main(["train-policy", "--epochs", "1", "--config", tiny_config_file,
-                     "--instances", instance_dir,
-                     "--checkpoint", str(tmp_path / "x.ckpt")]) == 2
+        ckpt = tmp_path / "x.ckpt"
+        err = _usage_error(["train-policy", "--epochs", "1", "--config", tiny_config_file,
+                            "--instances", instance_dir, "--checkpoint", str(ckpt)], capsys)
+        assert err == "vg2s: error: train-policy requires --encoder-ckpt (or --skip-phase1)\n"
+        assert not ckpt.exists()
 
 
 def _cut_checkpoint(path, part: str) -> None:
@@ -244,10 +258,7 @@ def test_missing_required_source_one_line_error(tmp_path, ft06_file, instance_di
                                                 capsys, argv):
     out = tmp_path / "out"
     argv = [a.format(out=out, ft06=ft06_file, instances=instance_dir) for a in argv]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("vg2s: error: ") and "requires --" in err
-    assert err.count("\n") == 1
+    assert "requires --" in _usage_error(argv, capsys)
     assert not out.exists()
 
 
@@ -260,7 +271,7 @@ class TestConfigErrors:
         ({"train": {"batch_size": 2.5}}, "batch_size"),    # not an integer
         ({"train": {"pool_size": True}}, "pool_size"),     # a bool is not an integer
         ({"train": {"seed": -1}}, "seed"),
-        ({"train": {"scale_q": 1}}, "scale_q"),            # not a bool
+        ({"train": {"scale_q": 1}}, "scale_q"),            # removed: unknown key
         ({"model": {"d_latent": 0}}, "d_latent"),
         ({"model": {"appnp_iters": -1}}, "appnp_iters"),
         ({"model": {"glimpse_heads": 1.0}}, "glimpse_heads"),
@@ -268,6 +279,7 @@ class TestConfigErrors:
         ({"model": {"logit_clip": 0}}, "logit_clip"),
         ({"model": {"logit_clip": float("nan")}}, "logit_clip"),
         (None, "No such file"),                            # missing file
+        ([1], "expected a JSON object"),                   # not an object
     ])
     def test_one_line_error_and_exit_2(self, tmp_path, capsys, raw, key):
         cfg = tmp_path / "cfg.json"
@@ -281,6 +293,97 @@ class TestConfigErrors:
         assert err.startswith("vg2s: error: ") and err.count("\n") == 1
         assert str(cfg) in err and key in err
         assert not ckpt.exists()
+
+
+class TestFlagErrors:
+    """Command-line values and VG2S_SEED pass the same checks as the config
+    file's values; a rejected one names its option and nothing is written."""
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["train-repr", "--epochs", "0"], None,
+         "--epochs: repr_epochs must be an integer >= 1, got 0"),
+        (["train-policy", "--skip-phase1", "--epochs", "0"], None,
+         "--epochs: policy_epochs must be an integer >= 1, got 0"),
+        (["train-policy", "--skip-phase1", "--epochs", "1", "--batch", "0"], None,
+         "--batch: batch_size must be an integer >= 1, got 0"),
+        (["train-repr", "--epochs", "1", "--seed", "-1"], None,
+         "--seed: seed must be an integer >= 0, got -1"),
+        (["train-policy", "--skip-phase1", "--epochs", "1", "--seed", "-1"], None,
+         "--seed: seed must be an integer >= 0, got -1"),
+        (["train-repr", "--epochs", "1"], "abc",
+         "VG2S_SEED: seed must be an integer >= 0, got 'abc'"),
+        (["train-policy", "--skip-phase1", "--epochs", "1", "--seed", "2"], "-3",
+         "VG2S_SEED: seed must be an integer >= 0, got -3"),
+    ], ids=["repr-epochs-0", "policy-epochs-0", "batch-0", "repr-seed", "policy-seed",
+            "env-seed-not-int", "env-seed-negative"])
+    def test_training_one_line_error(self, tmp_path, tiny_config_file, instance_dir,
+                                     monkeypatch, capsys, argv, env, message):
+        """--epochs 0 and --batch 0 are rejected, not read as "unset"."""
+        if env is not None:
+            monkeypatch.setenv("VG2S_SEED", env)
+        ckpt, log = tmp_path / "x.ckpt", tmp_path / "log.csv"
+        err = _usage_error([*argv, "--config", tiny_config_file, "--instances", instance_dir,
+                            "--checkpoint", str(ckpt), "--log", str(log)], capsys)
+        assert err == f"vg2s: error: {message}\n"
+        assert not ckpt.exists() and not log.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--count", "1", "--out", "{out}"],
+        ["similarity", "--rule", "spt", "--count", "1", "--out", "{out}"],
+    ], ids=["gen", "similarity"])
+    @pytest.mark.parametrize("seed, env, message", [
+        ("-1", None, "--seed: seed must be an integer >= 0, got -1"),
+        ("1", "abc", "VG2S_SEED: seed must be an integer >= 0, got 'abc'"),
+        ("1", "-3", "VG2S_SEED: seed must be an integer >= 0, got -3"),
+    ], ids=["seed", "env-not-int", "env-negative"])
+    def test_seed_one_line_error(self, tmp_path, monkeypatch, capsys, argv, seed, env,
+                                 message):
+        if env is not None:
+            monkeypatch.setenv("VG2S_SEED", env)
+        out = tmp_path / "out"
+        argv = [a.format(out=out) for a in argv] + ["--seed", seed]
+        assert _usage_error(argv, capsys) == f"vg2s: error: {message}\n"
+        assert not out.exists()
+
+
+MALFORMED_INSTANCES = {
+    # case: (file name, --format, text (None: FT06's OR-Library text), message)
+    "orlib-as-taillard": ("ft06.txt", "taillard", None,
+                          "line 7: expected 12 matrix rows, found 6"),
+    "json-without-jobs": ("bad.json", "json", '{"n": 1, "m": 2}', "missing key 'jobs'"),
+    "json-not-a-permutation": ("bad.json", "json", '{"n": 1, "m": 2, "jobs": [[[0, 1], [0, 2]]]}',
+                               "job 0: machine sequence is not a permutation of 0..1"),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    (case, command) for case in sorted(MALFORMED_INSTANCES)
+    for command in ["parse", "solve", "eval", "train-repr", "train-policy"]
+    # --instances reads every file as JSON, so only the JSON cases apply to training
+    if MALFORMED_INSTANCES[case][1] == "json" or not command.startswith("train")
+])
+def test_malformed_instance_one_line_error(tmp_path, ft06_file, capsys, case, command):
+    """A malformed instance file ends in one `vg2s: error: <file>: ...` line
+    that names the file and keeps the parser's message, under every command
+    that reads instances; nothing is written."""
+    name, fmt, text, message = MALFORMED_INSTANCES[case]
+    d = tmp_path / "instances"
+    d.mkdir()
+    path = d / name
+    path.write_text(open(ft06_file).read() if text is None else text)
+    out = tmp_path / "out"
+    argv = {
+        "parse": ["parse", str(path), "--format", fmt],
+        "solve": ["solve", str(path), "--format", fmt, "--method", "fifo", "--out", str(out)],
+        "eval": ["eval", "--dir", str(d), "--format", fmt, "--methods", "fifo",
+                 "--out", str(out)],
+        "train-repr": ["train-repr", "--epochs", "1", "--instances", str(d),
+                       "--checkpoint", str(out)],
+        "train-policy": ["train-policy", "--skip-phase1", "--epochs", "1",
+                         "--instances", str(d), "--checkpoint", str(out)],
+    }[command]
+    assert _usage_error(argv, capsys) == f"vg2s: error: {path}: {message}\n"
+    assert not out.exists()
 
 
 class TestMissingInputs:
@@ -369,10 +472,8 @@ class TestSimilarityAndLatents:
 
     def test_similarity_rejects_fewer_jobs_than_machines(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
-        assert main(["similarity", "--rule", "spt", "--jobs", "3",
-                     "--machines", "5", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("vg2s: error: ") and err.count("\n") == 1
+        _usage_error(["similarity", "--rule", "spt", "--jobs", "3",
+                      "--machines", "5", "--out", str(out)], capsys)
         assert not out.exists()
 
     def test_export_latents(self, tmp_path, tiny_config_file, instance_dir, capsys):
@@ -399,11 +500,8 @@ class TestGap:
 
     @pytest.mark.parametrize("flags", [["--ub", "0"], ["--baseline", "0"]])
     def test_nonpositive_reference_one_line_error(self, flags, capsys):
-        assert main(["gap", "65", *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("vg2s: error: gap: nonpositive")
-        assert captured.err.count("\n") == 1
+        err = _usage_error(["gap", "65", *flags], capsys)
+        assert err.startswith("vg2s: error: gap: nonpositive")
 
     @pytest.mark.parametrize("flags", [[], ["--ub", "55", "--baseline", "60"]])
     def test_exactly_one_reference_required(self, flags, capsys):

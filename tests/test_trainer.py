@@ -71,10 +71,7 @@ class TestBuildModel:
 
 class TestScaledQ:
     def test_scaled(self, two_by_two):
-        assert scaled_q(two_by_two, 14, True) == pytest.approx(-2.0)
-
-    def test_unscaled(self, two_by_two):
-        assert scaled_q(two_by_two, 14, False) == -14.0
+        assert scaled_q(two_by_two, 14) == pytest.approx(-2.0)
 
 
 class TestPhase1:
