@@ -24,6 +24,7 @@ from .trainer import (ENCODER_SECTIONS, InstancePool, TrainConfig,
 from .vge import ModelConfig
 
 METHODS = [*PDR_METHODS, "oracle", "vg2s"]
+OUTPUT_FILES = ("out", "gantt", "log", "checkpoint")  # the argparse dests of output files
 PARSERS = {"orlib": parse_orlib, "taillard": parse_taillard, "json": Instance.from_json}
 
 
@@ -125,6 +126,33 @@ def _load_instance(path: str, fmt: str) -> Instance:
         raise UsageError(f"{path}: {exc}") from None
 
 
+def _check_budget(args) -> None:
+    """Reject a negative --budget before any work, as the oracle would."""
+    if args.budget < 0:
+        raise UsageError(f"--budget must be >= 0, got {args.budget}")
+
+
+def _check_output_dirs(args) -> None:
+    """Every output file named on the command line must go into an existing
+    directory, so that a bad path fails before any work or any write."""
+    for dest in OUTPUT_FILES:
+        path = getattr(args, dest, None)
+        if path and not Path(path).parent.is_dir():
+            raise UsageError(f"--{dest} {path}: directory {Path(path).parent} does not exist")
+
+
+def _check_canvas(frozen: dict[str, Instance] | None, gen: GenConfig, canvas: int) -> None:
+    """Every instance phase 1 can draw, from the frozen pool or from `gen`,
+    must fit the model's canvas of `canvas` operations."""
+    holds = f"the model's canvas holds {canvas} (canvas_jobs x canvas_machines)"
+    if frozen is None and gen.n_hi * gen.m_hi > canvas:
+        raise UsageError(f"generated instances have up to {gen.n_hi} x {gen.m_hi} "
+                         f"operations, but {holds}")
+    for name, inst in (frozen or {}).items():
+        if inst.num_ops > canvas:
+            raise UsageError(f"--instances: instance {name} has {inst.num_ops} operations, but {holds}")
+
+
 def _load_instance_dir(path: str, fmt: str) -> dict[str, Instance]:
     out = {}
     for p in sorted(Path(path).iterdir()):
@@ -136,7 +164,7 @@ def _load_instance_dir(path: str, fmt: str) -> dict[str, Instance]:
 
 def cmd_gen(args) -> int:
     rng = np.random.default_rng(_seed(args))
-    out_dir = Path(args.out)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = GenConfig()
     for idx in range(args.count):
@@ -156,6 +184,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _check_budget(args)
     inst = _read_input(_load_instance, args.file, args.format)
     if args.method == "oracle":
         res = branch_and_bound(inst, budget=args.budget)
@@ -191,8 +220,10 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(train_cfg.seed + 1 if policy else train_cfg.seed)
     frozen = None
     if args.instances:
-        frozen = list(_read_input(_load_instance_dir, args.instances, "json").values())
-    pool = InstancePool(train_cfg, rng, frozen=frozen)
+        frozen = _read_input(_load_instance_dir, args.instances, "json")
+    pool = InstancePool(train_cfg, rng, frozen=None if frozen is None else list(frozen.values()))
+    if not policy:  # phase 1 reconstructs every instance on the model's canvas
+        _check_canvas(frozen, pool.gen_cfg, model_cfg.canvas)
     report = (train_policy if policy else train_representation)(
         train_cfg, model_cfg, store, pool, rng)
     save_checkpoint(store, args.checkpoint)
@@ -223,6 +254,7 @@ def _load_ubs(path: str) -> dict[str, int]:
 
 
 def cmd_eval(args) -> int:
+    _check_budget(args)
     instances = _read_input(_load_instance_dir, args.dir, args.format)
     ubs = _load_ubs(args.ub_file) if args.ub_file else {}
     store = model_cfg = None
@@ -282,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate random instances as JSON")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", dest="out_dir", required=True,
+                   help="directory for the instances; created if missing")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("parse", help="parse and validate an instance file")
@@ -368,6 +401,7 @@ def main(argv=None) -> int:
     stderr and exit status 2, as argparse ends its own usage errors."""
     args = build_parser().parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"vg2s: error: {exc}", file=sys.stderr)

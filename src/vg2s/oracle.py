@@ -3,8 +3,9 @@
 Two routes that must agree: exhaustive enumeration of every valid action
 string, and a depth-first branch-and-bound whose bound is the max over
 machines and jobs of (ready time + remaining work) -- the same quantity
-family as the environment's lookahead features.  Both serve as ground
-truth in tests; neither is a competitive solver.
+family as the environment's lookahead features, carried down the DFS in
+O(1) per child.  Both serve as ground truth in tests; neither is a
+competitive solver.
 """
 
 from __future__ import annotations
@@ -26,22 +27,33 @@ class OracleResult:
 
 
 class _Search:
-    """Shared DFS machinery over raw per-job/per-machine arrays with undo."""
+    """Shared DFS machinery over raw per-job/per-machine arrays with undo;
+    the node count stops at the budget, which it never exceeds."""
 
     def __init__(self, inst: Instance, budget: int):
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
         self.inst = inst
         self.budget = budget
         self.nodes = 0
         self.aborted = False
-        n, m = inst.n, inst.m
-        self.machine_ready = [0] * m
-        self.job_ready = [0] * n
-        self.next_op = [0] * n
+        self.machine_ready = [0] * inst.m
+        self.job_ready = [0] * inst.n
+        self.next_op = [0] * inst.n
         self.machine_remaining = list(inst.machine_totals)
         self.job_remaining = list(inst.job_totals)
         self.best = float("inf")
         self.best_actions: tuple[int, ...] = ()
         self.trail: list[int] = []
+
+    def enter(self) -> bool:
+        """Count one node, or abort once the budget is spent; every open level
+        of an aborted DFS then fails here too, so it unwinds counting nothing."""
+        if self.nodes == self.budget:
+            self.aborted = True
+            return False
+        self.nodes += 1
+        return True
 
     def place(self, j: int):
         inst = self.inst
@@ -50,7 +62,7 @@ class _Search:
         # scalar indexing of inst.machines / inst.durations
         i, p = inst.ops[j][k]
         prev_m, prev_j = self.machine_ready[i], self.job_ready[j]
-        end = max(prev_m, prev_j) + p
+        end = (prev_m if prev_m > prev_j else prev_j) + p
         self.machine_ready[i] = end
         self.job_ready[j] = end
         self.machine_remaining[i] -= p
@@ -68,23 +80,15 @@ class _Search:
         self.next_op[j] -= 1
         self.trail.pop()
 
-    def bound(self) -> int:
-        b = 0
-        for i in range(self.inst.m):
-            v = self.machine_ready[i] + self.machine_remaining[i]
-            if v > b:
-                b = v
-        for j in range(self.inst.n):
-            v = self.job_ready[j] + self.job_remaining[j]
-            if v > b:
-                b = v
-        return b
-
     def record_if_better(self):
         c = max(self.machine_ready)
         if c < self.best:
             self.best = c
             self.best_actions = tuple(self.trail)
+
+    def result(self) -> OracleResult:
+        return OracleResult(c_star=int(self.best), schedule=self.best_actions,
+                            nodes_explored=self.nodes, proven=not self.aborted)
 
 
 def enumerate_all(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
@@ -92,35 +96,29 @@ def enumerate_all(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
 
     Practical only for tiny instances; the node count is the number of
     interleavings (n*m)! / (m!)^n.  A budget overrun returns the incumbent
-    with proven=False.
+    with proven=False; a budget that ends before the first complete schedule
+    (fewer than n*m nodes) raises ValueError.
     """
     s = _Search(inst, budget)
-    remaining = inst.num_ops
 
     def dfs(depth: int):
-        if s.aborted:
-            return
-        if depth == remaining:
+        if depth == inst.num_ops:
             s.record_if_better()
             return
         for j in range(inst.n):
-            if s.next_op[j] >= inst.m:
+            if s.next_op[j] == inst.m:
                 continue
-            s.nodes += 1
-            if s.nodes > s.budget:
-                s.aborted = True
+            if not s.enter():
                 return
             saved = s.place(j)
             dfs(depth + 1)
             s.unplace(j, saved)
 
     dfs(0)
-    return OracleResult(
-        c_star=int(s.best),
-        schedule=s.best_actions,
-        nodes_explored=s.nodes,
-        proven=not s.aborted,
-    )
+    if not s.best_actions:
+        raise ValueError(f"budget {budget} ends before the first complete schedule, "
+                         f"which takes {inst.num_ops} nodes")
+    return s.result()
 
 
 def branch_and_bound(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
@@ -133,65 +131,61 @@ def branch_and_bound(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResu
     optimum) is reachable through such moves.  The incumbent is seeded with
     the best dispatching-rule makespan; children expand in ascending bound
     order.
+
+    The bound travels down the DFS: the root's is the instance's load lower
+    bound, and placing job j's next op on machine i at earliest start `est`
+    moves only two of its terms, to est + (machine i's remaining work) and
+    est + (job j's remaining work), both counted before the placement.
+    Neither term can fall, so a child's bound is the max of its parent's and
+    those two, computed without placing the child.
     """
     s = _Search(inst, budget)
     for rule in Rule:
         st, c = dispatch(inst, rule)
         if c < s.best:
             s.best = c
-            order = sorted(range(inst.num_ops), key=lambda u: (st.start[u], u))
-            s.best_actions = tuple(order)
-    remaining = inst.num_ops
+            s.best_actions = tuple(sorted(range(inst.num_ops), key=lambda u: (st.start[u], u)))
+    n, m, ops, num_ops = inst.n, inst.m, inst.ops, inst.num_ops
+    next_op, machine_ready, job_ready = s.next_op, s.machine_ready, s.job_ready
+    machine_remaining, job_remaining = s.machine_remaining, s.job_remaining
 
-    def dfs(depth: int):
-        if s.aborted:
-            return
-        if depth == remaining:
+    def dfs(depth: int, bound: int):
+        if depth == num_ops:
             s.record_if_better()
             return
-        # Giffler-Thompson conflict set
-        c_star = None
-        m_star = -1
-        for j in range(inst.n):
-            k = s.next_op[j]
-            if k >= inst.m:
+        # Giffler-Thompson conflict set, from one pass over the live jobs
+        c_star = float("inf")
+        live = []
+        for j in range(n):
+            k = next_op[j]
+            if k == m:
                 continue
-            i, p = inst.ops[j][k]
-            ect = max(s.machine_ready[i], s.job_ready[j]) + p
-            if c_star is None or ect < c_star:
-                c_star = ect
+            i, p = ops[j][k]
+            a, r = machine_ready[i], job_ready[j]
+            est = a if a > r else r
+            if est + p < c_star:
+                c_star = est + p
                 m_star = i
+            live.append((j, i, est))
         children = []
-        for j in range(inst.n):
-            k = s.next_op[j]
-            if k >= inst.m:
+        best = s.best
+        for j, i, est in live:
+            if i != m_star or est >= c_star:
                 continue
-            i, _ = inst.ops[j][k]
-            if i != m_star:
-                continue
-            if max(s.machine_ready[i], s.job_ready[j]) >= c_star:
-                continue
-            saved = s.place(j)
-            b = s.bound()
-            s.unplace(j, saved)
-            if b < s.best:
+            a, r = est + machine_remaining[i], est + job_remaining[j]
+            b = a if a > r else r
+            b = b if b > bound else bound
+            if b < best:
                 children.append((b, j))
         children.sort()
         for b, j in children:
             if b >= s.best:
                 break  # bounds only grow along the sorted child list
-            s.nodes += 1
-            if s.nodes > s.budget:
-                s.aborted = True
+            if not s.enter():
                 return
             saved = s.place(j)
-            dfs(depth + 1)
+            dfs(depth + 1, b)
             s.unplace(j, saved)
 
-    dfs(0)
-    return OracleResult(
-        c_star=int(s.best),
-        schedule=s.best_actions,
-        nodes_explored=s.nodes,
-        proven=not s.aborted,
-    )
+    dfs(0, inst.load_lower_bound())
+    return s.result()

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,6 +413,89 @@ class TestMissingInputs:
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"vg2s: error: {missing}: No such file or directory\n"
         assert not out.exists()
+
+
+def _tree(root) -> set:
+    return {str(p.relative_to(root)) for p in root.rglob("*")}
+
+
+class TestChecksBeforeWork:
+    """Negative oracle budgets, output paths in missing directories and
+    instances larger than phase 1's canvas end in one `vg2s: error:` line
+    before any work, and nothing is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{ft06}", "--method", "oracle", "--budget", "-5", "--out", "{out}"],
+        ["eval", "--dir", "{bench}", "--methods", "oracle", "--budget", "-5",
+         "--out", "{out}"],
+        ["eval", "--dir", "{bench}", "--methods", "fifo", "--budget", "-1", "--out", "{out}"],
+    ], ids=["solve", "eval-oracle", "eval-without-oracle"])
+    def test_negative_budget(self, tmp_path, ft06_file, capsys, argv):
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        (bench / "ft06.txt").write_text(open(ft06_file).read())
+        before = _tree(tmp_path)
+        argv = [a.format(ft06=ft06_file, bench=bench, out=tmp_path / "out") for a in argv]
+        budget = argv[argv.index("--budget") + 1]
+        assert _usage_error(argv, capsys) == f"vg2s: error: --budget must be >= 0, got {budget}\n"
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("argv, dest", [
+        (["solve", "{ft06}", "--method", "oracle", "--out", "{bad}"], "out"),
+        (["solve", "{ft06}", "--method", "fifo", "--out", "{ok}", "--gantt", "{bad}"], "gantt"),
+        (["eval", "--dir", "{bench}", "--methods", "fifo", "--out", "{bad}"], "out"),
+        (["train-repr", "--epochs", "1", "--config", "{config}", "--instances", "{instances}",
+          "--checkpoint", "{ok}", "--log", "{bad}"], "log"),
+        (["train-policy", "--skip-phase1", "--epochs", "1", "--config", "{config}",
+          "--instances", "{instances}", "--checkpoint", "{bad}"], "checkpoint"),
+        (["similarity", "--rule", "spt", "--count", "1", "--out", "{bad}"], "out"),
+    ], ids=["solve-out", "solve-gantt", "eval-out", "train-repr-log",
+            "train-policy-checkpoint", "similarity-out"])
+    def test_output_in_missing_directory(self, tmp_path, ft06_file, tiny_config_file,
+                                         instance_dir, capsys, argv, dest):
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        (bench / "ft06.txt").write_text(open(ft06_file).read())
+        before = _tree(tmp_path)
+        bad = tmp_path / "nodir" / "x"
+        argv = [a.format(ft06=ft06_file, bench=bench, config=tiny_config_file,
+                         instances=instance_dir, ok=tmp_path / "ok", bad=bad) for a in argv]
+        assert _usage_error(argv, capsys) == (
+            f"vg2s: error: --{dest} {bad}: directory {bad.parent} does not exist\n")
+        assert _tree(tmp_path) == before
+
+    def test_gen_creates_its_directory(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b"
+        assert main(["gen", "--count", "1", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["gen_00000.json"]
+
+    def test_generated_pool_larger_than_canvas(self, tmp_path, tiny_config_file, capsys):
+        before = _tree(tmp_path)
+        err = _usage_error(["train-repr", "--epochs", "1", "--config", tiny_config_file,
+                            "--checkpoint", str(tmp_path / "c.ckpt"),
+                            "--log", str(tmp_path / "l.csv")], capsys)
+        assert err == ("vg2s: error: generated instances have up to 9 x 9 operations, but "
+                       "the model's canvas holds 4 (canvas_jobs x canvas_machines)\n")
+        assert _tree(tmp_path) == before
+
+    def test_frozen_instance_larger_than_canvas(self, tmp_path, tiny_config_file,
+                                                instance_dir, ft06, capsys):
+        (Path(instance_dir) / "ft06.json").write_text(ft06.to_json())
+        before = _tree(tmp_path)
+        err = _usage_error(["train-repr", "--epochs", "1", "--config", tiny_config_file,
+                            "--instances", instance_dir, "--checkpoint", str(tmp_path / "c.ckpt"),
+                            "--log", str(tmp_path / "l.csv")], capsys)
+        assert err == ("vg2s: error: --instances: instance ft06 has 36 operations, but "
+                       "the model's canvas holds 4 (canvas_jobs x canvas_machines)\n")
+        assert _tree(tmp_path) == before
+
+    def test_policy_phase_does_not_reconstruct(self, tmp_path, tiny_config_file,
+                                               instance_dir, ft06, capsys):
+        """Phase 2 only encodes, so instances beyond the canvas are fine there."""
+        (Path(instance_dir) / "ft06.json").write_text(ft06.to_json())
+        assert main(["train-policy", "--skip-phase1", "--epochs", "1", "--batch", "1",
+                     "--config", tiny_config_file, "--instances", instance_dir,
+                     "--checkpoint", str(tmp_path / "c.ckpt")]) == 0
 
 
 class TestEval:
