@@ -36,10 +36,6 @@ class Tape:
         return False
 
 
-def active_tape() -> Tape | None:
-    return _ACTIVE_TAPE[-1] if _ACTIVE_TAPE else None
-
-
 class Tensor:
     __slots__ = ("data", "grad", "parents", "vjp", "tape", "is_param")
 
@@ -58,37 +54,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, param={self.is_param})"
 
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Parameter(Tensor):
     def __init__(self, data):
@@ -101,7 +66,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _record(out: Tensor) -> Tensor:
-    tape = active_tape()
+    tape = _ACTIVE_TAPE[-1] if _ACTIVE_TAPE else None
     if tape is not None and any(p.is_param or p.tape is tape for p in out.parents):
         out.tape = tape
         tape.nodes.append(out)
@@ -195,24 +160,9 @@ def mul(a, b) -> Tensor:
     return _record(out)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data, (a, b),
-                 lambda g: (_unbroadcast(g / b.data, a.shape),
-                            _unbroadcast(-g * a.data / (b.data ** 2), b.shape)))
-    return _record(out)
-
-
 def square(a) -> Tensor:
     a = as_tensor(a)
     out = Tensor(a.data ** 2, (a,), lambda g: (2.0 * a.data * g,))
-    return _record(out)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    y = np.exp(a.data)
-    out = Tensor(y, (a,), lambda g: (g * y,))
     return _record(out)
 
 
@@ -276,23 +226,6 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
         return (np.broadcast_to(g, a.shape) / count,)
 
     return _record(Tensor(y, (a,), vjp))
-
-
-def tmax(a, axis, keepdims=False) -> Tensor:
-    """Max-pool along an axis; gradient flows to the first argmax."""
-    a = as_tensor(a)
-    y = a.data.max(axis=axis, keepdims=True)
-    mask = a.data == y
-    first = mask & (np.cumsum(mask, axis=axis) == 1)
-    out_data = y if keepdims else np.squeeze(y, axis=axis)
-
-    def vjp(g):
-        g = np.asarray(g)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.where(first, np.broadcast_to(g, a.shape), 0.0),)
-
-    return _record(Tensor(out_data, (a,), vjp))
 
 
 # ------------------------------------------------------------- restructuring
@@ -398,18 +331,6 @@ def softplus(a) -> Tensor:
     return _record(out)
 
 
-def softmax(a, axis=-1) -> Tensor:
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-
-    return _record(Tensor(y, (a,), vjp))
-
-
 def masked_softmax(a, mask, axis=-1) -> Tensor:
     """Softmax over positions where `mask` is True; masked positions get
     probability exactly 0.  Every slice along `axis` must keep at least one
@@ -449,31 +370,7 @@ def clamp(a, lo, hi) -> Tensor:
     return _record(out)
 
 
-# --------------------------------------------------- normalization / conv
-
-def batch_norm(a, gamma, beta, eps=1e-5) -> Tensor:
-    """Normalize over axis 0 with learnable affine.  A single row degrades
-    to identity-with-affine (no statistics to normalize by)."""
-    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    if a.data.shape[0] <= 1:
-        return add(mul(a, gamma), beta)
-    mu = a.data.mean(axis=0, keepdims=True)
-    var = a.data.var(axis=0, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
-    n = a.data.shape[0]
-
-    def vjp(g):
-        gg = g * gamma.data
-        dx = inv / n * (n * gg - gg.sum(axis=0, keepdims=True)
-                        - xhat * (gg * xhat).sum(axis=0, keepdims=True))
-        return (dx,
-                _unbroadcast(g * xhat, gamma.shape),
-                _unbroadcast(g, beta.shape))
-
-    out = Tensor(xhat * gamma.data + beta.data, (a, gamma, beta), vjp)
-    return _record(out)
-
+# ------------------------------------------------------ conv and pooling
 
 def conv1d(x, w, b=None, padding=0) -> Tensor:
     """x: (C_in, L), w: (C_out, C_in, K), optional b: (C_out,).

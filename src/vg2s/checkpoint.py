@@ -41,9 +41,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def values(self) -> list[Parameter]:
-        return list(self._params.values())
-
     def section(self, prefix: str) -> list[Parameter]:
         return [p for name, p in self._params.items() if name.startswith(prefix)]
 

@@ -25,6 +25,7 @@ from .vge import ModelConfig
 
 METHODS = [*PDR_METHODS, "oracle", "vg2s"]
 OUTPUT_FILES = ("out", "gantt", "log", "checkpoint")  # the argparse dests of output files
+INSTANCE_DIR = "directory of instances, .json files as JSON and .txt as OR-Library"
 PARSERS = {"orlib": parse_orlib, "taillard": parse_taillard, "json": Instance.from_json}
 
 
@@ -126,10 +127,12 @@ def _load_instance(path: str, fmt: str) -> Instance:
         raise UsageError(f"{path}: {exc}") from None
 
 
-def _check_budget(args) -> None:
-    """Reject a negative --budget before any work, as the oracle would."""
-    if args.budget < 0:
-        raise UsageError(f"--budget must be >= 0, got {args.budget}")
+def _check_nonnegative(args) -> None:
+    """Reject a negative --budget or --count before any work."""
+    for dest in ("budget", "count"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{dest} must be >= 0, got {value}")
 
 
 def _check_output_dirs(args) -> None:
@@ -184,7 +187,6 @@ def cmd_parse(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _check_budget(args)
     inst = _read_input(_load_instance, args.file, args.format)
     if args.method == "oracle":
         res = branch_and_bound(inst, budget=args.budget)
@@ -220,8 +222,12 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(train_cfg.seed + 1 if policy else train_cfg.seed)
     frozen = None
     if args.instances:
-        frozen = _read_input(_load_instance_dir, args.instances, "json")
-    pool = InstancePool(train_cfg, rng, frozen=None if frozen is None else list(frozen.values()))
+        frozen = _read_input(_load_instance_dir, args.instances, "orlib")
+    try:
+        pool = InstancePool(train_cfg, rng,
+                            frozen=None if frozen is None else list(frozen.values()))
+    except ValueError as exc:  # an empty frozen pool
+        raise UsageError(f"--instances {args.instances}: {exc}") from None
     if not policy:  # phase 1 reconstructs every instance on the model's canvas
         _check_canvas(frozen, pool.gen_cfg, model_cfg.canvas)
     report = (train_policy if policy else train_representation)(
@@ -254,7 +260,6 @@ def _load_ubs(path: str) -> dict[str, int]:
 
 
 def cmd_eval(args) -> int:
-    _check_budget(args)
     instances = _read_input(_load_instance_dir, args.dir, args.format)
     ubs = _load_ubs(args.ub_file) if args.ub_file else {}
     store = model_cfg = None
@@ -269,7 +274,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_latents(args) -> int:
     store, model_cfg = _load_model(args, "export-latents requires --model")
-    instances = _read_input(_load_instance_dir, args.instances, "json")
+    instances = _read_input(_load_instance_dir, args.instances, "orlib")
     rows = export_latents(instances, store, model_cfg)
     columns = ["instance"] + [f"mu_{i}" for i in range(model_cfg.d_latent)] + ["greedy_cmax"]
     write_csv(rows, args.out, columns)
@@ -339,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
-    p.add_argument("--instances", help="directory of JSON instances (frozen pool)")
+    p.add_argument("--instances", help=INSTANCE_DIR + " (frozen pool)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", help="per-epoch loss CSV path")
     p.set_defaults(func=cmd_train)
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
-    p.add_argument("--instances", help="directory of JSON instances (frozen pool)")
+    p.add_argument("--instances", help=INSTANCE_DIR + " (frozen pool)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", help="per-epoch loss CSV path")
     p.set_defaults(func=cmd_train)
@@ -371,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-latents", help="latent-mean CSV for projection")
     p.add_argument("--model", required=True)
     p.add_argument("--config")
-    p.add_argument("--instances", required=True)
+    p.add_argument("--instances", required=True, help=INSTANCE_DIR)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_latents)
 
@@ -402,6 +407,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_output_dirs(args)
+        _check_nonnegative(args)
         return args.func(args)
     except UsageError as exc:
         print(f"vg2s: error: {exc}", file=sys.stderr)

@@ -85,8 +85,8 @@ def replay(inst: Instance, actions) -> ScheduleState:
 
 
 def state_features(st: ScheduleState) -> np.ndarray:
-    """Dynamic per-op feature matrix (n*m x 6), rows zero for ops outside
-    the available set.
+    """Dynamic features of the available ops, one row each in op order (the
+    slot layout decode_step reads); (0, 6) once the schedule is complete.
 
     For each available op: earliest start and finish, the two lookahead
     lower-bound terms evaluated in the successor state (the candidate's own
@@ -102,10 +102,9 @@ def state_features(st: ScheduleState) -> np.ndarray:
     """
     inst = st.inst
     n, m = inst.n, inst.m
-    feats = np.zeros((n * m, 6), dtype=np.float64)
     jobs = np.flatnonzero(st.next_op < m)
     if jobs.size == 0:
-        return feats
+        return np.zeros((0, 6))
     ks = st.next_op[jobs]
     mach, p = inst.machines[jobs, ks], inst.durations[jobs, ks]
     # machine of the job's op k+1 (for a terminal op, its own machine: a
@@ -129,16 +128,15 @@ def state_features(st: ScheduleState) -> np.ndarray:
                                                      est + st.job_remaining[jobs]))
     best = np.maximum(np.maximum(own, follow), others.max(axis=1))
 
-    raw = np.empty((jobs.size, 6), dtype=np.float64)
-    raw[:, 0] = est
-    raw[:, 1] = est + p
-    raw[:, 2] = own
-    raw[:, 3] = best
-    raw[:, 4] = np.maximum(st.next_op.max(), ks + 1) / m
-    raw[:, 5] = (st.next_op.sum() + 1) / n / m
-    top = raw[:, :4].max(axis=0)
-    raw[:, :4] /= np.where(top > 0, top, 1.0)
-    feats[jobs * m + ks] = raw
+    feats = np.empty((jobs.size, 6), dtype=np.float64)
+    feats[:, 0] = est
+    feats[:, 1] = est + p
+    feats[:, 2] = own
+    feats[:, 3] = best
+    feats[:, 4] = np.maximum(st.next_op.max(), ks + 1) / m
+    feats[:, 5] = (st.next_op.sum() + 1) / n / m
+    top = feats[:, :4].max(axis=0)
+    feats[:, :4] /= np.where(top > 0, top, 1.0)
     return feats
 
 

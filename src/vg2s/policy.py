@@ -61,8 +61,8 @@ class Attention:
 class EpisodeKeys:
     """Key projections of a batch of episodes, computed once per rollout.
 
-    `state_features` is zero on every row outside the available set, so
-    those rows all embed to c = mlp("policy.state")(0) (`state_zero`).
+    Rows outside a decision's available ops take zero features, so they all
+    embed to c = mlp("policy.state")(0) (`state_zero`).
     Each block's fixed keys and values are projected with every row at c;
     a decode step adds only the available rows' corrections, through
     (mlp(f) - c) and the blocks' state weights.  `h_real` (B, N, d_latent)
@@ -130,10 +130,9 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     learned dummy; keys: the b episodes' rows of the rollout's projections;
     attend_mask (b, T, N) marks the unscheduled real ops (the glimpse
     attends to these only); avail_mask (b, T, N) marks the selectable ops.
-    state_feats (b, T, n, 6) is in slot order: slot s of a decision holds
-    the state features of its s-th available op in op order, and n is the
-    largest available count among the decisions; the slots after a
-    decision's last available op are not read.  Returns the (b, T, N)
+    state_feats (b, T, n, 6) holds each decision's `state_features` in its
+    first slots, n the largest available count among the decisions; the
+    slots after them are not read.  Returns the (b, T, N)
     taped logits, -inf wherever avail_mask is False.  A rollout step is
     T = 1; scoring the recorded decisions of a rollout is T = its longest
     episode.
@@ -141,7 +140,7 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     The T decisions of an episode are the query rows of one product per
     head with its keys and one with its values, so no per-decision copy of
     the keys is built.  `keys` already holds every op row at the zero
-    features `state_features` gives an unavailable op.  Only the available
+    features of an op that is not available.  Only the available
     ops are embedded, as e = mlp(f) - c, and their corrections enter each
     score as e . (W_state,k q) and each context as (w_avail e) W_state,v,
     through a one-hot (b, 1, T, n, N) selection from slots to op rows; only

@@ -68,6 +68,8 @@ class InstancePool:
         self.instances: list[Instance] = []
         self.graphs: list[HeteroGraph] = []
         if frozen is not None:
+            if not frozen:
+                raise ValueError("frozen instance list is empty")
             self.instances = list(frozen)
             self.graphs = [build_graph(inst) for inst in self.instances]
 
@@ -135,10 +137,9 @@ class Decisions:
     longest episode: what decode_step read at each one, the action and
     its log-probability under the policy that sampled it.
 
-    `feats` is decode_step's slot-order input: slot s of a decision holds
-    the state features of its s-th available op, in op order, and the
-    slots after its last available op are zero, so it grows with the
-    number of jobs rather than of ops.  `attend` and `avail` are
+    `feats` holds each decision's `state_features`, one slot per available
+    op, zero-padded to n_max slots, so it grows with the number of jobs
+    rather than of ops.  `attend` and `avail` are
     decode_step's masks over the zero-padded op rows of `h_real`.  Steps
     after an episode's end are padding: op row 0 alone attended and
     available, action 0, log-probability 0, and `valid` False.
@@ -193,7 +194,7 @@ def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
             st = states[e]
             avail = st.available()
             slots = max(slots, len(avail))
-            dec.feats[e, t, :len(avail)] = state_features(st)[avail]
+            dec.feats[e, t, :len(avail)] = state_features(st)
             dec.attend[e, t, :sizes[e]] = ~st.scheduled
             dec.avail[e, t, avail] = True
         prev = dec.actions[active, t - 1:t] if t else np.full((len(active), 1), -1)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from autodiff_extra import batch_norm, div, exp, softmax, tmax
 from helpers import grad_check
 from vg2s import autodiff as ad
 from vg2s.autodiff import Parameter, ShapeError, Tape, backward, zero_grad
@@ -22,7 +26,7 @@ class TestBasics:
     def test_scalar_loss_required(self):
         p = Parameter(np.ones(3))
         with Tape():
-            y = p * 2.0
+            y = ad.mul(p, 2.0)
         with pytest.raises(ShapeError):
             backward(y)
 
@@ -58,12 +62,12 @@ class TestBasics:
 
     def test_no_tape_no_recording(self):
         p = Parameter(np.ones(2))
-        y = ad.tsum(p * 3.0)
+        y = ad.tsum(ad.mul(p, 3.0))
         assert y.tape is None
         # nothing will walk it, so it keeps no inputs alive
         assert y.parents == () and y.vjp is None
         with Tape() as tape:
-            c = ad.exp(np.ones(2))  # constants only: not recorded either
+            c = exp(np.ones(2))  # constants only: not recorded either
         assert tape.nodes == [] and c.parents == () and c.vjp is None
 
 
@@ -71,17 +75,17 @@ class TestArithmeticGrads:
     def test_add_mul_div_broadcast(self, rng):
         a = Parameter(rng.uniform(-2, 2, (3, 4)))
         b = Parameter(rng.uniform(0.5, 2, (1, 4)))
-        check(lambda: ad.tsum((a + b) * a / b - b), [a, b])
+        check(lambda: ad.tsum(ad.sub(div(ad.mul(ad.add(a, b), a), b), b)), [a, b])
 
     def test_matmul(self, rng):
         a = Parameter(rng.uniform(-1, 1, (3, 4)))
         b = Parameter(rng.uniform(-1, 1, (4, 2)))
-        check(lambda: ad.tsum(ad.square(a @ b)), [a, b])
+        check(lambda: ad.tsum(ad.square(ad.matmul(a, b))), [a, b])
 
     def test_vector_matmul(self, rng):
         v = Parameter(rng.uniform(-1, 1, 4))
         m = Parameter(rng.uniform(-1, 1, (4, 3)))
-        check(lambda: ad.tsum(v @ m), [v, m])
+        check(lambda: ad.tsum(ad.matmul(v, m)), [v, m])
 
     @pytest.mark.parametrize("const_shape, param_shape", [((2, 5, 3), (3, 4)), ((3,), (3, 4))])
     def test_matmul_vjp_skips_constant(self, rng, const_shape, param_shape):
@@ -108,7 +112,7 @@ class TestArithmeticGrads:
 
     def test_exp_log_square(self, rng):
         p = Parameter(rng.uniform(0.5, 2, 6))
-        check(lambda: ad.tsum(ad.log(ad.exp(p)) + ad.square(p)), [p])
+        check(lambda: ad.tsum(ad.add(ad.log(exp(p)), ad.square(p))), [p])
 
 
 class TestReductionGrads:
@@ -122,12 +126,12 @@ class TestReductionGrads:
 
     def test_max_away_from_ties(self):
         p = Parameter(np.array([[1.0, 3.0, 2.0], [5.0, 0.0, 4.0]]))
-        check(lambda: ad.tsum(ad.square(ad.tmax(p, axis=1))), [p])
+        check(lambda: ad.tsum(ad.square(tmax(p, axis=1))), [p])
 
     def test_max_tie_goes_to_first(self):
         p = Parameter(np.array([2.0, 2.0, 1.0]))
         with Tape():
-            loss = ad.tsum(ad.tmax(p, axis=0))
+            loss = ad.tsum(tmax(p, axis=0))
         backward(loss)
         np.testing.assert_allclose(p.grad, [1.0, 0.0, 0.0])
 
@@ -144,7 +148,7 @@ class TestRestructuringGrads:
         def f():
             joined = ad.concat([a, b], axis=0)
             x, y = ad.split(joined, [2, 4], axis=0)
-            return ad.tsum(ad.square(x)) + ad.tsum(ad.square(y) * 2.0)
+            return ad.add(ad.tsum(ad.square(x)), ad.tsum(ad.mul(ad.square(y), 2.0)))
 
         check(f, [a, b])
 
@@ -178,12 +182,12 @@ class TestActivationGrads:
 
     def test_softmax_rows_sum_to_one(self, rng):
         p = ad.as_tensor(rng.uniform(-5, 5, (4, 6)))
-        np.testing.assert_allclose(ad.softmax(p).data.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(softmax(p).data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_softmax_grad(self, rng):
         p = Parameter(rng.uniform(-2, 2, (2, 5)))
         w = rng.uniform(-1, 1, (2, 5))
-        check(lambda: ad.tsum(ad.softmax(p) * w), [p])
+        check(lambda: ad.tsum(ad.mul(softmax(p), w)), [p])
 
     def test_masked_softmax_zeroes_masked(self, rng):
         mask = np.array([[True, False, True], [False, True, True]])
@@ -204,7 +208,7 @@ class TestActivationGrads:
         p = Parameter(rng.uniform(-2, 2, (2, 4)))
         mask = np.array([[True, True, False, True], [True, False, True, True]])
         w = rng.uniform(-1, 1, (2, 4))
-        check(lambda: ad.tsum(ad.masked_softmax(p, mask) * w), [p])
+        check(lambda: ad.tsum(ad.mul(ad.masked_softmax(p, mask), w)), [p])
 
     def test_logsumexp(self, rng):
         p = Parameter(rng.uniform(-2, 2, (3, 4)))
@@ -222,19 +226,19 @@ class TestNormConv:
         x = Parameter(rng.uniform(-2, 2, (5, 3)))
         gamma = Parameter(rng.uniform(0.5, 1.5, 3))
         beta = Parameter(rng.uniform(-1, 1, 3))
-        check(lambda: ad.tsum(ad.square(ad.batch_norm(x, gamma, beta))),
+        check(lambda: ad.tsum(ad.square(batch_norm(x, gamma, beta))),
               [x, gamma, beta], tol=1e-4)
 
     def test_batch_norm_single_row_is_affine(self, rng):
         x = ad.as_tensor(rng.normal(size=(1, 3)))
         gamma = Parameter(np.full(3, 2.0))
         beta = Parameter(np.ones(3))
-        y = ad.batch_norm(x, gamma, beta)
+        y = batch_norm(x, gamma, beta)
         np.testing.assert_allclose(y.data, x.data * 2.0 + 1.0)
 
     def test_batch_norm_output_statistics(self, rng):
         x = ad.as_tensor(rng.normal(size=(50, 4)))
-        y = ad.batch_norm(x, Parameter(np.ones(4)), Parameter(np.zeros(4)))
+        y = batch_norm(x, Parameter(np.ones(4)), Parameter(np.zeros(4)))
         np.testing.assert_allclose(y.data.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(y.data.std(axis=0), 1.0, atol=1e-3)
 
@@ -298,7 +302,49 @@ class TestComposite:
         x = np.asarray(rng.uniform(-1, 1, (4, 6)))
 
         def f():
-            h = ad.tanh(ad.as_tensor(x) @ w1 + b1)
-            return ad.tmean(ad.square(h @ w2))
+            h = ad.tanh(ad.add(ad.matmul(ad.as_tensor(x), w1), b1))
+            return ad.tmean(ad.square(ad.matmul(h, w2)))
 
         check(f, [w1, b1, w2])
+
+
+def _production_calls() -> set[str]:
+    """Names of the vg2s.autodiff functions that production code calls:
+    `ad.<name>(...)` or an imported `<name>(...)` in another vg2s module, or
+    a call from one autodiff function to another."""
+    called = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if path.name == "autodiff.py":
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    called |= {node.func.id for node in ast.walk(fn)
+                               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                               and node.func.id != fn.name}
+            continue
+        modules, names = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                names.update({a.asname or a.name: a.name for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                modules |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                    and func.value.id in modules:
+                called.add(func.attr)
+            elif isinstance(func, ast.Name) and func.id in names:
+                called.add(names[func.id])
+    return called
+
+
+def test_every_public_function_has_a_production_caller():
+    """The engine holds only what the networks run: an op that only the
+    tests use belongs in autodiff_extra."""
+    tree = ast.parse(Path(ad.__file__).read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert len(public) > 20  # the parse found the ops
+    assert public - _production_calls() == set()

@@ -18,6 +18,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from autodiff_extra import softmax
 from helpers import random_instance
 from vg2s import autodiff as ad
 from vg2s.env import replay, reset, state_features
@@ -71,7 +72,7 @@ def reference_decode_step(z, h_real, prev_action, state_feats, sched_mask, avail
             scores = ad.mul(ad.matmul(kh, ad.reshape(qh, (-1, 1))), 1.0 / np.sqrt(d_head))
             scores = ad.reshape(scores, (num_ops,))
             scores = ad.add(scores, np.where(attend_mask, 0.0, GLIMPSE_MASK_FILL))
-            weights = ad.softmax(scores, axis=0)
+            weights = softmax(scores, axis=0)
             contrib = ad.reshape(ad.matmul(ad.reshape(weights, (1, -1)), vh),
                                  (2 * cfg.d_latent,))
             head_sum = contrib if head_sum is None else ad.add(head_sum, contrib)
@@ -104,7 +105,9 @@ def reference_rollout(inst, z, h_real, store, cfg, actions):
     log_probs, terms, fulls = [], [], []
     prev = None
     for action in actions:
-        out = reference_decode_step(z, h_real, prev, state_features(st_), st_.scheduled,
+        feats = np.zeros((inst.num_ops, 6))  # the reference reads dense features
+        feats[st_.available()] = state_features(st_)
+        out = reference_decode_step(z, h_real, prev, feats, st_.scheduled,
                                     st_.available(), store, cfg)
         terms.append(out.log_prob(action))
         log_probs.append(reference_log_prob(out.full, action))

@@ -141,6 +141,25 @@ class TestTrainPipeline:
                      "--instances", instance_dir, "--checkpoint", str(ckpt)]) == 0
         assert ckpt.exists()
 
+    def test_orlib_txt_instances(self, tmp_path, tiny_config_file, instance_dir, ft06_file,
+                                 capsys):
+        """--instances reads a .txt file as OR-Library, as eval --dir does."""
+        (Path(instance_dir) / "ft06.txt").write_text(Path(ft06_file).read_text())
+        ckpt, out = tmp_path / "c.ckpt", tmp_path / "lat.csv"
+        assert main(["train-policy", "--skip-phase1", "--epochs", "1", "--batch", "1",
+                     "--config", tiny_config_file, "--instances", instance_dir,
+                     "--checkpoint", str(ckpt)]) == 0
+        assert main(["export-latents", "--model", str(ckpt), "--config", tiny_config_file,
+                     "--instances", instance_dir, "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [row["instance"] for row in rows] == ["ft06", "toy"]
+        assert float(rows[0]["greedy_cmax"]) >= 55  # FT06's optimum
+        capsys.readouterr()
+        # phase 1 parses it too, and rejects it for its size alone
+        err = _usage_error(["train-repr", "--epochs", "1", "--config", tiny_config_file,
+                            "--instances", instance_dir, "--checkpoint", str(ckpt)], capsys)
+        assert "instance ft06 has 36 operations" in err
+
     def test_policy_requires_encoder_source(self, tmp_path, tiny_config_file,
                                             instance_dir, capsys):
         ckpt = tmp_path / "x.ckpt"
@@ -420,9 +439,10 @@ def _tree(root) -> set:
 
 
 class TestChecksBeforeWork:
-    """Negative oracle budgets, output paths in missing directories and
-    instances larger than phase 1's canvas end in one `vg2s: error:` line
-    before any work, and nothing is written."""
+    """Negative oracle budgets and counts, output paths in missing
+    directories, empty frozen pools and instances larger than phase 1's
+    canvas end in one `vg2s: error:` line before any work, and nothing is
+    written."""
 
     @pytest.mark.parametrize("argv", [
         ["solve", "{ft06}", "--method", "oracle", "--budget", "-5", "--out", "{out}"],
@@ -438,6 +458,39 @@ class TestChecksBeforeWork:
         argv = [a.format(ft06=ft06_file, bench=bench, out=tmp_path / "out") for a in argv]
         budget = argv[argv.index("--budget") + 1]
         assert _usage_error(argv, capsys) == f"vg2s: error: --budget must be >= 0, got {budget}\n"
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--count", "-2", "--out", "{out}"],
+        ["similarity", "--rule", "spt", "--count", "-1", "--out", "{out}"],
+    ], ids=["gen", "similarity"])
+    def test_negative_count(self, tmp_path, capsys, argv):
+        before = _tree(tmp_path)
+        argv = [a.format(out=tmp_path / "out") for a in argv]
+        count = argv[argv.index("--count") + 1]
+        assert _usage_error(argv, capsys) == f"vg2s: error: --count must be >= 0, got {count}\n"
+        assert _tree(tmp_path) == before
+
+    def test_zero_count_is_valid(self, tmp_path, capsys):
+        assert main(["gen", "--count", "0", "--out", str(tmp_path / "gen")]) == 0
+        assert list((tmp_path / "gen").iterdir()) == []
+        assert main(["similarity", "--rule", "spt", "--count", "0",
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+        assert (tmp_path / "sim.csv").exists()
+
+    @pytest.mark.parametrize("command", [["train-repr"], ["train-policy", "--skip-phase1"]],
+                             ids=["train-repr", "train-policy"])
+    def test_empty_instance_dir(self, tmp_path, tiny_config_file, capsys, command):
+        """A directory without a .json or .txt file is no frozen pool."""
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "notes.md").write_text("not an instance")
+        before = _tree(tmp_path)
+        err = _usage_error(command + ["--epochs", "1", "--config", tiny_config_file,
+                                      "--instances", str(empty),
+                                      "--checkpoint", str(tmp_path / "c.ckpt"),
+                                      "--log", str(tmp_path / "l.csv")], capsys)
+        assert err == f"vg2s: error: --instances {empty}: frozen instance list is empty\n"
         assert _tree(tmp_path) == before
 
     @pytest.mark.parametrize("argv, dest", [

@@ -37,7 +37,8 @@ def reference_bounds(st_, u) -> tuple[float, float]:
 
 
 def reference_features(st_) -> np.ndarray:
-    """`state_features` computed by stepping a clone for every candidate."""
+    """Dense (n*m, 6) `state_features`, zero outside the available rows,
+    computed by stepping a clone for every candidate."""
     inst = st_.inst
     n, m = inst.n, inst.m
     feats = np.zeros((n * m, 6), dtype=np.float64)
@@ -142,19 +143,23 @@ class TestStateFeatures:
         assert own == 7.0
         assert best >= own
         # J2O1's own term is max(machine 1: 4, job 2: 6) = 6; both best terms are 7
-        feats = state_features(st_)
-        assert feats[0, 2] == 1.0 and feats[2, 2] == 6 / 7
-        assert feats[0, 3] == 1.0 and feats[2, 3] == 1.0
+        feats = state_features(st_)  # slots 0 and 1: ops 0 and 2
+        assert feats[0, 2] == 1.0 and feats[1, 2] == 6 / 7
+        assert feats[0, 3] == 1.0 and feats[1, 3] == 1.0
 
-    def test_rows_zero_outside_available(self, two_by_two):
+    def test_rows_are_the_available_ops(self, two_by_two):
+        """One row per available op, in op order, down to none at the end."""
         st_ = reset(two_by_two)
-        feats = state_features(st_)
-        assert np.all(feats[1] == 0) and np.all(feats[3] == 0)
+        for u in (0, 2, 3, 1):
+            expected = reference_features(st_)[st_.available()]
+            np.testing.assert_array_equal(state_features(st_), expected)  # shapes too
+            st_.step(u)
+        assert state_features(st_).shape == (0, 6)
 
     def test_final_step_normalization(self, two_by_two):
         st_ = replay(two_by_two, [0, 2, 3])
-        feats = state_features(st_)
-        assert feats[1, 0] == 1.0 and feats[1, 1] == 1.0
+        feats = state_features(st_)  # op 1 alone is available
+        assert feats[0, 0] == 1.0 and feats[0, 1] == 1.0
 
     def test_terminal_op_zeroing(self, two_by_two):
         inst = Instance(n=1, m=1, ops=(((0, 5),),))
@@ -163,14 +168,14 @@ class TestStateFeatures:
         assert np.all(state_features(reset(inst))[0, 2:4] == 0.0)
         # both candidates end their jobs, so every lookahead term is zero
         feats = state_features(replay(two_by_two, [0, 2]))
-        assert np.all(feats[[1, 3], 2:4] == 0.0)
+        assert np.all(feats[:, 2:4] == 0.0)
 
     def test_progress_features(self, two_by_two):
         feats = state_features(reset(two_by_two))
         # one op completed in the successor state, m = 2
-        for u in (0, 2):
-            assert feats[u, 4] == pytest.approx(0.5)
-            assert feats[u, 5] == pytest.approx(0.25)
+        for slot in (0, 1):
+            assert feats[slot, 4] == pytest.approx(0.5)
+            assert feats[slot, 5] == pytest.approx(0.25)
 
     def test_feature_range(self, ft06, rng):
         st_ = reset(ft06)
@@ -188,7 +193,8 @@ class TestStateFeatures:
                 for u in st_.available():
                     own, best = reference_bounds(st_, u)
                     assert best >= own
-                assert state_features(st_).tobytes() == reference_features(st_).tobytes()
+                expected = reference_features(st_)[st_.available()]
+                assert state_features(st_).tobytes() == expected.tobytes()
                 st_.step(int(rng.choice(st_.available())))
 
 
@@ -236,7 +242,7 @@ def test_lookahead_features_match_raw_bounds(seed):
         raw = np.array([reference_bounds(st_, u) for u in avail])
         top = raw.max(axis=0)
         expected = raw / np.where(top > 0, top, 1.0)
-        np.testing.assert_array_equal(state_features(st_)[avail, 2:4], expected)
+        np.testing.assert_array_equal(state_features(st_)[:, 2:4], expected)
         st_.step(int(rng.choice(avail)))
 
 
@@ -247,13 +253,15 @@ def test_lookahead_features_match_raw_bounds(seed):
 @example(n=1, m=4, seed=1, job_first=False)
 @example(n=3, m=3, seed=2, job_first=True)  # the last 3 states have one available op
 def test_state_features_match_clone_and_step_reference(n, m, seed, job_first):
-    """All six columns of state_features equal the clone-and-step reference
-    byte for byte, at every state of a rollout (random, or job by job)."""
+    """All six columns of state_features equal the clone-and-step reference's
+    available rows byte for byte, at every state of a rollout (random, or
+    job by job), down to the complete schedule's (0, 6)."""
     inst = permutation_instance(n, m, seed)
     rng = np.random.default_rng(seed)
     st_ = reset(inst)
     while True:
-        assert state_features(st_).tobytes() == reference_features(st_).tobytes()
+        expected = reference_features(st_)[st_.available()]
+        assert state_features(st_).tobytes() == expected.tobytes()
         if st_.done:
             break
         avail = st_.available()

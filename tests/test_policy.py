@@ -30,16 +30,19 @@ def policy_setup(two_by_two, tiny_cfg, rng):
 
 
 def step_logits(setup, cfg, prev=None, avail=None, attend=None):
-    """decode_step for the one episode of `setup` (a batch of one)."""
+    """decode_step for the one episode of `setup` (a batch of one), over
+    `avail`, a subset of its available ops (all of them by default)."""
     store, h_real, z, st_ = setup
-    avail = st_.available() if avail is None else avail
+    ops = st_.available()
+    avail = ops if avail is None else avail
+    feats = state_features(st_)[[ops.index(u) for u in avail]]
     avail_mask = np.zeros((1, 1, 4), dtype=bool)
     avail_mask[0, 0, avail] = True
     if attend is None:
         attend = np.ones((1, 1, 4), dtype=bool)
     prev = np.array([[-1 if prev is None else prev]])
     out = decode_step(z.data[None], prev, project_keys(h_real.data[None], store, cfg),
-                      state_features(st_)[avail][None, None], attend, avail_mask, store, cfg)
+                      feats[None, None], attend, avail_mask, store, cfg)
     return ad.reshape(out, (1, 4))
 
 
@@ -85,8 +88,10 @@ class TestDecodeStep:
         keys = project_keys(h_real.data[None], store, tiny_cfg)
         avail = np.zeros((1, 1, 4), dtype=bool)
         avail[0, 0, st_.available()] = True
+        dense = np.zeros((4, 6))
+        dense[st_.available()] = state_features(st_)
         with pytest.raises(ValueError, match="slots"):
-            decode_step(z.data[None], np.array([[-1]]), keys, state_features(st_)[None, None],
+            decode_step(z.data[None], np.array([[-1]]), keys, dense[None, None],
                         np.ones((1, 1, 4), dtype=bool), avail, store, tiny_cfg)
 
 
@@ -106,7 +111,7 @@ def _two_episodes(tiny_cfg, n=6, m=5, seed=3, points=(3, 11)):
         for _ in range(steps):
             st_.step(int(rng.choice(st_.available())))
         ops = st_.available()
-        feats[e, 0, :len(ops)] = state_features(st_)[ops]
+        feats[e, 0, :len(ops)] = state_features(st_)
         attend.append(~st_.scheduled)
         mask = np.zeros(inst.num_ops, dtype=bool)
         mask[ops] = True
@@ -250,7 +255,7 @@ class TestCritic:
 class TestGradients:
     def test_policy_log_prob_gradient(self, policy_setup, tiny_cfg):
         store, h_real, z, st_ = policy_setup
-        feats = state_features(st_)[st_.available()]
+        feats = state_features(st_)
         sched = np.zeros(4, dtype=bool)
         z_fixed = z.data.copy()
         h_fixed = h_real.data.copy()

@@ -38,6 +38,10 @@ class TestInstancePool:
         assert not pool.refresh(1)
         assert pool.instances == [two_by_two]
 
+    def test_empty_frozen_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            InstancePool(TrainConfig(), np.random.default_rng(0), frozen=[])
+
     def test_generated_refresh_cadence(self):
         cfg = TrainConfig(pool_refresh=5, pool_size=4, batch_size=2)
         pool = InstancePool(cfg, np.random.default_rng(0),

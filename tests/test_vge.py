@@ -161,7 +161,7 @@ class TestRepresentationLoss:
         assert float(total.data) == parts["total"]
 
     def test_gradients_reach_all_sections(self, two_by_two, tiny_cfg, tiny_store, rng):
-        params = tiny_store.values()
+        params = tiny_store.section("")
         with Tape():
             total, _ = representation_loss(build_graph(two_by_two), tiny_store,
                                            tiny_cfg, rng)
