@@ -382,8 +382,8 @@ def conv1d(x, w, b=None, padding=0) -> Tensor:
         raise ShapeError(f"conv1d: input channels {c_in} != weight channels {c_in_w}")
     xp = np.pad(x.data, ((0, 0), (padding, padding)))
     l_out = xp.shape[1] - k + 1
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=1)  # (C_in, L_out, K)
-    y = np.einsum("oik,ilk->ol", w.data, win)
+    # One channel-mixing product per tap over that tap's shifted window.
+    y = sum(w.data[:, :, kk] @ xp[:, kk:kk + l_out] for kk in range(k))
     parents = [x, w]
     if b is not None:
         b = as_tensor(b)
@@ -391,11 +391,15 @@ def conv1d(x, w, b=None, padding=0) -> Tensor:
         parents.append(b)
 
     def vjp(g):
-        dw = np.einsum("ol,ilk->oik", g, win)
-        dxp = np.zeros_like(xp)
-        for kk in range(k):
-            dxp[:, kk:kk + l_out] += w.data[:, :, kk].T @ g
-        dx = dxp[:, padding:padding + length] if padding else dxp
+        # As in matmul, a constant operand's gradient is None, not computed.
+        dx = dw = None
+        if _needs_grad(w):
+            dw = np.stack([g @ xp[:, kk:kk + l_out].T for kk in range(k)], axis=-1)
+        if _needs_grad(x):
+            dxp = np.zeros_like(xp)
+            for kk in range(k):
+                dxp[:, kk:kk + l_out] += w.data[:, :, kk].T @ g
+            dx = dxp[:, padding:padding + length] if padding else dxp
         grads = [dx, dw]
         if b is not None:
             grads.append(g.sum(axis=1))
@@ -448,17 +452,11 @@ def adaptive_avg_pool1d(x, out_len) -> Tensor:
     c, length = x.data.shape
     starts = (np.arange(out_len) * length) // out_len
     ends = -(-(np.arange(1, out_len + 1) * length) // out_len)  # ceil
-    y = np.empty((c, out_len))
-    for i in range(out_len):
-        y[:, i] = x.data[:, starts[i]:ends[i]].mean(axis=1)
-
-    def vjp(g):
-        dx = np.zeros_like(x.data)
-        for i in range(out_len):
-            dx[:, starts[i]:ends[i]] += g[:, i:i + 1] / (ends[i] - starts[i])
-        return (dx,)
-
-    return _record(Tensor(y, (x,), vjp))
+    # (L, out_len) averaging matrix: column i weighs bin i's samples equally.
+    pos = np.arange(length)[:, None]
+    pool = ((pos >= starts) & (pos < ends)) / (ends - starts)
+    out = Tensor(x.data @ pool, (x,), lambda g: (g @ pool.T,))
+    return _record(out)
 
 
 def interp_linear(x, out_len) -> Tensor:
@@ -476,10 +474,15 @@ def interp_linear(x, out_len) -> Tensor:
     frac = pos - lo
     y = x.data[:, lo] * (1.0 - frac) + x.data[:, hi] * frac
 
+    # lo and hi are sorted, so each source sample's share of the gradient is
+    # one contiguous run of output samples: sum the runs with reduceat.
+    lo_at, lo_runs = np.unique(lo, return_index=True)
+    hi_at, hi_runs = np.unique(hi, return_index=True)
+
     def vjp(g):
         dx = np.zeros_like(x.data)
-        np.add.at(dx, (slice(None), lo), g * (1.0 - frac))
-        np.add.at(dx, (slice(None), hi), g * frac)
+        dx[:, lo_at] += np.add.reduceat(g * (1.0 - frac), lo_runs, axis=1)
+        dx[:, hi_at] += np.add.reduceat(g * frac, hi_runs, axis=1)
         return (dx,)
 
     return _record(Tensor(y, (x,), vjp))

@@ -85,7 +85,9 @@ def eval_bench(instances: dict[str, Instance], methods: list[str],
 
 
 def write_csv(rows: list[dict], path, columns: list[str] | None = None) -> None:
-    if not rows:
+    """Header row plus one row per dict; the header names `columns`, or the
+    first row's keys.  With neither, the file is empty."""
+    if not rows and not columns:
         Path(path).write_text("")
         return
     columns = columns or list(rows[0])

@@ -180,6 +180,18 @@ def kl_loss(mu: ad.Tensor, sigma: ad.Tensor) -> ad.Tensor:
     return ad.mul(ad.tsum(terms), 0.5)
 
 
+def _edge_head(seq: ad.Tensor, w: ad.Tensor, b: ad.Tensor, out_len: int) -> ad.Tensor:
+    """conv1d(interp_linear(seq, out_len), w, b, padding=1), mixing channels
+    before the resize: interp_linear acts along the sequence only, so each
+    tap's channel mix w[:, :, kk] commutes with it.  The resize then moves
+    k * C_out tap rows instead of C_in channels, and a constant 0/1 kernel
+    sums each tap's rows at that tap's offset."""
+    c_out, c_in, k = w.shape
+    taps = ad.matmul(ad.reshape(ad.transpose(w, (2, 0, 1)), (k * c_out, c_in)), seq)
+    tap_sum = np.stack([np.eye(c_out, k * c_out, kk * c_out) for kk in range(k)], -1)
+    return ad.conv1d(ad.interp_linear(taps, out_len), tap_sum, b, padding=1)
+
+
 def decode(z: ad.Tensor, store: ParamStore, cfg: ModelConfig) -> tuple[ad.Tensor, ad.Tensor]:
     """Latent vector -> (node probabilities canvas x 6, edge probabilities
     canvas x canvas x 3), all strictly inside (0, 1)."""
@@ -194,8 +206,8 @@ def decode(z: ad.Tensor, store: ParamStore, cfg: ModelConfig) -> tuple[ad.Tensor
     node_seq = ad.adaptive_avg_pool1d(seq, canvas)
     p_node = ad.sigmoid(ad.conv1d(node_seq, store["decoder.node.w"], store["decoder.node.b"], padding=1))
     p_node = ad.transpose(p_node, (1, 0))
-    edge_seq = ad.interp_linear(seq, canvas * canvas)
-    p_edge = ad.sigmoid(ad.conv1d(edge_seq, store["decoder.edge.w"], store["decoder.edge.b"], padding=1))
+    p_edge = ad.sigmoid(_edge_head(seq, store["decoder.edge.w"], store["decoder.edge.b"],
+                                   canvas * canvas))
     p_edge = ad.transpose(ad.reshape(p_edge, (3, canvas, canvas)), (1, 2, 0))
     return p_node, p_edge
 

@@ -1,7 +1,9 @@
 """Taped ops that only the tests use, built on the engine's own recording
 and broadcasting: gradient-check subjects (`div`, `exp`, `tmax`,
-`batch_norm`) and the plain softmax of the scalar decode reference.  No
-production network needs them, so they live outside `vg2s.autodiff`."""
+`batch_norm`), the plain softmax of the scalar decode reference and the
+per-bin loop that `adaptive_avg_pool1d`'s averaging matrix is checked
+against.  No production network needs them, so they live outside
+`vg2s.autodiff`."""
 
 from __future__ import annotations
 
@@ -76,3 +78,22 @@ def batch_norm(a, gamma, beta, eps=1e-5) -> Tensor:
 
     out = Tensor(xhat * gamma.data + beta.data, (a, gamma, beta), vjp)
     return _record(out)
+
+
+def adaptive_avg_pool1d_loop(x, out_len) -> Tensor:
+    """adaptive_avg_pool1d one bin at a time, forward and backward."""
+    x = as_tensor(x)
+    c, length = x.data.shape
+    starts = (np.arange(out_len) * length) // out_len
+    ends = -(-(np.arange(1, out_len + 1) * length) // out_len)  # ceil
+    y = np.empty((c, out_len))
+    for i in range(out_len):
+        y[:, i] = x.data[:, starts[i]:ends[i]].mean(axis=1)
+
+    def vjp(g):
+        dx = np.zeros_like(x.data)
+        for i in range(out_len):
+            dx[:, starts[i]:ends[i]] += g[:, i:i + 1] / (ends[i] - starts[i])
+        return (dx,)
+
+    return _record(Tensor(y, (x,), vjp))

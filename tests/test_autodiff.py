@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from autodiff_extra import batch_norm, div, exp, softmax, tmax
+from autodiff_extra import adaptive_avg_pool1d_loop, batch_norm, div, exp, softmax, tmax
 from helpers import grad_check
 from vg2s import autodiff as ad
 from vg2s.autodiff import Parameter, ShapeError, Tape, backward, zero_grad
@@ -254,6 +256,19 @@ class TestNormConv:
         b = Parameter(rng.uniform(-1, 1, 3))
         check(lambda: ad.tsum(ad.square(ad.conv1d(x, w, b, padding=1))), [x, w, b])
 
+    @pytest.mark.parametrize("constant", ["x", "w"])
+    def test_conv1d_vjp_skips_constant(self, rng, constant):
+        x = rng.uniform(-1, 1, (2, 6))
+        w = rng.uniform(-1, 1, (3, 2, 3))
+        x = ad.as_tensor(x) if constant == "x" else Parameter(x)
+        w = ad.as_tensor(w) if constant == "w" else Parameter(w)
+        with Tape():
+            y = ad.conv1d(x, w, Parameter(np.zeros(3)), padding=1)
+        dx, dw, db = y.vjp(np.ones(y.shape))
+        assert (dx is None) == (constant == "x")
+        assert (dw is None) == (constant == "w")
+        assert db.shape == (3,)
+
     def test_conv1d_channel_mismatch(self):
         with pytest.raises(ShapeError):
             ad.conv1d(ad.as_tensor(np.ones((2, 5))), ad.as_tensor(np.ones((1, 3, 3))))
@@ -292,6 +307,35 @@ class TestNormConv:
     def test_interp_grad(self, rng):
         x = Parameter(rng.uniform(-1, 1, (2, 4)))
         check(lambda: ad.tsum(ad.square(ad.interp_linear(x, 7))), [x])
+
+    @pytest.mark.parametrize("length, out_len", [(9, 4), (13, 5), (1, 5), (6, 1), (1, 1)])
+    def test_interp_grad_sizes(self, rng, length, out_len):
+        """Up- and downsampling (where some samples get no gradient), a
+        single-sample input and a single-sample output."""
+        x = Parameter(rng.uniform(-1, 1, (2, length)))
+        weights = rng.uniform(0.5, 1.5, (2, out_len))
+        check(lambda: ad.tsum(ad.mul(ad.square(ad.interp_linear(x, out_len)), weights)), [x])
+
+
+@settings(max_examples=60, deadline=None)
+@given(channels=st.integers(1, 4), length=st.integers(1, 40), out_len=st.integers(1, 40),
+       seed=st.integers(0, 10_000))
+def test_adaptive_pool_matches_per_bin_loop(channels, length, out_len, seed):
+    """The averaging-matrix pool against the per-bin loop: values and the
+    input gradient agree to 1e-12."""
+    rng = np.random.default_rng(seed)
+    x_fast = Parameter(rng.normal(size=(channels, length)))
+    x_loop = Parameter(x_fast.data.copy())
+    weights = rng.normal(size=(channels, out_len))
+    outs = []
+    for pool, x in ((ad.adaptive_avg_pool1d, x_fast), (adaptive_avg_pool1d_loop, x_loop)):
+        with Tape():
+            y = pool(x, out_len)
+            loss = ad.tsum(ad.mul(y, weights))
+        backward(loss)
+        outs.append(y.data)
+    np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x_fast.grad, x_loop.grad, rtol=0, atol=1e-12)
 
 
 class TestComposite:

@@ -74,6 +74,13 @@ class TestWriteCsv:
         write_csv([], path)
         assert path.read_text() == ""
 
+    def test_empty_with_columns_keeps_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv([], path, ["a", "b"])
+        reader = csv.DictReader(path.open())
+        assert reader.fieldnames == ["a", "b"]
+        assert list(reader) == []
+
 
 class TestSimilarity:
     def test_rule_driven_trace(self):

@@ -476,7 +476,19 @@ class TestChecksBeforeWork:
         assert list((tmp_path / "gen").iterdir()) == []
         assert main(["similarity", "--rule", "spt", "--count", "0",
                      "--out", str(tmp_path / "sim.csv")]) == 0
-        assert (tmp_path / "sim.csv").exists()
+        reader = csv.DictReader((tmp_path / "sim.csv").open())
+        assert reader.fieldnames == ["instance", "step", "completed_ops", "pt_rank",
+                                     "num_available"]
+        assert list(reader) == []
+
+    def test_eval_of_empty_dir_writes_header(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "r.csv"
+        assert main(["eval", "--dir", str(empty), "--methods", "spt", "--out", str(out)]) == 0
+        reader = csv.DictReader(out.open())
+        assert reader.fieldnames == ["instance", "size", "method", "cmax", "ub", "gap"]
+        assert list(reader) == []
 
     @pytest.mark.parametrize("command", [["train-repr"], ["train-policy", "--skip-phase1"]],
                              ids=["train-repr", "train-policy"])

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import grad_check
 from vg2s import autodiff as ad
-from vg2s.autodiff import Tape, backward
+from vg2s.autodiff import Parameter, Tape, backward
 from vg2s.checkpoint import ParamStore
 from vg2s.graph import build_graph, reconstruction_targets
-from vg2s.vge import (SIGMA_FLOOR, ModelConfig, build_decoder_params,
+from vg2s.vge import (SIGMA_FLOOR, ModelConfig, _edge_head, build_decoder_params,
                       build_encoder_params, decode, encode, kl_loss, latent,
                       recon_loss, representation_loss)
 
@@ -115,6 +117,39 @@ class TestDecode:
         a, _ = decode(ad.as_tensor(rng.normal(size=tiny_cfg.d_latent)), tiny_store, tiny_cfg)
         b, _ = decode(ad.as_tensor(rng.normal(size=tiny_cfg.d_latent)), tiny_store, tiny_cfg)
         assert not np.allclose(a.data, b.data)
+
+
+def _edge_head_reference(seq, w, b, out_len):
+    """The edge head as written in the paper's order: resize every input
+    channel, then convolve."""
+    return ad.conv1d(ad.interp_linear(seq, out_len), w, b, padding=1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(c_in=st.integers(1, 6), c_out=st.integers(1, 4), k=st.integers(1, 3),
+       length=st.integers(1, 24), out_len=st.integers(1, 48), seed=st.integers(0, 10_000))
+def test_edge_head_matches_resize_then_convolve(c_in, c_out, k, length, out_len, seed):
+    """Mixing channels before the resize gives the resize-then-convolve
+    values, and the same gradients for seq, w and b, to 1e-12 relative to
+    each one's largest entry; out_len < length (downsampling) included."""
+    rng = np.random.default_rng(seed)
+    shapes = {"seq": (c_in, length), "w": (c_out, c_in, k), "b": (c_out,)}
+    values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    weights = rng.normal(size=(c_out, out_len + 3 - k))
+    results = []
+    for head in (_edge_head, _edge_head_reference):
+        params = {name: Parameter(v.copy()) for name, v in values.items()}
+        with Tape():
+            y = head(params["seq"], params["w"], params["b"], out_len)
+            loss = ad.tsum(ad.mul(y, weights))
+        backward(loss)
+        results.append((y.data, {name: p.grad for name, p in params.items()}))
+    (y_fast, g_fast), (y_ref, g_ref) = results
+    assert y_fast.shape == y_ref.shape
+    np.testing.assert_allclose(y_fast, y_ref, rtol=0, atol=1e-12 * max(1.0, np.abs(y_ref).max()))
+    for name in shapes:
+        scale = max(np.abs(g_ref[name]).max(), 1e-300)
+        assert np.abs(g_fast[name] - g_ref[name]).max() <= 1e-12 * scale, name
 
 
 class TestReconLoss:
