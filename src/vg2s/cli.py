@@ -90,13 +90,35 @@ def _read_checkpoint(path: str, role: str) -> ParamStore:
         raise UsageError(f"{role} {exc}") from None
 
 
+def _check_params(trained: ParamStore, model: ParamStore, prefixes: tuple[str, ...],
+                  role: str) -> None:
+    """Raise UsageError, prefixed by `role`, naming the first parameter
+    under `prefixes` that the checkpoint `trained` lacks, holds in another
+    shape than `model` or holds and `model` does not have."""
+    for name in model.names():
+        if name.startswith(prefixes) and name not in trained:
+            raise UsageError(f"{role}: missing parameter {name!r}")
+    for name in trained.names():
+        if not name.startswith(prefixes):
+            continue
+        if name not in model:
+            raise UsageError(f"{role}: unknown parameter {name!r}")
+        have, want = trained[name].data.shape, model[name].data.shape
+        if have != want:
+            raise UsageError(f"{role}: shape mismatch for {name!r}: {have}, expected {want}")
+
+
 def _load_model(args, missing: str) -> tuple[ParamStore, ModelConfig]:
     """The --model checkpoint and the --config model settings; without
-    --model, raises UsageError with the message `missing`."""
+    --model, raises UsageError with the message `missing`.  A checkpoint
+    whose parameter names or shapes differ from the model the settings
+    build raises UsageError naming the first such parameter."""
     if not args.model:
         raise UsageError(missing)
     _, model_cfg = load_configs(args.config)
-    return _read_checkpoint(args.model, "model checkpoint"), model_cfg
+    store = _read_checkpoint(args.model, "model checkpoint")
+    _check_params(store, build_model(model_cfg, 0), ("",), f"model checkpoint {args.model}")
+    return store, model_cfg
 
 
 def _load_encoder(store: ParamStore, path: str) -> None:
@@ -105,14 +127,9 @@ def _load_encoder(store: ParamStore, path: str) -> None:
     holds one in another shape or holds one the model does not have raises
     UsageError."""
     trained = _read_checkpoint(path, "encoder checkpoint")
-    try:
-        for name in store.names():
-            if name.startswith(ENCODER_SECTIONS) and name not in trained:
-                raise ValueError(f"missing parameter {name!r}")
-        for section in ENCODER_SECTIONS:
-            store.update(trained, section)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"encoder checkpoint {path}: {exc.args[0]}") from None
+    _check_params(trained, store, ENCODER_SECTIONS, f"encoder checkpoint {path}")
+    for section in ENCODER_SECTIONS:
+        store.update(trained, section)
 
 
 def _load_instance(path: str, fmt: str) -> Instance:

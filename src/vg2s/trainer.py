@@ -54,8 +54,14 @@ class LossReport:
 
 
 class InstancePool:
-    """Either a frozen instance list or a generated pool regenerated every
-    `refresh` epochs; graphs are built lazily and cached per generation."""
+    """Either a frozen instance list or a generated pool of
+    max(batch_size, pool_size) slots, redrawn every `pool_refresh` epochs.
+
+    A refresh draws one seed per slot and builds nothing.  Slot i's
+    instance is generate_random(gen_cfg, default_rng(seed_i)), made the
+    first time `instance(i)` asks for it; its graph is built the first time
+    `graph(i)` does.  Both are kept until the next refresh (for a frozen
+    pool, for good), so an epoch pays only for the slots it samples."""
 
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator,
                  frozen: list[Instance] | None = None,
@@ -65,16 +71,17 @@ class InstancePool:
         self.frozen = frozen
         self.gen_cfg = gen_cfg or GenConfig()
         self.generation = -1
-        self.instances: list[Instance] = []
-        self.graphs: list[HeteroGraph] = []
+        self.seeds = np.zeros(0, dtype=np.int64)
+        self._instances: list[Instance | None] = []
+        self._graphs: list[HeteroGraph | None] = []
         if frozen is not None:
             if not frozen:
                 raise ValueError("frozen instance list is empty")
-            self.instances = list(frozen)
-            self.graphs = [build_graph(inst) for inst in self.instances]
+            self._instances = list(frozen)
+            self._graphs = [None] * len(frozen)
 
     def refresh(self, epoch: int) -> bool:
-        """Regenerate the pool if due; returns True when contents changed."""
+        """Redraw the slot seeds if due; returns True when contents changed."""
         if self.frozen is not None:
             return False
         gen = (epoch - 1) // self.cfg.pool_refresh
@@ -82,12 +89,35 @@ class InstancePool:
             return False
         self.generation = gen
         size = max(self.cfg.batch_size, self.cfg.pool_size)
-        self.instances = [generate_random(self.gen_cfg, self.rng) for _ in range(size)]
-        self.graphs = [build_graph(inst) for inst in self.instances]
+        self.seeds = self.rng.integers(2**63, size=size)
+        self._instances = [None] * size
+        self._graphs = [None] * size
         return True
 
+    def instance(self, i: int) -> Instance:
+        inst = self._instances[i]
+        if inst is None:
+            rng = np.random.default_rng(int(self.seeds[i]))
+            inst = self._instances[i] = generate_random(self.gen_cfg, rng)
+        return inst
+
+    def graph(self, i: int) -> HeteroGraph:
+        graph = self._graphs[i]
+        if graph is None:
+            graph = self._graphs[i] = build_graph(self.instance(i))
+        return graph
+
+    def __len__(self) -> int:
+        """The number of slots, made or not."""
+        return len(self._instances)
+
+    @property
+    def instances(self) -> list[Instance]:
+        """Every slot's instance, making any not yet made."""
+        return [self.instance(i) for i in range(len(self))]
+
     def sample(self) -> int:
-        return int(self.rng.integers(len(self.instances)))
+        return int(self.rng.integers(len(self)))
 
 
 def build_model(cfg: ModelConfig, seed: int) -> ParamStore:
@@ -114,7 +144,7 @@ def train_representation(cfg: TrainConfig, model_cfg: ModelConfig,
     report = LossReport(("epoch", "kl", "node", "edge", "total"))
     for epoch in range(1, cfg.repr_epochs + 1):
         pool.refresh(epoch)
-        graph = pool.graphs[pool.sample()]
+        graph = pool.graph(pool.sample())
         ad.zero_grad(params)
         with ad.Tape() as tape:
             loss, parts = representation_loss(graph, store, model_cfg, rng)
@@ -259,7 +289,8 @@ class EncoderCache:
         self.entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def rebuild(self, pool: InstancePool):
-        self.entries = [embed(graph, self.store, self.model_cfg) for graph in pool.graphs]
+        self.entries = [embed(pool.graph(i), self.store, self.model_cfg)
+                        for i in range(len(pool))]
 
     def draw(self, idx: int, rng: np.random.Generator):
         h_real, mu, sigma = self.entries[idx]
@@ -288,7 +319,7 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
         for _ in range(cfg.batch_size):
             idx = pool.sample()
             h, z = cache.draw(idx, rng)
-            insts.append(pool.instances[idx])
+            insts.append(pool.instance(idx))
             h_real.append(h)
             zs.append(z)
         z = np.stack(zs)

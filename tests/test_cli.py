@@ -134,6 +134,30 @@ class TestTrainPipeline:
         assert section_bytes(final, "latent.") == section_bytes(trained, "latent.")
         assert section_bytes(final, "decoder.") == section_bytes(trained, "decoder.")
 
+    def test_generated_pool_deterministic(self, tmp_path, capsys):
+        """Without --instances both phases draw a generated pool; two runs of
+        one seed, across a pool refresh, write identical bytes."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"pool_size": 4, "pool_refresh": 2},
+                                      "model": {**TINY_MODEL, "canvas_jobs": 9,
+                                                "canvas_machines": 9}}))
+
+        def run(tag: str) -> dict[str, bytes]:
+            root = tmp_path / tag
+            root.mkdir()
+            common = ["--seed", "3", "--config", str(config)]
+            assert main(["train-repr", "--epochs", "3", *common,
+                         "--checkpoint", str(root / "repr.ckpt"),
+                         "--log", str(root / "repr.csv")]) == 0
+            assert main(["train-policy", "--encoder-ckpt", str(root / "repr.ckpt"),
+                         "--epochs", "3", "--batch", "2", *common,
+                         "--checkpoint", str(root / "policy.ckpt"),
+                         "--log", str(root / "policy.csv")]) == 0
+            return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+        a, b = run("a"), run("b")
+        assert len(a) == 4 and a == b
+
     def test_skip_phase1(self, tmp_path, tiny_config_file, instance_dir, capsys):
         ckpt = tmp_path / "baseline.ckpt"
         assert main(["train-policy", "--skip-phase1", "--epochs", "2",
@@ -265,6 +289,45 @@ def test_malformed_model_checkpoint_one_line_error(tmp_path, ft06_file, tiny_con
     err = capsys.readouterr().err
     assert err.startswith(f"vg2s: error: model checkpoint {ckpt}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+MODEL_COMMANDS = {
+    "solve": ["solve", "{ft06}", "--method", "vg2s", "--out", "{out}"],
+    "eval": ["eval", "--dir", "{instances}", "--format", "json", "--methods", "vg2s",
+             "--out", "{out}"],
+    "export-latents": ["export-latents", "--instances", "{instances}", "--out", "{out}"],
+    "similarity": ["similarity", "--count", "1", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MODEL_COMMANDS))
+@pytest.mark.parametrize("overrides, problem", [
+    ({"d_latent": 8}, "shape mismatch for 'encoder.gat.e0.h0.w': (4, 8), expected (4, 4)"),
+    ({"canvas_jobs": 1}, "missing parameter 'decoder.up1.w'"),  # one decoder layer fewer
+    ({"canvas_jobs": 4}, "unknown parameter 'decoder.up2.w'"),  # one decoder layer more
+], ids=["shape", "missing", "unknown"])
+def test_model_checkpoint_of_another_config_one_line_error(
+        tmp_path, ft06_file, instance_dir, tiny_config_file, capsys, command, overrides,
+        problem):
+    """A --model checkpoint is checked against the model --config builds,
+    so a mismatch names the parameter instead of failing inside encode."""
+    ckpt, out = tmp_path / "other.ckpt", tmp_path / "out"
+    _save_model(ckpt, overrides)
+    argv = [a.format(out=out, ft06=ft06_file, instances=instance_dir)
+            for a in MODEL_COMMANDS[command]]
+    err = _usage_error([*argv, "--model", str(ckpt), "--config", tiny_config_file], capsys)
+    assert err == f"vg2s: error: model checkpoint {ckpt}: {problem}\n"
+    assert not out.exists()
+
+
+def test_model_checkpoint_without_its_config_one_line_error(tmp_path, ft06_file, capsys):
+    """A checkpoint trained at d_latent 8, run without --config, meets the
+    default model."""
+    ckpt = tmp_path / "d8.ckpt"
+    save_checkpoint(build_model(ModelConfig(d_latent=8), 0), ckpt)
+    err = _usage_error(["solve", ft06_file, "--method", "vg2s", "--model", str(ckpt)], capsys)
+    assert err == (f"vg2s: error: model checkpoint {ckpt}: shape mismatch for "
+                   f"'encoder.gat.e0.h0.w': (64, 8), expected (64, 64)\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_instance, section_bytes
 from vg2s import autodiff as ad
+from vg2s import trainer
 from vg2s.bench import solve_with_model
 from vg2s.env import replay
 from vg2s.instance import GenConfig, generate_random
@@ -57,6 +61,83 @@ class TestInstancePool:
     def test_sample_in_range(self, small_pool):
         _, pool = small_pool
         assert all(pool.sample() == 0 for _ in range(5))
+
+
+def count_builds(monkeypatch) -> Counter:
+    """Count the calls through the `vg2s.trainer` bindings of
+    generate_random and build_graph, the ones the benchmark's tracer wraps."""
+    counts = Counter()
+    for name in ("generate_random", "build_graph"):
+        def counted(*args, _fn=getattr(trainer, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(trainer, name, counted)
+    return counts
+
+
+# GenConfigs of up to 6 x 6 operations: 1 <= m_lo <= m_hi <= n_hi, 1 <= p_lo <= p_hi.
+GEN_CONFIGS = st.tuples(st.integers(1, 4), st.integers(0, 1), st.integers(0, 1),
+                        st.integers(1, 50), st.integers(0, 50)).map(
+    lambda t: GenConfig(m_lo=t[0], m_hi=t[0] + t[1], n_hi=t[0] + t[1] + t[2],
+                        p_lo=t[3], p_hi=t[3] + t[4]))
+
+
+class TestLazyPool:
+    """A generated pool makes a slot's instance and graph on first use."""
+
+    def test_refresh_builds_nothing(self, monkeypatch):
+        counts = count_builds(monkeypatch)
+        pool = InstancePool(TrainConfig(pool_size=64), np.random.default_rng(0))
+        assert pool.refresh(1) and pool.refresh(6)
+        assert len(pool) == 64 and pool.sample() in range(64)
+        assert counts == {}
+
+    def test_phase1_builds_only_sampled_slots(self, monkeypatch, tiny_cfg):
+        cfg = TrainConfig(repr_epochs=10, pool_size=64, pool_refresh=5)
+        pool = InstancePool(cfg, np.random.default_rng(0),
+                            gen_cfg=GenConfig(m_lo=2, m_hi=2, n_hi=2))
+        sampled = []  # (generation, slot) per epoch
+        sample = pool.sample
+
+        def recorded():
+            sampled.append((pool.generation, sample()))
+            return sampled[-1][1]
+
+        monkeypatch.setattr(pool, "sample", recorded)
+        counts = count_builds(monkeypatch)
+        train_representation(cfg, tiny_cfg, build_model(tiny_cfg, 0), pool,
+                             np.random.default_rng(0))
+        assert len(sampled) == 10 and {g for g, _ in sampled} == {0, 1}
+        distinct = len(set(sampled))
+        assert counts == {"generate_random": distinct, "build_graph": distinct}
+
+    def test_frozen_graphs_built_once(self, monkeypatch, tiny_cfg, two_by_two):
+        insts = [two_by_two, random_instance(3, 2, seed=0), random_instance(2, 3, seed=1)]
+        counts = count_builds(monkeypatch)
+        cfg = TrainConfig(policy_epochs=2, batch_size=2)
+        pool = InstancePool(cfg, np.random.default_rng(0), frozen=insts)
+        store = build_model(tiny_cfg, 0)
+        for _ in range(2):
+            train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
+        assert counts == {"build_graph": len(insts)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(GEN_CONFIGS, st.integers(0, 2**32), st.permutations(range(6)))
+    def test_slots_are_seeded_and_order_free(self, gen_cfg, seed, order):
+        """Slot i is generate_random(gen_cfg, default_rng(seed_i)); two pools
+        of one seed hold the same slots in every generation, whichever order
+        their slots are first touched in."""
+        cfg = TrainConfig(pool_size=6, batch_size=2, pool_refresh=2)
+        a, b = (InstancePool(cfg, np.random.default_rng(seed), gen_cfg=gen_cfg)
+                for _ in range(2))
+        for epoch in (1, 3, 5):
+            assert a.refresh(epoch) and b.refresh(epoch)
+            touched = {i: b.graph(i).instance for i in order}
+            for i in range(len(a)):
+                want = generate_random(gen_cfg, np.random.default_rng(a.seeds[i]))
+                assert a.instance(i) == want == touched[i]
+            assert a.instances == b.instances
 
 
 class TestBuildModel:
