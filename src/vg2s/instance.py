@@ -22,7 +22,9 @@ class Instance:
     """Immutable job-shop instance.
 
     ops[j] is job j's ordered operation list of (machine, duration) pairs;
-    machines are 0-indexed, durations are positive integers.  On
+    machines are 0-indexed, durations are integers in [1, D_MAX], where
+    D_MAX = (2**63 - 1) // (n * m) is the largest duration for which
+    n * m * D_MAX fits int64, so that every sum of durations does.  On
     construction it is laid out once as the read-only (n, m) int64 arrays
     machines[j, k] and durations[j, k], and the work totals are summed.
     """
@@ -38,6 +40,8 @@ class Instance:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("instance needs at least one job and one machine")
+        d_max = int(np.iinfo(np.int64).max) // (self.n * self.m)
+        machine_totals = [0] * self.m
         if len(self.ops) != self.n:
             raise ValueError(f"expected {self.n} jobs, got {len(self.ops)}")
         for j, job in enumerate(self.ops):
@@ -47,12 +51,13 @@ class Instance:
             if sorted(machines) != list(range(self.m)):
                 raise ValueError(f"job {j}: machine sequence is not a permutation of 0..{self.m - 1}")
             for mi, p in job:
-                if p < 1:
-                    raise ValueError(f"job {j}: nonpositive duration {p} on machine {mi}")
+                if not 1 <= p <= d_max:
+                    raise ValueError(f"job {j}: duration {p} on machine {mi} is outside "
+                                     f"[1, {d_max}]")
+                machine_totals[mi] += p
         table = np.array(self.ops, dtype=np.int64)  # n x m x (machine, duration)
         machines, durations = table[..., 0].copy(), table[..., 1].copy()
         machines.flags.writeable = durations.flags.writeable = False
-        machine_totals = np.bincount(machines.ravel(), durations.ravel(), self.m)
         object.__setattr__(self, "machines", machines)
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "job_totals", tuple(durations.sum(axis=1).tolist()))
@@ -74,11 +79,20 @@ class Instance:
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
+        """Read to_json's form; every number must be a JSON integer, so a
+        fraction or a boolean raises ValueError."""
         raw = json.loads(text)
+
+        def integer(value, what: str) -> int:
+            if type(value) is not int:  # bool subclasses int
+                raise ValueError(f"{what} {json.dumps(value)} is not an integer")
+            return value
+
         return cls(
-            n=int(raw["n"]),
-            m=int(raw["m"]),
-            ops=tuple(tuple((int(mi), int(p)) for mi, p in job) for job in raw["jobs"]),
+            n=integer(raw["n"], "n"),
+            m=integer(raw["m"], "m"),
+            ops=tuple(tuple((integer(mi, f"job {j}: machine"), integer(p, f"job {j}: duration"))
+                            for mi, p in job) for j, job in enumerate(raw["jobs"])),
         )
 
 

@@ -1,11 +1,11 @@
 """Exact makespan minimization for small instances.
 
-Two routes that must agree: exhaustive enumeration of every valid action
-string, and a depth-first branch-and-bound whose bound is the max over
-machines and jobs of (ready time + remaining work) -- the same quantity
-family as the environment's lookahead features, carried down the DFS in
-O(1) per child.  Both serve as ground truth in tests; neither is a
-competitive solver.
+A depth-first branch-and-bound whose bound is the max over machines and
+jobs of (ready time + remaining work) -- the same quantity family as the
+environment's lookahead features, carried down the DFS in O(1) per child.
+It serves as ground truth in tests and as the `oracle` method; it is not a
+competitive solver.  The tests check it against exhaustive enumeration of
+every valid action string.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class OracleResult:
 
 
 class _Search:
-    """Shared DFS machinery over raw per-job/per-machine arrays with undo;
-    the node count stops at the budget, which it never exceeds."""
+    """DFS machinery over raw per-job/per-machine arrays with undo; the
+    node count stops at the budget, which it never exceeds."""
 
     def __init__(self, inst: Instance, budget: int):
         if budget < 0:
@@ -89,36 +89,6 @@ class _Search:
     def result(self) -> OracleResult:
         return OracleResult(c_star=int(self.best), schedule=self.best_actions,
                             nodes_explored=self.nodes, proven=not self.aborted)
-
-
-def enumerate_all(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
-    """Exhaustive minimum over all valid action strings.
-
-    Practical only for tiny instances; the node count is the number of
-    interleavings (n*m)! / (m!)^n.  A budget overrun returns the incumbent
-    with proven=False; a budget that ends before the first complete schedule
-    (fewer than n*m nodes) raises ValueError.
-    """
-    s = _Search(inst, budget)
-
-    def dfs(depth: int):
-        if depth == inst.num_ops:
-            s.record_if_better()
-            return
-        for j in range(inst.n):
-            if s.next_op[j] == inst.m:
-                continue
-            if not s.enter():
-                return
-            saved = s.place(j)
-            dfs(depth + 1)
-            s.unplace(j, saved)
-
-    dfs(0)
-    if not s.best_actions:
-        raise ValueError(f"budget {budget} ends before the first complete schedule, "
-                         f"which takes {inst.num_ops} nodes")
-    return s.result()
 
 
 def branch_and_bound(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:

@@ -122,18 +122,18 @@ def project_keys(h_real: np.ndarray, store: ParamStore, cfg: ModelConfig) -> Epi
 
 def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
                 state_feats: np.ndarray, attend_mask: np.ndarray,
-                avail_mask: np.ndarray, store: ParamStore, cfg: ModelConfig) -> ad.Tensor:
+                ops: np.ndarray, store: ParamStore, cfg: ModelConfig) -> ad.Tensor:
     """T pointer decisions of each of b episodes over N (padded) op rows.
 
     z: latent vectors (b, d_latent); prev: (b, T) op row of each decision's
     previous action, or -1 at an episode's first decision, which uses the
     learned dummy; keys: the b episodes' rows of the rollout's projections;
     attend_mask (b, T, N) marks the unscheduled real ops (the glimpse
-    attends to these only); avail_mask (b, T, N) marks the selectable ops.
-    state_feats (b, T, n, 6) holds each decision's `state_features` in its
-    first slots, n the largest available count among the decisions; the
-    slots after them are not read.  Returns the (b, T, N)
-    taped logits, -inf wherever avail_mask is False.  A rollout step is
+    attends to these only).  ops (b, T, n) maps each decision's slots to
+    its selectable op rows, -1 for a slot that holds none, and
+    state_feats (b, T, n, 6) holds the `state_features` of those slots;
+    the features of an empty slot are not read.  Returns the (b, T, N)
+    taped logits, -inf at every op row no slot maps to.  A rollout step is
     T = 1; scoring the recorded decisions of a rollout is T = its longest
     episode.
 
@@ -149,16 +149,24 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     the selection products, not the O(N * d * K) of projecting every row's
     keys.
     """
-    if not avail_mask.any(axis=-1).all():
+    count, steps, slots = ops.shape
+    if state_feats.shape[:3] != ops.shape:
+        raise ValueError(f"state_feats has {state_feats.shape[2]} slots per decision, "
+                         f"the slot map {slots}")
+    filled = ops >= 0
+    if not filled.any(axis=-1).all():
         raise ValueError("decode_step with an empty available set")
     if not attend_mask.any(axis=-1).all():
         raise ValueError("glimpse attention has no unscheduled operations")
-    count, steps, num_ops = avail_mask.shape
-    flat_avail = avail_mask.reshape(count * steps, num_ops)
-    sizes = flat_avail.sum(axis=1)
-    if state_feats.shape[2] != sizes.max():
-        raise ValueError(f"state_feats has {state_feats.shape[2]} slots per decision, "
-                         f"not the largest available count {sizes.max()}")
+    num_ops = attend_mask.shape[-1]
+    # `select` maps each decision's slots to its op rows, and `blocked`
+    # is -inf at every op row outside them.
+    hit = np.flatnonzero(filled)
+    rows = ops.reshape(-1)[hit]
+    select = np.zeros((count * steps * slots, num_ops))
+    select[hit, rows] = 1.0
+    blocked = np.full((count * steps, num_ops), -np.inf)
+    blocked[hit // slots, rows] = 0.0
 
     first = prev < 0
     h_prev = keys.h_real[np.arange(count)[:, None], prev]  # -1 reads a row zeroed below
@@ -168,12 +176,6 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     q = ad.reshape(ad.concat([np.repeat(z[:, None], steps, axis=1), h_prev], axis=2),
                    (count, 1, steps, -1))
 
-    # `select` maps each decision's slots to its op rows; the slots after
-    # its last available op map nowhere.
-    rows, ops = np.nonzero(flat_avail)
-    slots = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    select = np.zeros((count * steps, sizes.max(), num_ops))
-    select[rows, slots, ops] = 1.0
     # The corrections' products take the decisions as a batch axis, (b, 1,
     # T, ...), shared by all heads; `across` moves a head-major (b, H, T,
     # ...) tensor's decision rows to that axis (tail (1, -1)) and back
@@ -184,7 +186,7 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     def across(x: ad.Tensor, *tail: int) -> ad.Tensor:
         return ad.reshape(x, x.shape[:3] + tail) if steps > 1 else x
 
-    select = select.reshape(lead + (-1, num_ops))
+    select = select.reshape(lead + (slots, num_ops))
     moved = ad.sub(mlp(store, "policy.state", state_feats.reshape(lead + state_feats.shape[2:])),
                    keys.state_zero)  # lead + (n, d)
     moved_t = ad.transpose(moved, tuple(range(len(lead))) + (len(lead) + 1, len(lead)))
@@ -206,7 +208,7 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
 
     raw = ad.reshape(scores(q, keys.pointer), (count, steps, num_ops))
     logits = ad.mul(ad.tanh(raw), cfg.logit_clip)
-    return ad.add(logits, np.where(avail_mask, 0.0, -np.inf))
+    return ad.add(logits, blocked.reshape(count, steps, num_ops))
 
 
 def log_prob(logits: ad.Tensor, actions: np.ndarray) -> ad.Tensor:
@@ -227,11 +229,10 @@ def select_action(logits: np.ndarray, mode: str, rng=None) -> tuple[np.ndarray, 
     each row's argmax with ties to the lowest index; sampling draws row by
     row from the softmax, one uniform per row, as `rng.choice` would.
     """
-    finite = np.isfinite(logits)
-    if not finite.any(axis=1).all():
+    top = logits.max(axis=1, keepdims=True)
+    if not np.isfinite(top).all():
         raise ValueError("select_action: a row has no finite logit")
-    shifted = logits - np.where(finite, logits, -np.inf).max(axis=1, keepdims=True)
-    e = np.where(finite, np.exp(shifted), 0.0)
+    e = np.exp(logits - top)  # exactly 0 at -inf
     probs = e / e.sum(axis=1, keepdims=True)
     if mode == "greedy":
         actions = np.argmax(probs, axis=1)

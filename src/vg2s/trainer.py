@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import ParamStore
-from .env import ScheduleState, reset, state_features
+from .env import BatchState, ScheduleState, state_features
 from .graph import HeteroGraph, build_graph
 from .instance import GenConfig, Instance, generate_random
 from .policy import (build_critic_params, build_policy_params, critic_value,
@@ -169,10 +169,11 @@ class Decisions:
 
     `feats` holds each decision's `state_features`, one slot per available
     op, zero-padded to n_max slots, so it grows with the number of jobs
-    rather than of ops.  `attend` and `avail` are
-    decode_step's masks over the zero-padded op rows of `h_real`.  Steps
-    after an episode's end are padding: op row 0 alone attended and
-    available, action 0, log-probability 0, and `valid` False.
+    rather than of ops; `ops` maps each slot to its op row of `h_real`, -1
+    for a slot after the last available op.  `attend` is decode_step's
+    glimpse mask over the zero-padded op rows.  Steps after an episode's
+    end are padding: op row 0 alone attended and in slot 0, action 0,
+    log-probability 0, and `valid` False.
     """
 
     z: np.ndarray          # (B, d_latent)
@@ -181,7 +182,7 @@ class Decisions:
     log_probs: np.ndarray  # (B, T)
     feats: np.ndarray      # (B, T, n_max, 6)
     attend: np.ndarray     # (B, T, N)
-    avail: np.ndarray      # (B, T, N)
+    ops: np.ndarray        # (B, T, n_max)
     valid: np.ndarray      # (B, T)
 
 
@@ -197,9 +198,12 @@ def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
 
     z: latent vectors (B, d_latent); h_real: each instance's real-node
     embeddings (n*m, d_latent).  Op rows are zero-padded to the largest
-    n*m; step t is one decode_step call over the episodes that have a t-th
-    decision, so an episode leaves the batch when its schedule is complete.
-    `log_prob_totals` scores the recorded decisions on a tape.
+    n*m, and the episodes share one BatchState.  Step t is one
+    state_features, one decode_step and one BatchState.step over the
+    episodes that have a t-th decision, so an episode leaves the batch
+    when its schedule is complete; until the first does, the batch is
+    addressed by a slice.  `log_prob_totals` scores the recorded decisions
+    on a tape.
     """
     sizes = np.array([inst.num_ops for inst in insts])
     count, width = len(insts), int(sizes.max())
@@ -207,36 +211,33 @@ def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
     for e, rows in enumerate(h_real):
         padded[e, :sizes[e]] = rows
     valid = np.arange(width) < sizes[:, None]
-    padding = ~valid[..., None] & (np.arange(width) == 0)  # op row 0 after the end
+    ops = np.full((count, width, max(inst.n for inst in insts)), -1)
+    ops[~valid, 0] = 0  # op row 0 after the end
     dec = Decisions(z, padded, np.zeros((count, width), dtype=np.int64), np.zeros((count, width)),
-                    np.zeros((count, width, max(inst.n for inst in insts), 6)),
-                    padding.copy(), padding, valid)
+                    np.zeros(ops.shape + (6,)), ~valid[..., None] & (np.arange(width) == 0),
+                    ops, valid)
     all_keys = project_keys(padded, store, model_cfg)
-    states = [reset(inst) for inst in insts]
-    active = np.arange(count)
-    keys = all_keys
+    batch = BatchState(insts)
+    ends = set(sizes.tolist())
+    active, keys, first = slice(None), all_keys, np.full((count, 1), -1)
     for t in range(width):
-        if (sizes[active] <= t).any():
+        if t in ends:
             active = np.flatnonzero(sizes > t)
             keys = all_keys.rows(active)
-        slots = 0
-        for e in active:
-            st = states[e]
-            avail = st.available()
-            slots = max(slots, len(avail))
-            dec.feats[e, t, :len(avail)] = state_features(st)
-            dec.attend[e, t, :sizes[e]] = ~st.scheduled
-            dec.avail[e, t, avail] = True
-        prev = dec.actions[active, t - 1:t] if t else np.full((len(active), 1), -1)
-        logits = decode_step(z[active], prev, keys, dec.feats[active, t:t + 1, :slots],
-                             dec.attend[active, t:t + 1], dec.avail[active, t:t + 1],
-                             store, model_cfg)
+        feats, slot_ops = state_features(batch, active)
+        slots = feats.shape[1]
+        dec.feats[active, t, :slots] = feats
+        dec.ops[active, t, :slots] = slot_ops
+        attend = ~batch.scheduled[active]
+        dec.attend[active, t] = attend
+        prev = dec.actions[active, t - 1:t] if t else first
+        logits = decode_step(z[active], prev, keys, feats[:, None], attend[:, None],
+                             slot_ops[:, None], store, model_cfg)
         picks, lps = select_action(logits.data[:, 0], mode, rng)
         dec.actions[active, t] = picks
         dec.log_probs[active, t] = lps
-        for e, action in zip(active, picks.tolist()):
-            states[e].step(action)
-    return dec, states
+        batch.step(active, picks)
+    return dec, [batch.schedule(e) for e in range(count)]
 
 
 def log_prob_totals(dec: Decisions, store: ParamStore, model_cfg: ModelConfig) -> ad.Tensor:
@@ -245,7 +246,7 @@ def log_prob_totals(dec: Decisions, store: ParamStore, model_cfg: ModelConfig) -
     and one decode_step over all B * T of them, padded ones weighted 0."""
     prev = np.concatenate([np.full((len(dec.actions), 1), -1), dec.actions[:, :-1]], axis=1)
     logits = decode_step(dec.z, prev, project_keys(dec.h_real, store, model_cfg), dec.feats,
-                         dec.attend, dec.avail, store, model_cfg)
+                         dec.attend, dec.ops, store, model_cfg)
     return ad.tsum(ad.mul(log_prob(logits, dec.actions), dec.valid * 1.0), axis=1)
 
 

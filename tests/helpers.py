@@ -1,6 +1,6 @@
 """Shared by the tests: finite-difference gradient verification, byte
-snapshots of parameter sections, seeded random instances and malformed
-checkpoint files."""
+snapshots of parameter sections, seeded random instances, batches of
+hypothesis-drawn instances and malformed checkpoint files."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import json
 import struct
 
 import numpy as np
+from hypothesis import strategies as st
 
 from vg2s.autodiff import Tape, backward, zero_grad
 from vg2s.checkpoint import MAGIC, ParamStore
@@ -56,6 +57,20 @@ def random_instance(n: int, m: int, seed: int) -> Instance:
     return Instance(n=n, m=m, ops=tuple(
         tuple(zip(rng.permutation(m).tolist(), rng.integers(1, 100, m).tolist()))
         for _ in range(n)))
+
+
+@st.composite
+def instance_batches(draw):
+    """1-5 instances of 1-7 jobs x 1-6 machines each (n < m included)."""
+    insts = []
+    for _ in range(draw(st.integers(1, 5))):
+        n, m = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+        jobs = tuple(
+            tuple(zip(draw(st.permutations(range(m))),
+                      draw(st.lists(st.integers(1, 99), min_size=m, max_size=m))))
+            for _ in range(n))
+        insts.append(Instance(n=n, m=m, ops=jobs))
+    return insts
 
 
 # (manifest, blob) of checkpoint files whose every byte is present but whose

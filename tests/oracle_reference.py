@@ -1,7 +1,10 @@
-"""Reference branch-and-bound for the differential tests of
-`vg2s.oracle.branch_and_bound`.
+"""References for the differential tests of `vg2s.oracle.branch_and_bound`:
+exhaustive enumeration, and a straightforward branch-and-bound.
 
-This is the straightforward form of the same search: every candidate child
+`enumerate_all` tries every valid action string, so it needs no bound at
+all; its node count is the number of interleavings.
+
+`reference_branch_and_bound` is the straightforward form of the same search: every candidate child
 of the Giffler-Thompson conflict set is placed, bounded by an O(n + m) loop
 over all machines and jobs, and unplaced again before the children are
 sorted.  Its node count keeps the old accounting, in which every ancestor of
@@ -12,7 +15,7 @@ proven searches.
 from __future__ import annotations
 
 from vg2s.instance import Instance
-from vg2s.oracle import OracleResult
+from vg2s.oracle import DEFAULT_BUDGET, OracleResult
 from vg2s.rules import Rule, dispatch
 
 
@@ -123,5 +126,41 @@ def reference_branch_and_bound(inst: Instance, budget: int) -> OracleResult:
             s.unplace(j, saved)
 
     dfs(0)
+    return OracleResult(c_star=int(s.best), schedule=s.best_actions,
+                        nodes_explored=s.nodes, proven=not s.aborted)
+
+
+def enumerate_all(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
+    """Exhaustive minimum over all valid action strings.
+
+    Practical only for tiny instances; the node count is the number of
+    interleavings (n*m)! / (m!)^n.  The node count stops at the budget, which
+    it never exceeds: a budget overrun returns the incumbent with
+    proven=False, and a budget that ends before the first complete schedule
+    (fewer than n*m nodes) raises ValueError.
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    s = _Search(inst, budget)
+
+    def dfs(depth: int):
+        if depth == inst.num_ops:
+            s.record_if_better()
+            return
+        for j in range(inst.n):
+            if s.next_op[j] == inst.m:
+                continue
+            if s.nodes == budget:  # every open level then stops here too
+                s.aborted = True
+                return
+            s.nodes += 1
+            saved = s.place(j)
+            dfs(depth + 1)
+            s.unplace(j, saved)
+
+    dfs(0)
+    if not s.best_actions:
+        raise ValueError(f"budget {budget} ends before the first complete schedule, "
+                         f"which takes {inst.num_ops} nodes")
     return OracleResult(c_star=int(s.best), schedule=s.best_actions,
                         nodes_explored=s.nodes, proven=not s.aborted)

@@ -18,14 +18,16 @@ import numpy as np
 import pytest
 
 from autodiff_extra import batch_norm, div, exp, softmax, tmax
+from env_reference import state_features
 from helpers import grad_check, section_bytes
+from oracle_reference import enumerate_all
 from vg2s import autodiff as ad
 from vg2s.bench import solve_with_model
 from vg2s.checkpoint import ParamStore, load_checkpoint
-from vg2s.env import reset, state_features
+from vg2s.env import reset
 from vg2s.graph import build_graph, reconstruction_targets
 from vg2s.instance import GenConfig, generate_random
-from vg2s.oracle import branch_and_bound, enumerate_all
+from vg2s.oracle import branch_and_bound
 from vg2s.policy import (build_critic_params, build_policy_params, decode_step,
                          log_prob, project_keys)
 from vg2s.rules import Rule, dispatch, improvement_rate, optimality_gap
@@ -185,13 +187,12 @@ def test_criterion_04_gradient_verification(two_by_two):
     st = reset(two_by_two)
     feats = state_features(st)
 
-    avail = np.zeros((1, 1, 4), bool)
-    avail[0, 0, st.available()] = True
+    ops = np.array([[st.available()]])
 
     def pol_logprob():
         keys = project_keys(h_data[None, :4], store, cfg)
         out = decode_step(z_fixed[None], np.array([[-1]]), keys, feats[None, None],
-                          np.ones((1, 1, 4), bool), avail, store, cfg)
+                          np.ones((1, 1, 4), bool), ops, store, cfg)
         return ad.mul(ad.tsum(log_prob(out, np.array([[2]]))), -1.0)
 
     run(pol_logprob, store.section("policy."))
@@ -351,11 +352,9 @@ def test_criterion_09_masking_probability():
         prev = None
         while not st.done:
             avail = st.available()
-            avail_mask = np.zeros((1, 1, inst.num_ops), bool)
-            avail_mask[0, 0, avail] = True
             out = decode_step(z.data[None], np.array([[-1 if prev is None else prev]]), keys,
                               state_features(st)[None, None], ~st.scheduled[None, None],
-                              avail_mask, store, cfg)
+                              np.array([[avail]]), store, cfg)
             full = out.data[0, 0]
             finite = np.isfinite(full)
             probs = np.where(finite, np.exp(full - full[finite].max()), 0.0)

@@ -352,43 +352,77 @@ class TestComposite:
         check(f, [w1, b1, w2])
 
 
-def _production_calls() -> set[str]:
-    """Names of the vg2s.autodiff functions that production code calls:
-    `ad.<name>(...)` or an imported `<name>(...)` in another vg2s module, or
-    a call from one autodiff function to another."""
-    called = set()
-    for path in Path(ad.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        if path.name == "autodiff.py":
-            for fn in ast.walk(tree):
-                if isinstance(fn, ast.FunctionDef):
-                    called |= {node.func.id for node in ast.walk(fn)
-                               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                               and node.func.id != fn.name}
+# Public functions that nothing in the package calls because something
+# outside it does: the `vg2s` console script.
+ENTRY_POINTS = {("cli", "main")}
+
+
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(ad.__file__).parent.glob("*.py"))}
+
+
+def _public_functions(trees) -> set[tuple[str, str, bool]]:
+    """(module, name, is_method) of every public module-level function and
+    every public method of a module-level class."""
+    found = set()
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found.add((mod, node.name, False))
+            elif isinstance(node, ast.ClassDef):
+                found |= {(mod, f"{node.name}.{sub.name}", True) for sub in node.body
+                          if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")}
+    return found
+
+
+def _production_references(trees) -> tuple[set[tuple[str, str]], set[str]]:
+    """What the package's own code reads: (module, name) of the module-level
+    functions (by name in their module outside their own body, by a name
+    imported from their module, or as `module.name`), and every attribute
+    name.  The package's __init__ re-exports and a module's `__main__`
+    block do not count."""
+    functions, attributes = set(), set()
+    for mod, tree in trees.items():
+        if mod == "__init__":
             continue
-        modules, names = set(), {}
+        modules, imported, owner = {}, {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        imported[alias.asname or alias.name] = (node.module, alias.name)
+            for sub in ast.walk(node):
+                owner[id(sub)] = node
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
-                names.update({a.asname or a.name: a.name for a in node.names})
-            elif isinstance(node, ast.ImportFrom) and node.module is None:
-                modules |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
+            top = owner[id(node)] if node is not tree else tree
+            if isinstance(top, ast.If) and "__main__" in ast.unparse(top.test):
                 continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
-                    and func.value.id in modules:
-                called.add(func.attr)
-            elif isinstance(func, ast.Name) and func.id in names:
-                called.add(names[func.id])
-    return called
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in imported:
+                    functions.add(imported[node.id])
+                elif getattr(top, "name", None) != node.id:  # a recursive call is no caller
+                    functions.add((mod, node.id))
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in modules:
+                    functions.add((modules[node.value.id], node.attr))
+    return functions, attributes
 
 
 def test_every_public_function_has_a_production_caller():
-    """The engine holds only what the networks run: an op that only the
-    tests use belongs in autodiff_extra."""
-    tree = ast.parse(Path(ad.__file__).read_text())
-    public = {node.name for node in tree.body
-              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    assert len(public) > 20  # the parse found the ops
-    assert public - _production_calls() == set()
+    """`src/vg2s` holds only what a production path reaches: a function
+    that only the tests use belongs in the tests (autodiff ops in
+    autodiff_extra, references beside the tests that compare with them).
+    A method counts as reached when the package reads an attribute of its
+    name; an entry point of the package's users is listed in
+    ENTRY_POINTS."""
+    trees = _package_trees()
+    public = _public_functions(trees)
+    assert len([name for mod, name, _ in public if mod == "autodiff"]) > 20  # the parse found the ops
+    functions, attributes = _production_references(trees)
+    unreached = {(mod, name) for mod, name, method in public
+                 if not (name.split(".")[-1] in attributes if method else (mod, name) in functions)}
+    assert unreached == ENTRY_POINTS

@@ -19,9 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autodiff_extra import softmax
-from helpers import random_instance
+from env_reference import state_features
+from helpers import instance_batches, random_instance
 from vg2s import autodiff as ad
-from vg2s.env import replay, reset, state_features
+from vg2s.env import replay, reset
 from vg2s.graph import build_graph
 from vg2s.instance import Instance
 from vg2s.nnutil import mlp
@@ -119,20 +120,6 @@ def reference_rollout(inst, z, h_real, store, cfg, actions):
     for term in terms[1:]:
         total = ad.add(total, term)
     return log_probs, total, fulls
-
-
-@st.composite
-def instance_batches(draw):
-    """1-5 instances of 1-7 jobs x 1-6 machines each (n < m included)."""
-    insts = []
-    for _ in range(draw(st.integers(1, 5))):
-        n, m = draw(st.integers(1, 7)), draw(st.integers(1, 6))
-        jobs = tuple(
-            tuple(zip(draw(st.permutations(range(m))),
-                      draw(st.lists(st.integers(1, 99), min_size=m, max_size=m))))
-            for _ in range(n))
-        insts.append(Instance(n=n, m=m, ops=jobs))
-    return insts
 
 
 ONE_BY_ONE = Instance(n=1, m=1, ops=(((0, 5),),))
@@ -238,10 +225,12 @@ def test_padded_decisions_contribute_nothing(tiny_cfg):
     batched, _ = rollout(insts, z, h_real, store, tiny_cfg, "sample", rng=rng)
     steps, jobs = 4, 2
     assert not batched.valid[0, steps:].any()
-    assert not (batched.attend[0, :steps, steps:].any() or batched.avail[0, :steps, steps:].any())
+    assert not batched.attend[0, :steps, steps:].any()
+    assert batched.ops[0, :steps].max() < steps
     alone = Decisions(batched.z[:1], batched.h_real[:1, :steps], batched.actions[:1, :steps],
-                      batched.log_probs[:1, :steps], batched.feats[:1, :steps, :jobs], batched.attend[:1, :steps, :steps],
-                      batched.avail[:1, :steps, :steps], batched.valid[:1, :steps])
+                      batched.log_probs[:1, :steps], batched.feats[:1, :steps, :jobs],
+                      batched.attend[:1, :steps, :steps], batched.ops[:1, :steps, :jobs],
+                      batched.valid[:1, :steps])
     with ad.Tape():
         totals = log_prob_totals(batched, store, tiny_cfg)
         grads = _grads(store, ad.tsum(ad.mul(totals, np.array([1.0, 0.0]))))

@@ -38,8 +38,9 @@ def test_every_wrapped_binding_resolves():
 def test_production_path_reaches_wrapped_names(monkeypatch, two_by_two, tiny_cfg):
     """Phase 2 and the greedy solver call the policy layers through the
     `vg2s.trainer`/`vg2s.bench` bindings the tracer wraps (a path that
-    bypassed them would leave their spans empty): one decode_step per
-    lockstep decision, and in phase 2 one more that scores them all."""
+    bypassed them would leave their spans empty): one state_features and
+    one decode_step per lockstep decision, whatever the batch size, and in
+    phase 2 one more decode_step that scores them all."""
     spans = _load_spans()
     counts = Counter()
     for binding, _ in spans.WRAPS:
@@ -62,7 +63,7 @@ def test_production_path_reaches_wrapped_names(monkeypatch, two_by_two, tiny_cfg
     assert counts["vg2s.trainer:rollout"] == 1
     assert counts["vg2s.trainer:decode_step"] == steps + 1
     assert counts["vg2s.trainer:select_action"] == steps
-    assert counts["vg2s.trainer:state_features"] == batch * steps
+    assert counts["vg2s.trainer:state_features"] == steps
     for name in ("critic_value", "policy_loss", "critic_loss", "_sgd_step"):
         assert counts[f"vg2s.trainer:{name}"] == 1, name
 

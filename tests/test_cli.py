@@ -436,6 +436,15 @@ MALFORMED_INSTANCES = {
     "json-without-jobs": ("bad.json", "json", '{"n": 1, "m": 2}', "missing key 'jobs'"),
     "json-not-a-permutation": ("bad.json", "json", '{"n": 1, "m": 2, "jobs": [[[0, 1], [0, 2]]]}',
                                "job 0: machine sequence is not a permutation of 0..1"),
+    "json-fractional-duration": ("bad.json", "json", '{"n": 1, "m": 1, "jobs": [[[0, 1.5]]]}',
+                                 "job 0: duration 1.5 is not an integer"),
+    "json-boolean-duration": ("bad.json", "json", '{"n": 1, "m": 1, "jobs": [[[0, true]]]}',
+                              "job 0: duration true is not an integer"),
+    "json-fractional-machine": ("bad.json", "json", '{"n": 1, "m": 1, "jobs": [[[0.7, 3]]]}',
+                                "job 0: machine 0.7 is not an integer"),
+    "orlib-duration-overflow": ("huge.txt", "orlib", "1 1\n0 99999999999999999999\n",
+                                "job 0: duration 99999999999999999999 on machine 0 is outside "
+                                "[1, 9223372036854775807]"),
 }
 
 

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vg2s.env import ActionError, replay, reset, schedule_records, state_features
+from env_reference import state_features as reference_state_features
+from helpers import instance_batches
+from vg2s.env import (UNSET, ActionError, BatchState, replay, reset, schedule_records,
+                      state_features)
 from vg2s.instance import GenConfig, Instance, generate_random
 
 
@@ -67,6 +70,27 @@ def permutation_instance(n: int, m: int, seed: int) -> Instance:
     return Instance(n=n, m=m, ops=tuple(
         tuple(zip(rng.permutation(m).tolist(), rng.integers(1, 20, m).tolist()))
         for _ in range(n)))
+
+
+class OneRow:
+    """A ScheduleState and a one-row BatchState of the same instance,
+    stepped together."""
+
+    def __init__(self, inst: Instance, actions=()):
+        self.st = reset(inst)
+        self.batch = BatchState([inst])
+        for u in actions:
+            self.step(u)
+
+    def step(self, u: int) -> None:
+        self.st.step(u)
+        self.batch.step(slice(None), np.array([u]))
+
+    def features(self) -> np.ndarray:
+        """state_features of the row: one slot per available op."""
+        feats, ops = state_features(self.batch, slice(None))
+        assert ops[0].tolist() == self.st.available()
+        return feats[0]
 
 
 class TestReset:
@@ -143,59 +167,61 @@ class TestStateFeatures:
         assert own == 7.0
         assert best >= own
         # J2O1's own term is max(machine 1: 4, job 2: 6) = 6; both best terms are 7
-        feats = state_features(st_)  # slots 0 and 1: ops 0 and 2
+        feats = OneRow(two_by_two).features()  # slots 0 and 1: ops 0 and 2
         assert feats[0, 2] == 1.0 and feats[1, 2] == 6 / 7
         assert feats[0, 3] == 1.0 and feats[1, 3] == 1.0
 
     def test_rows_are_the_available_ops(self, two_by_two):
-        """One row per available op, in op order, down to none at the end."""
-        st_ = reset(two_by_two)
+        """One row per available op, in op order; a complete schedule has
+        no features."""
+        row = OneRow(two_by_two)
         for u in (0, 2, 3, 1):
-            expected = reference_features(st_)[st_.available()]
-            np.testing.assert_array_equal(state_features(st_), expected)  # shapes too
-            st_.step(u)
-        assert state_features(st_).shape == (0, 6)
+            expected = reference_features(row.st)[row.st.available()]
+            np.testing.assert_array_equal(row.features(), expected)  # shapes too
+            row.step(u)
+        with pytest.raises(ValueError, match="complete"):
+            row.features()
+        assert reference_state_features(row.st).shape == (0, 6)
 
     def test_final_step_normalization(self, two_by_two):
-        st_ = replay(two_by_two, [0, 2, 3])
-        feats = state_features(st_)  # op 1 alone is available
+        feats = OneRow(two_by_two, [0, 2, 3]).features()  # op 1 alone is available
         assert feats[0, 0] == 1.0 and feats[0, 1] == 1.0
 
     def test_terminal_op_zeroing(self, two_by_two):
         inst = Instance(n=1, m=1, ops=(((0, 5),),))
         own, best = reference_bounds(reset(inst), 0)
         assert own == 0.0 and best == 0.0
-        assert np.all(state_features(reset(inst))[0, 2:4] == 0.0)
+        assert np.all(OneRow(inst).features()[0, 2:4] == 0.0)
         # both candidates end their jobs, so every lookahead term is zero
-        feats = state_features(replay(two_by_two, [0, 2]))
+        feats = OneRow(two_by_two, [0, 2]).features()
         assert np.all(feats[:, 2:4] == 0.0)
 
     def test_progress_features(self, two_by_two):
-        feats = state_features(reset(two_by_two))
+        feats = OneRow(two_by_two).features()
         # one op completed in the successor state, m = 2
         for slot in (0, 1):
             assert feats[slot, 4] == pytest.approx(0.5)
             assert feats[slot, 5] == pytest.approx(0.25)
 
     def test_feature_range(self, ft06, rng):
-        st_ = reset(ft06)
-        while not st_.done:
-            feats = state_features(st_)
+        row = OneRow(ft06)
+        while not row.st.done:
+            feats = row.features()
             assert np.all(feats >= 0.0) and np.all(feats <= 1.0)
-            st_.step(int(rng.choice(st_.available())))
+            row.step(int(rng.choice(row.st.available())))
 
     def test_best_bound_dominates_candidate(self, rng):
         cfg = GenConfig(m_lo=2, m_hi=4, n_hi=4)
         for _ in range(20):
             inst = generate_random(cfg, rng)
-            st_ = reset(inst)
-            while not st_.done:
-                for u in st_.available():
-                    own, best = reference_bounds(st_, u)
+            row = OneRow(inst)
+            while not row.st.done:
+                for u in row.st.available():
+                    own, best = reference_bounds(row.st, u)
                     assert best >= own
-                expected = reference_features(st_)[st_.available()]
-                assert state_features(st_).tobytes() == expected.tobytes()
-                st_.step(int(rng.choice(st_.available())))
+                expected = reference_features(row.st)[row.st.available()]
+                assert row.features().tobytes() == expected.tobytes()
+                row.step(int(rng.choice(row.st.available())))
 
 
 class TestScheduleRecords:
@@ -236,14 +262,14 @@ def test_lookahead_features_match_raw_bounds(seed):
     rollout."""
     rng = np.random.default_rng(seed)
     inst = generate_random(GenConfig(m_lo=1, m_hi=4, n_hi=5), rng)
-    st_ = reset(inst)
-    while not st_.done:
-        avail = st_.available()
-        raw = np.array([reference_bounds(st_, u) for u in avail])
+    row = OneRow(inst)
+    while not row.st.done:
+        avail = row.st.available()
+        raw = np.array([reference_bounds(row.st, u) for u in avail])
         top = raw.max(axis=0)
         expected = raw / np.where(top > 0, top, 1.0)
-        np.testing.assert_array_equal(state_features(st_)[:, 2:4], expected)
-        st_.step(int(rng.choice(avail)))
+        np.testing.assert_array_equal(row.features()[:, 2:4], expected)
+        row.step(int(rng.choice(avail)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -253,16 +279,98 @@ def test_lookahead_features_match_raw_bounds(seed):
 @example(n=1, m=4, seed=1, job_first=False)
 @example(n=3, m=3, seed=2, job_first=True)  # the last 3 states have one available op
 def test_state_features_match_clone_and_step_reference(n, m, seed, job_first):
-    """All six columns of state_features equal the clone-and-step reference's
+    """All six columns of state_features, and of the per-state reference
+    the batch tests compare with, equal the clone-and-step reference's
     available rows byte for byte, at every state of a rollout (random, or
-    job by job), down to the complete schedule's (0, 6)."""
+    job by job); the per-state reference ends at the complete schedule's
+    (0, 6)."""
     inst = permutation_instance(n, m, seed)
     rng = np.random.default_rng(seed)
-    st_ = reset(inst)
-    while True:
-        expected = reference_features(st_)[st_.available()]
-        assert state_features(st_).tobytes() == expected.tobytes()
-        if st_.done:
-            break
-        avail = st_.available()
-        st_.step(avail[0] if job_first else int(rng.choice(avail)))
+    row = OneRow(inst)
+    while not row.st.done:
+        expected = reference_features(row.st)[row.st.available()]
+        assert row.features().tobytes() == expected.tobytes()
+        assert reference_state_features(row.st).tobytes() == expected.tobytes()
+        avail = row.st.available()
+        row.step(avail[0] if job_first else int(rng.choice(avail)))
+    assert reference_state_features(row.st).shape == (0, 6)
+
+
+STATE_ARRAYS = ("machine_ready", "machine_remaining", "job_ready", "job_remaining",
+                "next_op", "scheduled", "start", "end")
+
+
+def assert_same_state(got, want) -> None:
+    for name in STATE_ARRAYS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.t == want.t
+
+
+ONE_BY_ONE = Instance(n=1, m=1, ops=(((0, 5),),))
+ONE_BY_FOUR = Instance(n=1, m=4, ops=(((2, 1), (0, 7), (3, 7), (1, 2)),))
+FOUR_BY_ONE = Instance(n=4, m=1, ops=(((0, 3),), ((0, 1),), ((0, 4),), ((0, 1),)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(insts=instance_batches(), seed=st.integers(0, 10_000), by_index=st.booleans())
+@example(insts=[ONE_BY_ONE], seed=0, by_index=False)
+@example(insts=[ONE_BY_FOUR, ONE_BY_ONE, FOUR_BY_ONE], seed=1, by_index=False)
+@example(insts=[FOUR_BY_ONE, permutation_instance(7, 6, 3), ONE_BY_FOUR], seed=2, by_index=True)
+def test_batch_state_matches_schedule_states(insts, seed, by_index):
+    """One BatchState of mixed-size instances, its unfinished rows stepped
+    together, against one ScheduleState per instance stepped alone with the
+    same random actions.  At every step: each row's features equal the
+    per-state reference's byte for byte, its slot map lists its available
+    ops, its attend mask (~scheduled) marks its unscheduled ops only, and
+    after the step every state array and the step count agree.  Rows leave
+    as their schedules complete; until the first does, the batch is
+    addressed by a slice unless `by_index`."""
+    rng = np.random.default_rng(seed)
+    batch = BatchState(insts)
+    states = [reset(inst) for inst in insts]
+    for _ in range(max(inst.num_ops for inst in insts)):
+        active = np.flatnonzero([not st_.done for st_ in states])
+        episodes = active if by_index or active.size < len(insts) else slice(None)
+        feats, ops = state_features(batch, episodes)
+        avails = [states[e].available() for e in active]
+        slots = max(len(avail) for avail in avails)
+        assert feats.shape == (active.size, slots, 6) and ops.shape == (active.size, slots)
+        for i, (e, avail) in enumerate(zip(active, avails)):
+            st_ = states[e]
+            assert feats[i, :len(avail)].tobytes() == reference_state_features(st_).tobytes()
+            assert not feats[i, len(avail):].any()
+            assert ops[i].tolist() == avail + [UNSET] * (slots - len(avail))
+            attend = ~batch.scheduled[e]
+            assert attend[:st_.inst.num_ops].tolist() == (~st_.scheduled).tolist()
+            assert not attend[st_.inst.num_ops:].any()
+        actions = np.array([int(rng.choice(avail)) for avail in avails])
+        batch.step(episodes, actions)
+        for e, u in zip(active, actions.tolist()):
+            states[e].step(u)
+            assert_same_state(batch.schedule(e), states[e])
+    for e, st_ in enumerate(states):
+        assert st_.done
+        assert batch.schedule(e).makespan() == st_.makespan()
+
+
+class TestBatchState:
+    def test_unavailable_actions_rejected(self, two_by_two):
+        """An op that is not its job's next, a negative op row and the
+        padded op rows of the smaller instance are all rejected, and a
+        rejected step changes nothing."""
+        batch = BatchState([two_by_two, ONE_BY_ONE])  # op rows 1-3 of row 1 are padding
+        before = batch.schedule(0)
+        for actions in ([1, 0], [0, -1], [4, 0], [0, 1], [0, 3]):
+            with pytest.raises(ActionError):
+                batch.step(slice(None), np.array(actions))
+        assert_same_state(batch.schedule(0), before)
+        batch.step(np.array([1]), np.array([0]))  # row 1 alone
+        assert batch.schedule(0).t == 1 and batch.schedule(1).t == 2
+
+    def test_complete_row_has_no_features(self):
+        batch = BatchState([ONE_BY_ONE, ONE_BY_FOUR])
+        batch.step(slice(None), np.array([0, 0]))
+        with pytest.raises(ValueError, match="complete"):
+            state_features(batch, slice(None))
+        feats, ops = state_features(batch, np.array([1]))
+        assert ops.tolist() == [[1]] and feats.shape == (1, 1, 6)

@@ -36,6 +36,32 @@ class TestInstanceInvariants:
     def test_json_round_trip(self, two_by_two):
         assert Instance.from_json(two_by_two.to_json()) == two_by_two
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"n": 1, "m": 1, "jobs": [[[0, 1.5]]]}', "duration 1.5 is not an integer"),
+        ('{"n": 1, "m": 1, "jobs": [[[0, 2.0]]]}', "duration 2.0 is not an integer"),
+        ('{"n": 1, "m": 1, "jobs": [[[0, true]]]}', "duration true is not an integer"),
+        ('{"n": 1, "m": 1, "jobs": [[[0.7, 3]]]}', "machine 0.7 is not an integer"),
+        ('{"n": 1, "m": 1, "jobs": [[[false, 3]]]}', "machine false is not an integer"),
+        ('{"n": 1.0, "m": 1, "jobs": [[[0, 3]]]}', "n 1.0 is not an integer"),
+        ('{"n": 1, "m": true, "jobs": [[[0, 3]]]}', "m true is not an integer"),
+    ], ids=["fraction", "float", "bool", "fractional-machine", "bool-machine", "float-n",
+            "bool-m"])
+    def test_json_accepts_integers_only(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            Instance.from_json(text)
+
+    def test_duration_bound(self):
+        """Durations lie in [1, D_MAX] with n * m * D_MAX within int64, so
+        every sum of durations is exact; the machine totals too."""
+        d_max = (2**63 - 1) // 4
+        big = Instance(n=2, m=2, ops=(((0, d_max), (1, d_max - 1)), ((1, d_max), (0, 1))))
+        assert big.machine_totals == (d_max + 1, 2 * d_max - 1)
+        assert big.job_totals == (2 * d_max - 1, d_max + 1)
+        with pytest.raises(ValueError, match=f"outside \\[1, {d_max}\\]"):
+            Instance(n=2, m=2, ops=(((0, d_max + 1), (1, 1)), ((1, 1), (0, 1))))
+        with pytest.raises(ValueError, match="outside"):
+            parse_orlib("1 1\n0 99999999999999999999")
+
 
 @st.composite
 def instances(draw):

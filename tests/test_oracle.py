@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_instance
-from oracle_reference import reference_branch_and_bound
+from oracle_reference import enumerate_all, reference_branch_and_bound
 from vg2s.env import replay
 from vg2s.instance import GenConfig, Instance, generate_random
-from vg2s.oracle import DEFAULT_BUDGET, branch_and_bound, enumerate_all
+from vg2s.oracle import DEFAULT_BUDGET, branch_and_bound
 
 
 class TestEnumerate:

@@ -3,10 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from env_reference import state_features
 from helpers import grad_check, random_instance
 from vg2s import autodiff as ad
 from vg2s.checkpoint import ParamStore
-from vg2s.env import reset, state_features
+from vg2s.env import reset
 from vg2s.graph import build_graph
 from vg2s.policy import (build_critic_params, build_policy_params,
                          critic_value, decode_step, log_prob, project_keys,
@@ -36,13 +37,12 @@ def step_logits(setup, cfg, prev=None, avail=None, attend=None):
     ops = st_.available()
     avail = ops if avail is None else avail
     feats = state_features(st_)[[ops.index(u) for u in avail]]
-    avail_mask = np.zeros((1, 1, 4), dtype=bool)
-    avail_mask[0, 0, avail] = True
     if attend is None:
         attend = np.ones((1, 1, 4), dtype=bool)
     prev = np.array([[-1 if prev is None else prev]])
     out = decode_step(z.data[None], prev, project_keys(h_real.data[None], store, cfg),
-                      feats[None, None], attend, avail_mask, store, cfg)
+                      feats[None, None], attend, np.array([[avail]], dtype=np.int64),
+                      store, cfg)
     return ad.reshape(out, (1, 4))
 
 
@@ -82,43 +82,55 @@ class TestDecodeStep:
                         attend=np.zeros((1, 1, 4), dtype=bool))
 
     def test_dense_features_rejected(self, policy_setup, tiny_cfg):
-        """state_feats holds one slot per available op: the dense (N, 6)
+        """state_feats holds one slot per slot of the map: the dense (N, 6)
         features of every op row, 4 rows for 2 available ops, fail."""
         store, h_real, z, st_ = policy_setup
         keys = project_keys(h_real.data[None], store, tiny_cfg)
-        avail = np.zeros((1, 1, 4), dtype=bool)
-        avail[0, 0, st_.available()] = True
         dense = np.zeros((4, 6))
         dense[st_.available()] = state_features(st_)
         with pytest.raises(ValueError, match="slots"):
             decode_step(z.data[None], np.array([[-1]]), keys, dense[None, None],
-                        np.ones((1, 1, 4), dtype=bool), avail, store, tiny_cfg)
+                        np.ones((1, 1, 4), dtype=bool), np.array([[st_.available()]]),
+                        store, tiny_cfg)
+
+    def test_empty_slots_map_nowhere(self, policy_setup, tiny_cfg):
+        """A slot map padded with empty slots (-1), and zero features there,
+        gives the unpadded map's logits bit for bit."""
+        store, h_real, z, st_ = policy_setup
+        keys = project_keys(h_real.data[None], store, tiny_cfg)
+        feats = state_features(st_)
+        padded = np.zeros((4, 6))
+        padded[:2] = feats
+        args = (z.data[None], np.array([[-1]]), keys)
+        attend = np.ones((1, 1, 4), dtype=bool)
+        want = decode_step(*args, feats[None, None], attend, np.array([[[0, 2]]]),
+                           store, tiny_cfg).data
+        got = decode_step(*args, padded[None, None], attend, np.array([[[0, 2, -1, -1]]]),
+                          store, tiny_cfg).data
+        np.testing.assert_array_equal(got, want)
 
 
 def _two_episodes(tiny_cfg, n=6, m=5, seed=3, points=(3, 11)):
     """Inputs of one decode_step for two episodes of an n x m instance, at
     two points (step counts) of a random schedule, one decision each
-    (T = 1): (store, z, h_real, feats, attend, avail), feats in slot
-    order."""
+    (T = 1): (store, z, h_real, feats, attend, ops), feats and the op
+    rows `ops` in slot order."""
     rng = np.random.default_rng(seed)
     inst = random_instance(n, m, seed)
     store = build_model(tiny_cfg, seed=seed)
     h_real = rng.normal(size=(2, inst.num_ops, tiny_cfg.d_latent))
     z = rng.normal(size=(2, tiny_cfg.d_latent))
-    feats, attend, avail = np.zeros((2, 1, n, 6)), [], []
+    feats, attend, ops = np.zeros((2, 1, n, 6)), [], np.full((2, 1, n), -1)
     for e, steps in enumerate(points):
         st_ = reset(inst)
         for _ in range(steps):
             st_.step(int(rng.choice(st_.available())))
-        ops = st_.available()
-        feats[e, 0, :len(ops)] = state_features(st_)
+        avail = st_.available()
+        feats[e, 0, :len(avail)] = state_features(st_)
+        ops[e, 0, :len(avail)] = avail
         attend.append(~st_.scheduled)
-        mask = np.zeros(inst.num_ops, dtype=bool)
-        mask[ops] = True
-        avail.append(mask)
-    avail = np.stack(avail)[:, None]
-    slots = avail.sum(axis=-1).max()
-    return (store, z, h_real, feats[:, :, :slots], np.stack(attend)[:, None], avail)
+    slots = (ops >= 0).sum(axis=-1).max()
+    return (store, z, h_real, feats[:, :, :slots], np.stack(attend)[:, None], ops[..., :slots])
 
 
 PREV = np.zeros((2, 1), dtype=np.int64)  # op 0 was each episode's previous action
@@ -130,18 +142,20 @@ class TestAvailableRows:
         the slots after a decision's available count leaves every logit
         unchanged, bit for bit."""
         # 4 ops left of 30 in the second episode: fewer available than 6
-        store, z, h_real, feats, attend, avail = _two_episodes(tiny_cfg, points=(3, 26))
+        store, z, h_real, feats, attend, ops = _two_episodes(tiny_cfg, points=(3, 26))
         keys = project_keys(h_real, store, tiny_cfg)
-        want = decode_step(z, PREV, keys, feats, attend, avail, store, tiny_cfg).data
-        real = np.arange(feats.shape[2]) < avail.sum(axis=-1)[..., None]
+        want = decode_step(z, PREV, keys, feats, attend, ops, store, tiny_cfg).data
+        real = ops >= 0
         assert not real.all()
         noisy = feats.copy()
         noisy[~real] = np.random.default_rng(0).normal(size=(int((~real).sum()), 6)) * 50
-        got = decode_step(z, PREV, keys, noisy, attend, avail, store, tiny_cfg).data
+        got = decode_step(z, PREV, keys, noisy, attend, ops, store, tiny_cfg).data
         np.testing.assert_array_equal(got, want)
         # ...and the features of the real slots are read.
         noisy[real] += 1.0
-        moved = decode_step(z, PREV, keys, noisy, attend, avail, store, tiny_cfg).data
+        moved = decode_step(z, PREV, keys, noisy, attend, ops, store, tiny_cfg).data
+        avail = np.isfinite(want)
+        assert avail.sum() == real.sum()
         assert not np.allclose(moved[avail], want[avail])
 
     def test_no_step_node_spans_every_key(self, tiny_cfg):
@@ -155,12 +169,12 @@ class TestAvailableRows:
         cfg = tiny_cfg  # K: each glimpse head's wk and wv, then the pointer's wk
         key_columns = (cfg.glimpse_layers * cfg.glimpse_heads * (3 * cfg.d_latent + cfg.d_glimpse)
                        + cfg.d_latent + cfg.d_logit)
-        store, z, h_real, feats, attend, avail = _two_episodes(tiny_cfg, n=10, m=8)
-        count, _, num_ops = avail.shape
+        store, z, h_real, feats, attend, ops = _two_episodes(tiny_cfg, n=10, m=8)
+        count, _, num_ops = attend.shape
         with ad.Tape() as tape:
             keys = project_keys(h_real, store, tiny_cfg)
             before = len(tape.nodes)
-            out = decode_step(z, PREV, keys, feats, attend, avail, store, tiny_cfg)
+            out = decode_step(z, PREV, keys, feats, attend, ops, store, tiny_cfg)
             log_prob(out, np.argmax(out.data, axis=-1))
         step_nodes = tape.nodes[before:]
         assert step_nodes
@@ -261,13 +275,12 @@ class TestGradients:
         h_fixed = h_real.data.copy()
         params = store.section("policy.")
 
-        avail = np.zeros((1, 1, 4), dtype=bool)
-        avail[0, 0, st_.available()] = True
+        ops = np.array([[st_.available()]])
 
         def f():
             keys = project_keys(h_fixed[None], store, tiny_cfg)
             out = decode_step(z_fixed[None], np.array([[-1]]), keys, feats[None, None],
-                              ~sched[None, None], avail, store, tiny_cfg)
+                              ~sched[None, None], ops, store, tiny_cfg)
             return ad.mul(ad.tsum(log_prob(out, np.array([[2]]))), -1.0)
 
         passed, rel = grad_check(f, params)
