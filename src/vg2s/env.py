@@ -103,8 +103,8 @@ class BatchState:
     flattened once at reset over the flat op index e * N + j * m_e + k:
     `durations`, and `machines` as flat machine indices e * m_max + i.
     `live_jobs` lists each row's unfinished jobs in job order, as flat job
-    indices e * n_max + j, then a dummy job, never live, whose op reads
-    are in bounds; `live_count` counts them.
+    indices e * n_max + j, then `dummy_job`, never live, whose op reads
+    are in bounds; `live_count` counts the unfinished ones.
     """
 
     def __init__(self, insts: list[Instance]):
@@ -134,7 +134,8 @@ class BatchState:
         self.end = np.full((count, width), UNSET, dtype=np.int64)
         self.t = np.ones(count, dtype=np.int64)
         self.furthest = np.zeros(count, dtype=np.int64)
-        self.live_jobs = np.full((count, n_max), count * n_max)
+        self.dummy_job = count * n_max
+        self.live_jobs = np.full((count, n_max), self.dummy_job)
         self.live_count = self.n.copy()
         for e, inst in enumerate(insts):
             ops = slice(e * width, e * width + inst.num_ops)
@@ -186,7 +187,7 @@ class BatchState:
                 live = self.live_jobs[e]
                 pos = live.tolist().index(j)
                 live[pos:-1] = live[pos + 1:].copy()
-                live[-1] = self.job_first.size - 1
+                live[-1] = self.dummy_job
                 self.live_count[e] -= 1
 
     def schedule(self, e: int) -> ScheduleState:

@@ -93,22 +93,6 @@ class TestDecodeStep:
                         np.ones((1, 1, 4), dtype=bool), np.array([[st_.available()]]),
                         store, tiny_cfg)
 
-    def test_empty_slots_map_nowhere(self, policy_setup, tiny_cfg):
-        """A slot map padded with empty slots (-1), and zero features there,
-        gives the unpadded map's logits bit for bit."""
-        store, h_real, z, st_ = policy_setup
-        keys = project_keys(h_real.data[None], store, tiny_cfg)
-        feats = state_features(st_)
-        padded = np.zeros((4, 6))
-        padded[:2] = feats
-        args = (z.data[None], np.array([[-1]]), keys)
-        attend = np.ones((1, 1, 4), dtype=bool)
-        want = decode_step(*args, feats[None, None], attend, np.array([[[0, 2]]]),
-                           store, tiny_cfg).data
-        got = decode_step(*args, padded[None, None], attend, np.array([[[0, 2, -1, -1]]]),
-                          store, tiny_cfg).data
-        np.testing.assert_array_equal(got, want)
-
 
 def _two_episodes(tiny_cfg, n=6, m=5, seed=3, points=(3, 11)):
     """Inputs of one decode_step for two episodes of an n x m instance, at
