@@ -21,7 +21,7 @@ from .oracle import DEFAULT_BUDGET, branch_and_bound
 from .rules import Rule, dispatch, improvement_rate, optimality_gap
 from .trainer import (ENCODER_SECTIONS, InstancePool, TrainConfig,
                       build_model, train_policy, train_representation)
-from .vge import ModelConfig
+from .vge import RETIRED_PARAMS, ModelConfig
 
 METHODS = [*PDR_METHODS, "oracle", "vg2s"]
 OUTPUT_FILES = ("out", "gantt", "log", "checkpoint")  # the argparse dests of output files
@@ -82,12 +82,18 @@ def _read_input(load, path: str, *args):
 
 
 def _read_checkpoint(path: str, role: str) -> ParamStore:
-    """load_checkpoint(path); a missing, unreadable, cut or malformed file
-    raises UsageError."""
+    """load_checkpoint(path) without the parameters an older model had and
+    this one retired (names matching vge.RETIRED_PARAMS); a missing,
+    unreadable, cut or malformed file raises UsageError."""
     try:
-        return _read_input(load_checkpoint, path)
+        loaded = _read_input(load_checkpoint, path)
     except ValueError as exc:  # the message starts with the path
         raise UsageError(f"{role} {exc}") from None
+    store = ParamStore()
+    for name in loaded.names():
+        if not RETIRED_PARAMS.fullmatch(name):
+            store.add(name, loaded[name].data)
+    return store
 
 
 def _check_params(trained: ParamStore, model: ParamStore, prefixes: tuple[str, ...],

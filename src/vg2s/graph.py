@@ -18,8 +18,10 @@ class HeteroGraph:
     the source and sink dummies.  features is N_O x 6 with all entries in
     [0, 1].  adj is the 3 x N_O x N_O boolean adjacency of the precedence,
     successor and machine-sharing edge types; adj[e, u, v] means v is a
-    neighbor of u.  Every row is nonempty (self-loops fill gaps) so
-    attention softmaxes are always well defined.
+    neighbor of u.  Every precedence and successor row, dummies included,
+    has exactly one neighbor, so the encoder uses those two as they are;
+    only machine-sharing rows are softmaxed, and each is nonempty
+    (self-loops fill gaps), so that softmax is always well defined.
     """
 
     instance: Instance

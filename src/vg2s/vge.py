@@ -1,10 +1,13 @@
-"""Variational graph encoder: edge-typed multi-head attention over the
-operation graph, a diagonal-Gaussian latent model, and a transposed-conv
-generative head with its reconstruction / divergence losses."""
+"""Variational graph encoder: edge-typed multi-head aggregation over the
+operation graph (precedence and successor copy their one neighbour's
+projection, machine-sharing attends), a diagonal-Gaussian latent model, and
+a transposed-conv generative head with its reconstruction / divergence
+losses."""
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -16,6 +19,10 @@ from .nnutil import add_linear, add_mlp, glorot, linear, mlp
 
 SIGMA_FLOOR = 1e-5
 PROB_CLAMP = 1e-7
+SHARE = 2  # the machine-sharing edge type, the only one that attends
+# Attention vectors of the one-neighbour edge types, which older checkpoints
+# still hold: a softmax over one neighbour is 1 whatever they score.
+RETIRED_PARAMS = re.compile(r"encoder\.gat\.e[01]\.h\d+\.a[12]")
 
 
 def check_fields(cfg, minimum: dict[str, int]) -> None:
@@ -90,8 +97,11 @@ def build_encoder_params(store: ParamStore, cfg: ModelConfig, rng) -> None:
         for head in range(cfg.n_heads):
             tag = f"encoder.gat.e{e}.h{head}"
             store.add(f"{tag}.w", glorot(rng, cfg.d_graph, cfg.d_latent))
-            store.add(f"{tag}.a1", glorot(rng, cfg.d_latent, 1, shape=(cfg.d_latent,)))
-            store.add(f"{tag}.a2", glorot(rng, cfg.d_latent, 1, shape=(cfg.d_latent,)))
+            # Drawn for every type: each later parameter's initial bytes follow these draws.
+            a1, a2 = (glorot(rng, cfg.d_latent, 1, shape=(cfg.d_latent,)) for _ in range(2))
+            if e == SHARE:
+                store.add(f"{tag}.a1", a1)
+                store.add(f"{tag}.a2", a2)
     add_linear(store, "encoder.proj", 3 * cfg.n_heads * cfg.d_latent, cfg.d_latent, rng)
     add_mlp(store, "latent.shared", cfg.d_latent, 2 * cfg.d_latent, 2 * cfg.d_latent, rng)
     add_linear(store, "latent.mu", cfg.d_latent, cfg.d_latent, rng)
@@ -123,23 +133,27 @@ def _union_propagation(graph: HeteroGraph) -> np.ndarray:
 
 
 def encode(graph: HeteroGraph, store: ParamStore, cfg: ModelConfig) -> ad.Tensor:
-    """Node embeddings (N_O x d_latent) via edge-typed attention heads,
-    a shared projection, and teleport-smoothed aggregation plus the
-    projection itself (a residual connection)."""
+    """Node embeddings (N_O x d_latent) via edge-typed heads, a shared
+    projection, and teleport-smoothed aggregation plus the projection itself
+    (a residual connection).  Precedence and successor rows hold one
+    neighbour each, so their heads copy that neighbour's projection (the
+    softmax over one entry is exactly 1); only machine-sharing heads attend."""
     x = ad.Tensor(graph.features)
     h_embed = mlp(store, "encoder.embed", x)
     n = graph.node_count
 
     per_type = []
     for e in range(3):
+        alpha = graph.adj[e].astype(np.float64) if e != SHARE else None
         heads = []
         for head in range(cfg.n_heads):
             tag = f"encoder.gat.e{e}.h{head}"
             h_lin = ad.matmul(h_embed, store[f"{tag}.w"])
-            s1 = ad.matmul(h_lin, ad.reshape(store[f"{tag}.a1"], (cfg.d_latent, 1)))
-            s2 = ad.matmul(h_lin, ad.reshape(store[f"{tag}.a2"], (cfg.d_latent, 1)))
-            scores = ad.leaky_relu(ad.add(s1, ad.reshape(s2, (1, n))))
-            alpha = ad.masked_softmax(scores, graph.adj[e], axis=1)
+            if e == SHARE:
+                s1 = ad.matmul(h_lin, ad.reshape(store[f"{tag}.a1"], (cfg.d_latent, 1)))
+                s2 = ad.matmul(h_lin, ad.reshape(store[f"{tag}.a2"], (cfg.d_latent, 1)))
+                scores = ad.leaky_relu(ad.add(s1, ad.reshape(s2, (1, n))))
+                alpha = ad.masked_softmax(scores, graph.adj[e], axis=1)
             heads.append(ad.elu(ad.matmul(alpha, h_lin)))
         per_type.append(ad.concat(heads, axis=1))
     combined = ad.concat(per_type, axis=1)

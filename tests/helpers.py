@@ -1,6 +1,6 @@
 """Shared by the tests: finite-difference gradient verification, byte
-snapshots of parameter sections, seeded random instances, batches of
-hypothesis-drawn instances and malformed checkpoint files."""
+snapshots of parameter sections, seeded random instances, hypothesis-drawn
+instances and batches of them, and malformed checkpoint files."""
 
 from __future__ import annotations
 
@@ -57,6 +57,19 @@ def random_instance(n: int, m: int, seed: int) -> Instance:
     return Instance(n=n, m=m, ops=tuple(
         tuple(zip(rng.permutation(m).tolist(), rng.integers(1, 100, m).tolist()))
         for _ in range(n)))
+
+
+@st.composite
+def instances(draw):
+    """One instance of 1-9 jobs x 1-9 machines, durations in 1..10000."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 9))
+    jobs = []
+    for _ in range(n):
+        machines = draw(st.permutations(range(m)))
+        durs = draw(st.lists(st.integers(1, 10_000), min_size=m, max_size=m))
+        jobs.append(tuple(zip(machines, durs)))
+    return Instance(n=n, m=m, ops=tuple(jobs))
 
 
 @st.composite

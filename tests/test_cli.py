@@ -8,12 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vge_reference
 from helpers import MALFORMED_CHECKPOINTS, section_bytes, write_malformed_checkpoint
 from vg2s.checkpoint import ParamStore, load_checkpoint, save_checkpoint
 from vg2s.cli import main
 from vg2s.instance import Instance
 from vg2s.trainer import build_model
-from vg2s.vge import ModelConfig
+from vg2s.vge import RETIRED_PARAMS, ModelConfig
 
 TINY_MODEL = {
     "d_graph": 4, "d_latent": 4, "n_heads": 2,
@@ -328,6 +329,80 @@ def test_model_checkpoint_without_its_config_one_line_error(tmp_path, ft06_file,
     err = _usage_error(["solve", ft06_file, "--method", "vg2s", "--model", str(ckpt)], capsys)
     assert err == (f"vg2s: error: model checkpoint {ckpt}: shape mismatch for "
                    f"'encoder.gat.e0.h0.w': (64, 8), expected (64, 64)\n")
+
+
+class TestRetiredParameters:
+    """A checkpoint in the layout from before the precedence and successor
+    attention vectors were retired (the current parameters plus those
+    vectors) still loads: the CLI drops exactly the names RETIRED_PARAMS
+    matches and rejects every other unknown name."""
+
+    @staticmethod
+    def _save_both(tmp_path) -> tuple[Path, Path]:
+        old, new = tmp_path / "old.ckpt", tmp_path / "new.ckpt"
+        cfg = ModelConfig(**TINY_MODEL)
+        save_checkpoint(vge_reference.build_model(cfg, 0), old)
+        save_checkpoint(build_model(cfg, 0), new)
+        return old, new
+
+    def test_layouts_differ_by_the_retired_entries_only(self, tmp_path):
+        old, new = (load_checkpoint(path) for path in self._save_both(tmp_path))
+        retired = [name for name in old.names() if RETIRED_PARAMS.fullmatch(name)]
+        assert len(retired) == 8  # a1, a2 x 2 heads x 2 edge types
+        assert new.names() == [name for name in old.names() if name not in retired]
+        for name in new.names():
+            assert new[name].data.tobytes() == old[name].data.tobytes(), name
+
+    def test_old_checkpoint_runs_as_the_new_one(self, tmp_path, tiny_config_file,
+                                                instance_dir, ft06_file, capsys):
+        """eval, export-latents and train-policy write the same bytes from
+        either file, and the checkpoint train-policy saves holds no retired
+        name."""
+        (Path(instance_dir) / "ft06.txt").write_text(Path(ft06_file).read_text())
+        common = ["--config", tiny_config_file]
+        outputs = {}
+        for ckpt in self._save_both(tmp_path):
+            out = tmp_path / ckpt.stem
+            out.mkdir()
+            assert main(["eval", "--dir", instance_dir, "--format", "orlib",
+                         "--methods", "vg2s", "--model", str(ckpt), *common,
+                         "--out", str(out / "eval.csv")]) == 0
+            assert main(["export-latents", "--instances", instance_dir, "--model", str(ckpt),
+                         *common, "--out", str(out / "latents.csv")]) == 0
+            assert main(["train-policy", "--encoder-ckpt", str(ckpt), "--epochs", "2",
+                         "--batch", "2", "--seed", "0", *common, "--instances", instance_dir,
+                         "--checkpoint", str(out / "policy.ckpt"),
+                         "--log", str(out / "policy.csv")]) == 0
+            saved = load_checkpoint(out / "policy.ckpt").names()
+            assert not any(RETIRED_PARAMS.fullmatch(name) for name in saved)
+            outputs[ckpt.stem] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(outputs["old"]) == 4 and outputs["old"] == outputs["new"]
+
+    @pytest.mark.parametrize("name", [
+        "encoder.gat.e2.h2.a1",    # the attending type, a head the model lacks
+        "encoder.gat.e3.h0.a1",    # no such edge type
+        "encoder.gat.e0.h0.a3",
+        "encoder.gat.e0.hx.a1",
+        "encoder.gat.e0.h0.a1.b",  # a retired name plus a suffix
+    ])
+    @pytest.mark.parametrize("command", ["model", "encoder-ckpt"])
+    def test_other_unknown_names_still_fail(self, tmp_path, ft06_file, tiny_config_file,
+                                            instance_dir, capsys, name, command):
+        ckpt, out = tmp_path / "extra.ckpt", tmp_path / "out"
+        store = vge_reference.build_model(ModelConfig(**TINY_MODEL), 0)
+        store.add(name, np.zeros(TINY_MODEL["d_latent"]))
+        save_checkpoint(store, ckpt)
+        if command == "model":
+            argv = ["solve", ft06_file, "--method", "vg2s", "--model", str(ckpt),
+                    "--out", str(out)]
+            role = "model checkpoint"
+        else:
+            argv = ["train-policy", "--encoder-ckpt", str(ckpt), "--epochs", "1",
+                    "--batch", "1", "--instances", instance_dir, "--checkpoint", str(out)]
+            role = "encoder checkpoint"
+        err = _usage_error([*argv, "--config", tiny_config_file], capsys)
+        assert err == f"vg2s: error: {role} {ckpt}: unknown parameter {name!r}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

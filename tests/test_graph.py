@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
+from helpers import instances
 from vg2s.graph import build_graph, reconstruction_targets, static_features
 from vg2s.instance import Instance
 
@@ -84,18 +84,6 @@ def nbrs(graph, e: int, u: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(graph.adj[e, u]).tolist())
 
 
-@st.composite
-def instances(draw):
-    n = draw(st.integers(1, 9))
-    m = draw(st.integers(1, 9))
-    jobs = []
-    for _ in range(n):
-        machines = draw(st.permutations(range(m)))
-        durs = draw(st.lists(st.integers(1, 10_000), min_size=m, max_size=m))
-        jobs.append(tuple(zip(machines, durs)))
-    return Instance(n=n, m=m, ops=tuple(jobs))
-
-
 @settings(max_examples=150, deadline=None)
 @given(inst=instances())
 @example(inst=Instance(n=1, m=1, ops=(((0, 5),),)))
@@ -108,6 +96,10 @@ def test_build_graph_matches_loop_reference(inst):
     assert graph.features.tobytes() == ref_x.tobytes()
     assert graph.adj.dtype == bool
     np.testing.assert_array_equal(graph.adj, ref_adjacency(inst))
+    # vge.encode aggregates precedence and successor through adj itself,
+    # which is their attention only while every row, dummies included, has
+    # exactly one neighbour.
+    assert np.all(graph.adj[:2].sum(axis=2) == 1)
     canvas = inst.num_ops + 3
     node_t, edge_t = reconstruction_targets(graph, canvas)
     assert edge_t.tobytes() == ref_edge_targets(inst, canvas).tobytes()

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import grad_check
+import vge_reference
+from helpers import grad_check, instances, random_instance
 from vg2s import autodiff as ad
 from vg2s.autodiff import Parameter, Tape, backward
 from vg2s.checkpoint import ParamStore
 from vg2s.graph import build_graph, reconstruction_targets
-from vg2s.vge import (SIGMA_FLOOR, ModelConfig, _edge_head, build_decoder_params,
-                      build_encoder_params, decode, encode, kl_loss, latent,
-                      recon_loss, representation_loss)
+from vg2s.instance import Instance
+from vg2s.vge import (RETIRED_PARAMS, SIGMA_FLOOR, ModelConfig, _edge_head,
+                      build_decoder_params, build_encoder_params, decode, encode,
+                      kl_loss, latent, recon_loss, representation_loss)
 
 
 @pytest.fixture()
@@ -195,16 +199,61 @@ class TestRepresentationLoss:
         assert parts["total"] == pytest.approx(parts["kl"] + parts["node"] + parts["edge"])
         assert float(total.data) == parts["total"]
 
-    def test_gradients_reach_all_sections(self, two_by_two, tiny_cfg, tiny_store, rng):
-        params = tiny_store.section("")
+    def test_gradients_reach_all_sections(self, tiny_cfg, rng):
+        """Every encoder, latent and decoder parameter gets a nonzero phase-1
+        gradient on a 3x3 instance, at tiny_cfg (its canvas widened to fit)
+        and at the default ModelConfig: no parameter is dead."""
+        graph = build_graph(random_instance(3, 3, seed=0))
+        wide_tiny = dataclasses.replace(tiny_cfg, canvas_jobs=3, canvas_machines=3)
+        for cfg in (wide_tiny, ModelConfig()):
+            store = ParamStore()
+            build_encoder_params(store, cfg, rng)
+            build_decoder_params(store, cfg, rng)
+            with Tape():
+                total, _ = representation_loss(graph, store, cfg, rng)
+            backward(total)
+            dead = [name for name in store.names() if not np.any(store[name].grad)]
+            assert dead == [], cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(), n_heads=st.integers(1, 3), d=st.integers(1, 5),
+       appnp_iters=st.integers(0, 3), seed=st.integers(0, 10_000))
+@example(inst=Instance(n=1, m=1, ops=(((0, 5),),)), n_heads=2, d=3, appnp_iters=3, seed=0)
+@example(inst=Instance(n=1, m=4, ops=(((2, 1), (0, 7), (3, 7), (1, 2)),)),
+         n_heads=2, d=3, appnp_iters=3, seed=1)
+@example(inst=Instance(n=3, m=1, ops=(((0, 4),), ((0, 4),), ((0, 9),))),
+         n_heads=4, d=64, appnp_iters=3, seed=2)  # the default ModelConfig's sizes
+def test_encode_matches_all_types_attention(inst, n_heads, d, appnp_iters, seed):
+    """encode, which attends over machine-sharing only, gives the bytes of
+    the reference that scores every edge type, and the same gradient bytes
+    for every parameter it keeps; the reference's precedence and successor
+    attention vectors get a gradient of exactly 0, and they are the only
+    parameters the model no longer has (16 at the default 4 heads)."""
+    cfg = ModelConfig(d_graph=d, d_latent=d, n_heads=n_heads, appnp_iters=appnp_iters)
+    store, ref_store = ParamStore(), ParamStore()
+    build_encoder_params(store, cfg, np.random.default_rng(seed))
+    vge_reference.build_encoder_params(ref_store, cfg, np.random.default_rng(seed))
+    retired = [name for name in ref_store.names() if RETIRED_PARAMS.fullmatch(name)]
+    assert len(retired) == 4 * n_heads
+    assert store.names() == [name for name in ref_store.names() if name not in retired]
+    for name in store.names():
+        assert store[name].data.tobytes() == ref_store[name].data.tobytes(), name
+
+    graph = build_graph(inst)
+    weights = np.random.default_rng(seed + 1).normal(size=(graph.node_count, d))
+    outputs = []
+    for fn, params in ((encode, store), (vge_reference.encode, ref_store)):
         with Tape():
-            total, _ = representation_loss(build_graph(two_by_two), tiny_store,
-                                           tiny_cfg, rng)
-        backward(total)
-        for prefix in ("encoder.", "latent.", "decoder."):
-            section = tiny_store.section(prefix)
-            assert any(np.any(p.grad != 0) for p in section), prefix
-        ad.zero_grad(params)
+            h = fn(graph, params, cfg)
+            loss = ad.tsum(ad.mul(h, weights))
+        backward(loss)
+        outputs.append(h.data)
+    assert outputs[0].tobytes() == outputs[1].tobytes()
+    for name in store.names():
+        assert store[name].grad.tobytes() == ref_store[name].grad.tobytes(), name
+    for name in retired:
+        assert np.all(ref_store[name].grad == 0), name
 
 
 class TestGradients:
