@@ -132,6 +132,16 @@ def _union_propagation(graph: HeteroGraph) -> np.ndarray:
     return mat / mat.sum(axis=1, keepdims=True)
 
 
+def _attention(h_lin: ad.Tensor, store: ParamStore, tag: str, mask: np.ndarray) -> ad.Tensor:
+    """One head's attention weights: a masked softmax over each row's
+    neighbours of leaky_relu(a1 . h_i + a2 . h_j)."""
+    n, d = h_lin.shape
+    s1 = ad.matmul(h_lin, ad.reshape(store[f"{tag}.a1"], (d, 1)))
+    s2 = ad.matmul(h_lin, ad.reshape(store[f"{tag}.a2"], (d, 1)))
+    scores = ad.leaky_relu(ad.add(s1, ad.reshape(s2, (1, n))))
+    return ad.masked_softmax(scores, mask, axis=1)
+
+
 def encode(graph: HeteroGraph, store: ParamStore, cfg: ModelConfig) -> ad.Tensor:
     """Node embeddings (N_O x d_latent) via edge-typed heads, a shared
     projection, and teleport-smoothed aggregation plus the projection itself
@@ -140,20 +150,15 @@ def encode(graph: HeteroGraph, store: ParamStore, cfg: ModelConfig) -> ad.Tensor
     softmax over one entry is exactly 1); only machine-sharing heads attend."""
     x = ad.Tensor(graph.features)
     h_embed = mlp(store, "encoder.embed", x)
-    n = graph.node_count
 
     per_type = []
     for e in range(3):
-        alpha = graph.adj[e].astype(np.float64) if e != SHARE else None
+        adj_e = graph.adj[e].astype(np.float64)
         heads = []
         for head in range(cfg.n_heads):
             tag = f"encoder.gat.e{e}.h{head}"
             h_lin = ad.matmul(h_embed, store[f"{tag}.w"])
-            if e == SHARE:
-                s1 = ad.matmul(h_lin, ad.reshape(store[f"{tag}.a1"], (cfg.d_latent, 1)))
-                s2 = ad.matmul(h_lin, ad.reshape(store[f"{tag}.a2"], (cfg.d_latent, 1)))
-                scores = ad.leaky_relu(ad.add(s1, ad.reshape(s2, (1, n))))
-                alpha = ad.masked_softmax(scores, graph.adj[e], axis=1)
+            alpha = _attention(h_lin, store, tag, graph.adj[e]) if e == SHARE else adj_e
             heads.append(ad.elu(ad.matmul(alpha, h_lin)))
         per_type.append(ad.concat(heads, axis=1))
     combined = ad.concat(per_type, axis=1)

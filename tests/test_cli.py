@@ -337,31 +337,19 @@ class TestRetiredParameters:
     vectors) still loads: the CLI drops exactly the names RETIRED_PARAMS
     matches and rejects every other unknown name."""
 
-    @staticmethod
-    def _save_both(tmp_path) -> tuple[Path, Path]:
-        old, new = tmp_path / "old.ckpt", tmp_path / "new.ckpt"
-        cfg = ModelConfig(**TINY_MODEL)
-        save_checkpoint(vge_reference.build_model(cfg, 0), old)
-        save_checkpoint(build_model(cfg, 0), new)
-        return old, new
-
-    def test_layouts_differ_by_the_retired_entries_only(self, tmp_path):
-        old, new = (load_checkpoint(path) for path in self._save_both(tmp_path))
-        retired = [name for name in old.names() if RETIRED_PARAMS.fullmatch(name)]
-        assert len(retired) == 8  # a1, a2 x 2 heads x 2 edge types
-        assert new.names() == [name for name in old.names() if name not in retired]
-        for name in new.names():
-            assert new[name].data.tobytes() == old[name].data.tobytes(), name
-
     def test_old_checkpoint_runs_as_the_new_one(self, tmp_path, tiny_config_file,
                                                 instance_dir, ft06_file, capsys):
         """eval, export-latents and train-policy write the same bytes from
         either file, and the checkpoint train-policy saves holds no retired
         name."""
         (Path(instance_dir) / "ft06.txt").write_text(Path(ft06_file).read_text())
+        cfg = ModelConfig(**TINY_MODEL)
+        old, new = tmp_path / "old.ckpt", tmp_path / "new.ckpt"
+        save_checkpoint(vge_reference.build_model(cfg, 0), old)
+        save_checkpoint(build_model(cfg, 0), new)
         common = ["--config", tiny_config_file]
         outputs = {}
-        for ckpt in self._save_both(tmp_path):
+        for ckpt in (old, new):
             out = tmp_path / ckpt.stem
             out.mkdir()
             assert main(["eval", "--dir", instance_dir, "--format", "orlib",
