@@ -44,17 +44,26 @@ class ParamStore:
     def section(self, prefix: str) -> list[Parameter]:
         return [p for name, p in self._params.items() if name.startswith(prefix)]
 
-    def update(self, other: "ParamStore", prefix: str = "") -> None:
-        """Copy values in from another store for all names under `prefix`."""
+    def update(self, other: "ParamStore", prefixes: tuple[str, ...] = ("",)) -> None:
+        """Copy in the values of every parameter under `prefixes` from
+        `other`, which must hold exactly this store's names under them, each
+        in its shape.  Otherwise nothing is copied and ValueError names the
+        first offender: a name `other` lacks, then, in `other`'s order, a
+        name this store lacks or holds in another shape."""
+        for name in self._params:
+            if name.startswith(prefixes) and name not in other._params:
+                raise ValueError(f"missing parameter {name!r}")
         for name, p in other._params.items():
-            if name.startswith(prefix):
-                if name not in self._params:
-                    raise KeyError(f"unknown parameter {name!r}")
-                have = self._params[name].data.shape
-                if have != p.data.shape:
-                    raise ValueError(f"shape mismatch for {name!r}: {p.data.shape}, "
-                                     f"expected {have}")
-                self._params[name].data[...] = p.data
+            if not name.startswith(prefixes):
+                continue
+            if name not in self._params:
+                raise ValueError(f"unknown parameter {name!r}")
+            have, want = p.data.shape, self._params[name].data.shape
+            if have != want:
+                raise ValueError(f"shape mismatch for {name!r}: {have}, expected {want}")
+        for name, p in self._params.items():
+            if name.startswith(prefixes):
+                p.data[...] = other._params[name].data
 
 
 def save_checkpoint(store: ParamStore, path) -> None:

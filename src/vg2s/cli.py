@@ -81,61 +81,38 @@ def _read_input(load, path: str, *args):
         raise UsageError(f"{exc.filename or path}: {exc.strerror or exc}") from None
 
 
-def _read_checkpoint(path: str, role: str) -> ParamStore:
-    """load_checkpoint(path) without the parameters an older model had and
-    this one retired (names matching vge.RETIRED_PARAMS); a missing,
-    unreadable, cut or malformed file raises UsageError."""
+def _read_checkpoint(store: ParamStore, path: str, role: str,
+                     prefixes: tuple[str, ...] = ("",)) -> None:
+    """Copy into `store` every parameter under `prefixes` from the
+    checkpoint at `path`, after dropping the parameters an older model had
+    and this one retired (names matching vge.RETIRED_PARAMS).  A missing,
+    unreadable, cut or malformed file, or one whose names or shapes under
+    `prefixes` differ from the store's, raises UsageError."""
     try:
         loaded = _read_input(load_checkpoint, path)
     except ValueError as exc:  # the message starts with the path
         raise UsageError(f"{role} {exc}") from None
-    store = ParamStore()
+    trained = ParamStore()
     for name in loaded.names():
         if not RETIRED_PARAMS.fullmatch(name):
-            store.add(name, loaded[name].data)
-    return store
-
-
-def _check_params(trained: ParamStore, model: ParamStore, prefixes: tuple[str, ...],
-                  role: str) -> None:
-    """Raise UsageError, prefixed by `role`, naming the first parameter
-    under `prefixes` that the checkpoint `trained` lacks, holds in another
-    shape than `model` or holds and `model` does not have."""
-    for name in model.names():
-        if name.startswith(prefixes) and name not in trained:
-            raise UsageError(f"{role}: missing parameter {name!r}")
-    for name in trained.names():
-        if not name.startswith(prefixes):
-            continue
-        if name not in model:
-            raise UsageError(f"{role}: unknown parameter {name!r}")
-        have, want = trained[name].data.shape, model[name].data.shape
-        if have != want:
-            raise UsageError(f"{role}: shape mismatch for {name!r}: {have}, expected {want}")
+            trained.add(name, loaded[name].data)
+    try:
+        store.update(trained, prefixes)
+    except ValueError as exc:
+        raise UsageError(f"{role} {path}: {exc}") from None
 
 
 def _load_model(args, missing: str) -> tuple[ParamStore, ModelConfig]:
-    """The --model checkpoint and the --config model settings; without
-    --model, raises UsageError with the message `missing`.  A checkpoint
-    whose parameter names or shapes differ from the model the settings
-    build raises UsageError naming the first such parameter."""
+    """The model the --config settings build, holding the --model
+    checkpoint's values; without --model, raises UsageError with the
+    message `missing`.  A checkpoint whose parameter names or shapes differ
+    from that model's raises UsageError naming the first such parameter."""
     if not args.model:
         raise UsageError(missing)
     _, model_cfg = load_configs(args.config)
-    store = _read_checkpoint(args.model, "model checkpoint")
-    _check_params(store, build_model(model_cfg, 0), ("",), f"model checkpoint {args.model}")
+    store = build_model(model_cfg, 0)
+    _read_checkpoint(store, args.model, "model checkpoint")
     return store, model_cfg
-
-
-def _load_encoder(store: ParamStore, path: str) -> None:
-    """Copy the frozen encoder (every ENCODER_SECTIONS parameter of `store`)
-    from the checkpoint at `path`.  A checkpoint that lacks one of them,
-    holds one in another shape or holds one the model does not have raises
-    UsageError."""
-    trained = _read_checkpoint(path, "encoder checkpoint")
-    _check_params(trained, store, ENCODER_SECTIONS, f"encoder checkpoint {path}")
-    for section in ENCODER_SECTIONS:
-        store.update(trained, section)
 
 
 def _load_instance(path: str, fmt: str) -> Instance:
@@ -241,7 +218,7 @@ def cmd_train(args) -> int:
     if policy and not args.skip_phase1:
         if not args.encoder_ckpt:
             raise UsageError("train-policy requires --encoder-ckpt (or --skip-phase1)")
-        _load_encoder(store, args.encoder_ckpt)
+        _read_checkpoint(store, args.encoder_ckpt, "encoder checkpoint", ENCODER_SECTIONS)
     rng = np.random.default_rng(train_cfg.seed + 1 if policy else train_cfg.seed)
     frozen = None
     if args.instances:

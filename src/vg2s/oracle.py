@@ -26,71 +26,6 @@ class OracleResult:
     proven: bool
 
 
-class _Search:
-    """DFS machinery over raw per-job/per-machine arrays with undo; the
-    node count stops at the budget, which it never exceeds."""
-
-    def __init__(self, inst: Instance, budget: int):
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
-        self.inst = inst
-        self.budget = budget
-        self.nodes = 0
-        self.aborted = False
-        self.machine_ready = [0] * inst.m
-        self.job_ready = [0] * inst.n
-        self.next_op = [0] * inst.n
-        self.machine_remaining = list(inst.machine_totals)
-        self.job_remaining = list(inst.job_totals)
-        self.best = float("inf")
-        self.best_actions: tuple[int, ...] = ()
-        self.trail: list[int] = []
-
-    def enter(self) -> bool:
-        """Count one node, or abort once the budget is spent; every open level
-        of an aborted DFS then fails here too, so it unwinds counting nothing."""
-        if self.nodes == self.budget:
-            self.aborted = True
-            return False
-        self.nodes += 1
-        return True
-
-    def place(self, j: int):
-        inst = self.inst
-        k = self.next_op[j]
-        # the search reads single ops from the tuples: cheaper than numpy
-        # scalar indexing of inst.machines / inst.durations
-        i, p = inst.ops[j][k]
-        prev_m, prev_j = self.machine_ready[i], self.job_ready[j]
-        end = (prev_m if prev_m > prev_j else prev_j) + p
-        self.machine_ready[i] = end
-        self.job_ready[j] = end
-        self.machine_remaining[i] -= p
-        self.job_remaining[j] -= p
-        self.next_op[j] = k + 1
-        self.trail.append(j * inst.m + k)
-        return prev_m, prev_j, i, p
-
-    def unplace(self, j: int, saved):
-        prev_m, prev_j, i, p = saved
-        self.machine_ready[i] = prev_m
-        self.job_ready[j] = prev_j
-        self.machine_remaining[i] += p
-        self.job_remaining[j] += p
-        self.next_op[j] -= 1
-        self.trail.pop()
-
-    def record_if_better(self):
-        c = max(self.machine_ready)
-        if c < self.best:
-            self.best = c
-            self.best_actions = tuple(self.trail)
-
-    def result(self) -> OracleResult:
-        return OracleResult(c_star=int(self.best), schedule=self.best_actions,
-                            nodes_explored=self.nodes, proven=not self.aborted)
-
-
 def branch_and_bound(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """DFS restricted to active-schedule moves, pruning when the load bound
     of a partial schedule reaches the incumbent.
@@ -108,21 +43,28 @@ def branch_and_bound(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResu
     est + (job j's remaining work), both counted before the placement.
     Neither term can fall, so a child's bound is the max of its parent's and
     those two, computed without placing the child.
+
+    The DFS is one loop over an explicit stack, so its depth (one level per
+    placed op) is not limited by Python's recursion limit.  Each entered
+    child counts one node; the count stops at `budget`, which it never
+    exceeds, and a search cut there is not proven.
     """
-    s = _Search(inst, budget)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    best, best_actions = float("inf"), ()
     for rule in Rule:
         st, c = dispatch(inst, rule)
-        if c < s.best:
-            s.best = c
-            s.best_actions = tuple(sorted(range(inst.num_ops), key=lambda u: (st.start[u], u)))
+        if c < best:
+            best = c
+            best_actions = tuple(sorted(range(inst.num_ops), key=lambda u: (st.start[u], u)))
     n, m, ops, num_ops = inst.n, inst.m, inst.ops, inst.num_ops
-    next_op, machine_ready, job_ready = s.next_op, s.machine_ready, s.job_ready
-    machine_remaining, job_remaining = s.machine_remaining, s.job_remaining
+    next_op, machine_ready, job_ready = [0] * n, [0] * m, [0] * n
+    machine_remaining, job_remaining = list(inst.machine_totals), list(inst.job_totals)
+    sentinel = (float("inf"), -1)
 
-    def dfs(depth: int, bound: int):
-        if depth == num_ops:
-            s.record_if_better()
-            return
+    def children(bound: int, best: int) -> list[tuple[float, int]]:
+        """The current node's (bound, job) children with a bound below
+        `best`, ascending, then a sentinel whose bound is inf."""
         # Giffler-Thompson conflict set, from one pass over the live jobs
         c_star = float("inf")
         live = []
@@ -130,6 +72,7 @@ def branch_and_bound(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResu
             k = next_op[j]
             if k == m:
                 continue
+            # single ops from the tuples: cheaper than numpy scalar indexing
             i, p = ops[j][k]
             a, r = machine_ready[i], job_ready[j]
             est = a if a > r else r
@@ -137,8 +80,7 @@ def branch_and_bound(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResu
                 c_star = est + p
                 m_star = i
             live.append((j, i, est))
-        children = []
-        best = s.best
+        kids = []
         for j, i, est in live:
             if i != m_star or est >= c_star:
                 continue
@@ -146,16 +88,40 @@ def branch_and_bound(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResu
             b = a if a > r else r
             b = b if b > bound else bound
             if b < best:
-                children.append((b, j))
-        children.sort()
-        for b, j in children:
-            if b >= s.best:
-                break  # bounds only grow along the sorted child list
-            if not s.enter():
-                return
-            saved = s.place(j)
-            dfs(depth + 1, b)
-            s.unplace(j, saved)
+                kids.append((b, j))
+        kids.sort()
+        kids.append(sentinel)
+        return kids
 
-    dfs(0, inst.load_lower_bound())
-    return s.result()
+    nodes = 0
+    levels = [iter(children(inst.load_lower_bound(), best))]  # one child list per open level
+    undo = []  # (op, job, machine, duration, machine ready, job ready) per placed op
+    while levels:
+        b, j = next(levels[-1])
+        if b >= best:  # bounds only grow along a sorted child list
+            levels.pop()
+            if undo:
+                _, j, i, p, machine_ready[i], job_ready[j] = undo.pop()
+                machine_remaining[i] += p
+                job_remaining[j] += p
+                next_op[j] -= 1
+            continue
+        if nodes == budget:
+            break
+        nodes += 1
+        k = next_op[j]
+        i, p = ops[j][k]
+        a, r = machine_ready[i], job_ready[j]
+        machine_ready[i] = job_ready[j] = (a if a > r else r) + p
+        machine_remaining[i] -= p
+        job_remaining[j] -= p
+        next_op[j] = k + 1
+        undo.append((j * m + k, j, i, p, a, r))
+        if len(undo) == num_ops:
+            c = max(machine_ready)
+            if c < best:
+                best, best_actions = c, tuple(u[0] for u in undo)
+        levels.append(iter(children(b, best)))  # only the sentinel after the last op
+    # a cut search leaves its open levels on the stack
+    return OracleResult(c_star=int(best), schedule=best_actions,
+                        nodes_explored=nodes, proven=not levels)

@@ -111,11 +111,6 @@ class InstancePool:
         """The number of slots, made or not."""
         return len(self._instances)
 
-    @property
-    def instances(self) -> list[Instance]:
-        """Every slot's instance, making any not yet made."""
-        return [self.instance(i) for i in range(len(self))]
-
     def sample(self) -> int:
         return int(self.rng.integers(len(self)))
 

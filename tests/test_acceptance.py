@@ -278,7 +278,7 @@ def test_criterion_07_phase2_learning():
     store = build_model(cfg, seed=7)
     def greedy_mean_makespan():
         return float(np.mean([solve_with_model(inst, store, cfg)[1]
-                              for inst in pool.instances]))
+                              for inst in frozen]))
     before = greedy_mean_makespan()
     train_policy(train_cfg, cfg, store, pool, rng)
     after = greedy_mean_makespan()

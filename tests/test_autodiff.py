@@ -380,8 +380,8 @@ def _production_references(trees) -> tuple[set[tuple[str, str]], set[str]]:
     """What the package's own code reads: (module, name) of the module-level
     functions (by name in their module outside their own body, by a name
     imported from their module, or as `module.name`), and every attribute
-    name.  The package's __init__ re-exports and a module's `__main__`
-    block do not count."""
+    name except reads of an option, `args.<name>`.  The package's __init__
+    re-exports and a module's `__main__` block do not count."""
     functions, attributes = set(), set()
     for mod, tree in trees.items():
         if mod == "__init__":
@@ -406,9 +406,11 @@ def _production_references(trees) -> tuple[set[tuple[str, str]], set[str]]:
                 elif getattr(top, "name", None) != node.id:  # a recursive call is no caller
                     functions.add((mod, node.id))
             elif isinstance(node, ast.Attribute):
-                attributes.add(node.attr)
-                if isinstance(node.value, ast.Name) and node.value.id in modules:
-                    functions.add((modules[node.value.id], node.attr))
+                owner_name = node.value.id if isinstance(node.value, ast.Name) else None
+                if owner_name != "args":  # an option on the argparse namespace
+                    attributes.add(node.attr)
+                if owner_name in modules:
+                    functions.add((modules[owner_name], node.attr))
     return functions, attributes
 
 

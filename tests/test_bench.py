@@ -130,12 +130,12 @@ def test_export_latents_matches_cache_and_solve(tiny_cfg, seed, model_seed):
     instances = {f"inst{k}": generate_random(gen, rng) for k in range(3)}
     store = build_model(tiny_cfg, seed=model_seed)
     rows = export_latents(instances, store, tiny_cfg)
-    pool = InstancePool(TrainConfig(), rng,
-                        frozen=[instances[name] for name in sorted(instances)])
+    frozen = [instances[name] for name in sorted(instances)]
+    pool = InstancePool(TrainConfig(), rng, frozen=frozen)
     cache = EncoderCache(store, tiny_cfg)
     cache.rebuild(pool)
     assert [row["instance"] for row in rows] == sorted(instances)
-    for row, inst, (_, mu, _) in zip(rows, pool.instances, cache.entries):
+    for row, inst, (_, mu, _) in zip(rows, frozen, cache.entries):
         assert [float(row[f"mu_{i}"]) for i in range(tiny_cfg.d_latent)] == mu.tolist()
         assert row["greedy_cmax"] == solve_with_model(inst, store, tiny_cfg)[1]
 

@@ -21,6 +21,14 @@ def make_store(rng) -> ParamStore:
     return store
 
 
+def without(store: ParamStore, dropped: str) -> ParamStore:
+    out = ParamStore()
+    for name in store.names():
+        if name != dropped:
+            out.add(name, store[name].data)
+    return out
+
+
 class TestParamStore:
     def test_duplicate_name_rejected(self, rng):
         store = make_store(rng)
@@ -43,25 +51,34 @@ class TestParamStore:
 
     def test_update_copies_prefix_only(self, rng):
         a = make_store(rng)
-        b = make_store(np.random.default_rng(99))
-        policy_before = a["policy.glimpse.w"].data.copy()
-        a.update(b, prefix="encoder.")
-        np.testing.assert_array_equal(a["encoder.embed.w"].data,
-                                      b["encoder.embed.w"].data)
+        b = without(make_store(np.random.default_rng(99)), "policy.glimpse.w")
+        policy_before = a["policy.glimpse.w"].data.copy()  # outside the prefixes
+        a.update(b, prefixes=("encoder.", "latent."))
+        for name in ("encoder.embed.w", "encoder.embed.b", "latent.mu.w"):
+            np.testing.assert_array_equal(a[name].data, b[name].data)
         np.testing.assert_array_equal(a["policy.glimpse.w"].data, policy_before)
+
+    def test_update_missing_name(self, rng):
+        a = make_store(rng)
+        b = without(make_store(np.random.default_rng(99)), "latent.mu.w")
+        before = a["encoder.embed.w"].data.copy()
+        with pytest.raises(ValueError, match=r"^missing parameter 'latent\.mu\.w'$"):
+            a.update(b)
+        np.testing.assert_array_equal(a["encoder.embed.w"].data, before)  # nothing copied
 
     def test_update_unknown_name(self, rng):
         a = make_store(rng)
-        b = ParamStore()
+        b = make_store(np.random.default_rng(99))
         b.add("stranger.w", np.zeros(2))
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^unknown parameter 'stranger\.w'$"):
             a.update(b)
 
     def test_update_shape_mismatch(self, rng):
         a = make_store(rng)
-        b = ParamStore()
-        b.add("latent.mu.w", np.zeros((5, 5)))
-        with pytest.raises(ValueError):
+        b = make_store(np.random.default_rng(99))
+        b["latent.mu.w"].data = np.zeros((5, 5))
+        with pytest.raises(ValueError, match=r"^shape mismatch for 'latent\.mu\.w': "
+                                             r"\(5, 5\), expected \(3, 2\)$"):
             a.update(b)
 
 

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import vge_reference
-from helpers import MALFORMED_CHECKPOINTS, section_bytes, write_malformed_checkpoint
+from helpers import (MALFORMED_CHECKPOINTS, random_instance, section_bytes,
+                     write_malformed_checkpoint)
 from vg2s.checkpoint import ParamStore, load_checkpoint, save_checkpoint
 from vg2s.cli import main
 from vg2s.instance import Instance
@@ -105,6 +106,14 @@ class TestSolve:
         rows = json.loads(sched.read_text())
         assert len(rows) == 36
         assert svg.read_text().startswith("<svg")
+
+    def test_oracle_on_a_large_instance(self, tmp_path, capsys):
+        path = tmp_path / "50x40.json"
+        path.write_text(random_instance(50, 40, 10).to_json())
+        assert main(["solve", str(path), "--format", "json", "--method", "oracle",
+                     "--budget", "2000"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("cmax ") and out.endswith(" proven=False nodes=2000\n")
 
     def test_model_requires_checkpoint(self, ft06_file, capsys):
         err = _usage_error(["solve", ft06_file, "--method", "vg2s"], capsys)

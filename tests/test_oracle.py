@@ -10,6 +10,7 @@ from oracle_reference import enumerate_all, reference_branch_and_bound
 from vg2s.env import replay
 from vg2s.instance import GenConfig, Instance, generate_random
 from vg2s.oracle import DEFAULT_BUDGET, branch_and_bound
+from vg2s.rules import Rule, dispatch
 
 
 class TestEnumerate:
@@ -60,6 +61,15 @@ class TestBranchAndBound:
         res = branch_and_bound(ft06, budget=1)
         assert not res.proven
         assert res.c_star <= 61  # at worst the best dispatching-rule seed
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        """The first dive places all 2,000 ops of a 50x40 instance, one DFS
+        level each: more levels than Python's default recursion limit."""
+        inst = random_instance(50, 40, 10)
+        res = branch_and_bound(inst, budget=2000)
+        assert res.nodes_explored == 2000 and not res.proven
+        assert res.c_star <= min(dispatch(inst, rule)[1] for rule in Rule)
+        assert replay(inst, list(res.schedule)).makespan() == res.c_star
 
 
 @settings(max_examples=40, deadline=None)
