@@ -7,10 +7,13 @@ verifiable gradients at desk scale, not throughput.
 
 Usage: create `Parameter` leaves, open a `Tape`, build a scalar loss from
 taped ops, then `backward(loss)`.  Gradients accumulate on parameter
-`.grad` buffers until `zero_grad` is called.
+`.grad` buffers until `zero_grad` is called.  Code that no backward pass
+walks can run the same ops on plain arrays through `plain`.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -331,18 +334,26 @@ def softplus(a) -> Tensor:
     return _record(out)
 
 
-def masked_softmax(a, mask, axis=-1) -> Tensor:
-    """Softmax over positions where `mask` is True; masked positions get
-    probability exactly 0.  Every slice along `axis` must keep at least one
-    unmasked entry."""
-    a = as_tensor(a)
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    if not mask.any(axis=axis).all():
+def _masked_softmax(x: np.ndarray, mask, axis: int = -1) -> np.ndarray:
+    """The forward pass of masked_softmax on arrays."""
+    mask = np.asarray(mask, dtype=bool)
+    neg = np.where(mask, x, -np.inf)
+    if neg.shape != x.shape:
+        raise ShapeError(f"masked_softmax: a mask of shape {mask.shape} for shape {x.shape}")
+    # `axis` counts the axes of x, so give the mask the ones it leaves out.
+    if not mask.reshape((1,) * (x.ndim - mask.ndim) + mask.shape).any(axis=axis).all():
         raise ShapeError("masked_softmax: a slice has no unmasked positions")
-    neg = np.where(mask, a.data, -np.inf)
     shifted = neg - neg.max(axis=axis, keepdims=True)
     e = np.where(mask, np.exp(shifted), 0.0)
-    y = e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def masked_softmax(a, mask, axis=-1) -> Tensor:
+    """Softmax over positions where the boolean `mask`, broadcast to a's
+    shape, is True; masked positions get probability exactly 0.  Every
+    slice along `axis` must keep at least one unmasked entry."""
+    a = as_tensor(a)
+    y = _masked_softmax(a.data, mask, axis)
 
     def vjp(g):
         return (np.where(mask, y * (g - (g * y).sum(axis=axis, keepdims=True)), 0.0),)
@@ -487,3 +498,18 @@ def interp_linear(x, out_len) -> Tensor:
 
     return _record(Tensor(y, (x,), vjp))
 
+
+# ------------------------------------------------------------ plain arrays
+
+# The ops an untaped rollout calls, under the same names, on plain arrays:
+# code written once over a namespace `xp` (this module or `plain`) gets the
+# bits of the taped ops' forward passes with no Tensor and no tape.  Array
+# methods stand in for np.reshape, np.transpose and np.sum, which wrap
+# them at about a microsecond more per call.
+plain = SimpleNamespace(
+    add=np.add, sub=np.subtract, mul=np.multiply, matmul=np.matmul, tanh=np.tanh,
+    concat=np.concatenate, masked_softmax=_masked_softmax,
+    reshape=lambda a, shape: a.reshape(shape),
+    transpose=lambda a, axes: a.transpose(axes),
+    tsum=lambda a, axis=None, keepdims=False: a.sum(axis=axis, keepdims=keepdims),
+    split=lambda a, sizes, axis=0: np.split(a, np.cumsum(sizes)[:-1], axis=axis))

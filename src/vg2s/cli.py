@@ -300,6 +300,9 @@ def cmd_similarity(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    for name, value in (("cmax", args.cmax), ("--ub", args.ub), ("--baseline", args.baseline)):
+        if value is not None and not np.isfinite(value):
+            raise UsageError(f"gap: {name} must be a finite number, got {value}")
     try:
         if args.baseline is not None:
             value = improvement_rate(args.baseline, args.cmax)
@@ -307,6 +310,8 @@ def cmd_gap(args) -> int:
             value = optimality_gap(args.cmax, args.ub)
     except ValueError as exc:  # a nonpositive reference makespan
         raise UsageError(f"gap: {exc}") from None
+    if not np.isfinite(value):
+        raise UsageError(f"gap: the result overflows ({value})")
     print(f"{value:.4f}")
     return 0
 

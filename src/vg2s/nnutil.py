@@ -1,4 +1,5 @@
-"""Small shared helpers for building and applying MLP blocks on a ParamStore."""
+"""Small shared helpers for building and applying MLP blocks on a ParamStore,
+or, with xp=autodiff.plain, on a mapping of its names to their arrays."""
 
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ def add_linear(store: ParamStore, name: str, d_in: int, d_out: int, rng) -> None
     store.add(f"{name}.b", np.zeros(d_out))
 
 
-def linear(store: ParamStore, name: str, x):
-    return ad.add(ad.matmul(x, store[f"{name}.w"]), store[f"{name}.b"])
+def linear(store, name: str, x, xp=ad):
+    return xp.add(xp.matmul(x, store[f"{name}.w"]), store[f"{name}.b"])
 
 
 def add_mlp(store: ParamStore, name: str, d_in: int, d_hidden: int, d_out: int, rng) -> None:
@@ -29,5 +30,5 @@ def add_mlp(store: ParamStore, name: str, d_in: int, d_hidden: int, d_out: int, 
     add_linear(store, f"{name}.fc2", d_hidden, d_out, rng)
 
 
-def mlp(store: ParamStore, name: str, x):
-    return linear(store, f"{name}.fc2", ad.tanh(linear(store, f"{name}.fc1", x)))
+def mlp(store, name: str, x, xp=ad):
+    return linear(store, f"{name}.fc2", xp.tanh(linear(store, f"{name}.fc1", x, xp)), xp)

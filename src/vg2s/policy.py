@@ -44,17 +44,20 @@ class Attention:
     state half of the key weights, which corrects the keys of available
     rows.  Glimpse blocks carry `values` (B, H, N, 2d) and `wv_state`
     (H, d, 2d) the same way; the pointer is a one-head block without them.
+    Each is a taped Tensor or, from an untaped projection, a plain array.
     """
 
-    wq: ad.Tensor
-    keys_t: ad.Tensor
-    wk_state_t: ad.Tensor
-    values: ad.Tensor | None = None
-    wv_state: ad.Tensor | None = None
+    wq: ad.Tensor | np.ndarray
+    keys_t: ad.Tensor | np.ndarray
+    wk_state_t: ad.Tensor | np.ndarray
+    values: ad.Tensor | np.ndarray | None = None
+    wv_state: ad.Tensor | np.ndarray | None = None
 
     def rows(self, episodes: np.ndarray) -> "Attention":
-        values = None if self.values is None else ad.take(self.values, episodes, axis=0)
-        return replace(self, keys_t=ad.take(self.keys_t, episodes, axis=0), values=values)
+        # np.take copies the rows C-ordered, as ad.take does; indexing would
+        # keep the transposed layout, and the products would round otherwise.
+        values = None if self.values is None else np.take(self.values, episodes, axis=0)
+        return replace(self, keys_t=np.take(self.keys_t, episodes, axis=0), values=values)
 
 
 @dataclass
@@ -71,7 +74,7 @@ class EpisodeKeys:
     """
 
     h_real: np.ndarray
-    state_zero: ad.Tensor
+    state_zero: ad.Tensor | np.ndarray
     glimpses: list[Attention]
     pointer: Attention
 
@@ -81,14 +84,15 @@ class EpisodeKeys:
                            self.pointer.rows(episodes))
 
 
-def _heads(x: ad.Tensor, count: int, axes: tuple[int, ...]) -> ad.Tensor:
+def _heads(x, count: int, axes: tuple[int, ...], xp):
     """Split the last axis of x into `count` heads, then permute the axes."""
-    return ad.transpose(ad.reshape(x, x.shape[:-1] + (count, -1)), axes)
+    return xp.transpose(xp.reshape(x, x.shape[:-1] + (count, -1)), axes)
 
 
-def project_keys(h_real: np.ndarray, store: ParamStore, cfg: ModelConfig) -> EpisodeKeys:
+def project_keys(h_real: np.ndarray, store, cfg: ModelConfig, xp=ad) -> EpisodeKeys:
     """The rollout's key projections; h_real: (B, N, d_latent) real-node
-    embeddings, zero-padded to N rows."""
+    embeddings, zero-padded to N rows.  On the ops of `xp`: autodiff with
+    `store` a ParamStore, or autodiff.plain with `store` its arrays by name."""
     d, heads = cfg.d_latent, cfg.glimpse_heads
     d_qk = d + cfg.d_glimpse
     tags = [f"policy.glimpse.l{layer}" for layer in range(cfg.glimpse_layers)]
@@ -97,24 +101,24 @@ def project_keys(h_real: np.ndarray, store: ParamStore, cfg: ModelConfig) -> Epi
     names = [f"{tag}.h{head}.{w}" for tag in tags for w in ("wk", "wv")
              for head in range(heads)]
     names.append("policy.lc.wk")
-    w_real, w_state = ad.split(ad.concat([store[name] for name in names], axis=1),
+    w_real, w_state = xp.split(xp.concat([store[name] for name in names], axis=1),
                                [d, d], axis=0)
-    state_zero = mlp(store, "policy.state", np.zeros(6))
-    fixed = ad.add(ad.matmul(h_real, w_real), ad.matmul(state_zero, w_state))
+    state_zero = mlp(store, "policy.state", np.zeros(6), xp)
+    fixed = xp.add(xp.matmul(h_real, w_real), xp.matmul(state_zero, w_state))
     widths = [heads * d_qk, heads * 2 * d] * cfg.glimpse_layers + [d + cfg.d_logit]
-    fixed_parts = iter(ad.split(fixed, widths, axis=2))
-    state_parts = iter(ad.split(w_state, widths, axis=1))
+    fixed_parts = iter(xp.split(fixed, widths, axis=2))
+    state_parts = iter(xp.split(w_state, widths, axis=1))
 
-    def block(wq: ad.Tensor, count: int, scale: float, values: bool) -> Attention:
-        out = Attention(ad.mul(_heads(wq, count, (1, 0, 2)), scale),
-                        _heads(next(fixed_parts), count, (0, 2, 3, 1)),
-                        _heads(next(state_parts), count, (1, 2, 0)))
+    def block(wq, count: int, scale: float, values: bool) -> Attention:
+        out = Attention(xp.mul(_heads(wq, count, (1, 0, 2), xp), scale),
+                        _heads(next(fixed_parts), count, (0, 2, 3, 1), xp),
+                        _heads(next(state_parts), count, (1, 2, 0), xp))
         if values:
-            out.values = _heads(next(fixed_parts), count, (0, 2, 1, 3))
-            out.wv_state = _heads(next(state_parts), count, (1, 0, 2))
+            out.values = _heads(next(fixed_parts), count, (0, 2, 1, 3), xp)
+            out.wv_state = _heads(next(state_parts), count, (1, 0, 2), xp)
         return out
 
-    glimpses = [block(ad.concat([store[f"{tag}.h{head}.wq"] for head in range(heads)], axis=1),
+    glimpses = [block(xp.concat([store[f"{tag}.h{head}.wq"] for head in range(heads)], axis=1),
                       heads, 1.0 / np.sqrt(d_qk / heads), True) for tag in tags]
     return EpisodeKeys(h_real, state_zero, glimpses,
                        block(store["policy.lc.wq"], 1, 1.0 / d, False))
@@ -122,7 +126,7 @@ def project_keys(h_real: np.ndarray, store: ParamStore, cfg: ModelConfig) -> Epi
 
 def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
                 state_feats: np.ndarray, attend_mask: np.ndarray,
-                ops: np.ndarray, store: ParamStore, cfg: ModelConfig) -> ad.Tensor:
+                ops: np.ndarray, store, cfg: ModelConfig, xp=ad):
     """T pointer decisions of each of b episodes over N (padded) op rows.
 
     z: latent vectors (b, d_latent); prev: (b, T) op row of each decision's
@@ -133,9 +137,10 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     its selectable op rows, -1 for a slot that holds none, and
     state_feats (b, T, n, 6) holds the `state_features` of those slots;
     the features of an empty slot are not read.  Returns the (b, T, N)
-    taped logits, -inf at every op row no slot maps to.  A rollout step is
+    logits, -inf at every op row no slot maps to.  A rollout step is
     T = 1; scoring the recorded decisions of a rollout is T = its longest
-    episode.
+    episode.  The ops are those of `xp`, as in project_keys, which made
+    `keys`: taped Tensors on autodiff, plain arrays on autodiff.plain.
 
     The T decisions of an episode are the query rows of one product per
     head with its keys and one with its values, so no per-decision copy of
@@ -165,6 +170,7 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     rows = ops.reshape(-1)[hit]
     select = np.zeros((count * steps * slots, num_ops))
     select[hit, rows] = 1.0
+    select = select.reshape(count, 1, steps, slots, num_ops)
     blocked = np.full((count * steps, num_ops), -np.inf)
     blocked[hit // slots, rows] = 0.0
 
@@ -172,43 +178,39 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     h_prev = keys.h_real[np.arange(count)[:, None], prev]  # -1 reads a row zeroed below
     if first.any():
         h_prev[first] = 0.0
-        h_prev = ad.add(h_prev, ad.mul(first[..., None] * 1.0, store["policy.dummy_prev"]))
-    q = ad.reshape(ad.concat([np.repeat(z[:, None], steps, axis=1), h_prev], axis=2),
+        h_prev = xp.add(h_prev, xp.mul(first[..., None] * 1.0, store["policy.dummy_prev"]))
+    q = xp.reshape(xp.concat([np.repeat(z[:, None], steps, axis=1), h_prev], axis=2),
                    (count, 1, steps, -1))
 
     # The corrections' products take the decisions as a batch axis, (b, 1,
     # T, ...), shared by all heads; `across` moves a head-major (b, H, T,
     # ...) tensor's decision rows to that axis (tail (1, -1)) and back
-    # (tail (-1,)).  A single decision, a rollout step, needs no such axis,
-    # and leaving it out spares each step those moves.
-    lead = (count, 1, steps) if steps > 1 else (count, 1)
+    # (tail (-1,)).
+    def across(x, *tail: int):
+        return xp.reshape(x, x.shape[:3] + tail)
 
-    def across(x: ad.Tensor, *tail: int) -> ad.Tensor:
-        return ad.reshape(x, x.shape[:3] + tail) if steps > 1 else x
+    moved = xp.sub(mlp(store, "policy.state", state_feats[:, None], xp),
+                   keys.state_zero)  # (b, 1, T, n, d)
+    moved_t = xp.transpose(moved, (0, 1, 2, 4, 3))
 
-    select = select.reshape(lead + (slots, num_ops))
-    moved = ad.sub(mlp(store, "policy.state", state_feats.reshape(lead + state_feats.shape[2:])),
-                   keys.state_zero)  # lead + (n, d)
-    moved_t = ad.transpose(moved, tuple(range(len(lead))) + (len(lead) + 1, len(lead)))
-
-    def scores(query: ad.Tensor, blk: Attention) -> ad.Tensor:
+    def scores(query, blk: Attention):
         """(b, H, T, N) scaled scores of every head of one block."""
-        qh = ad.matmul(query, blk.wq)
-        state_q = across(ad.matmul(qh, blk.wk_state_t), 1, -1)
-        correction = ad.matmul(ad.matmul(state_q, moved_t), select)
-        return ad.add(ad.matmul(qh, blk.keys_t), across(correction, -1))
+        qh = xp.matmul(query, blk.wq)
+        state_q = across(xp.matmul(qh, blk.wk_state_t), 1, -1)
+        correction = xp.matmul(xp.matmul(state_q, moved_t), select)
+        return xp.add(xp.matmul(qh, blk.keys_t), across(correction, -1))
 
     attend = attend_mask[:, None]
     for blk in keys.glimpses:
-        weights = ad.masked_softmax(scores(q, blk), attend)
-        picked = ad.matmul(ad.matmul(across(weights, 1, -1), np.swapaxes(select, -1, -2)), moved)
-        heads = ad.add(ad.matmul(weights, blk.values),
-                       ad.matmul(across(picked, -1), blk.wv_state))
-        q = ad.tsum(heads, axis=1, keepdims=True)
+        weights = xp.masked_softmax(scores(q, blk), attend)
+        picked = xp.matmul(xp.matmul(across(weights, 1, -1), np.swapaxes(select, -1, -2)), moved)
+        heads = xp.add(xp.matmul(weights, blk.values),
+                       xp.matmul(across(picked, -1), blk.wv_state))
+        q = xp.tsum(heads, axis=1, keepdims=True)
 
-    raw = ad.reshape(scores(q, keys.pointer), (count, steps, num_ops))
-    logits = ad.mul(ad.tanh(raw), cfg.logit_clip)
-    return ad.add(logits, blocked.reshape(count, steps, num_ops))
+    raw = xp.reshape(scores(q, keys.pointer), (count, steps, num_ops))
+    logits = xp.mul(xp.tanh(raw), cfg.logit_clip)
+    return xp.add(logits, blocked.reshape(count, steps, num_ops))
 
 
 def log_prob(logits: ad.Tensor, actions: np.ndarray) -> ad.Tensor:

@@ -188,8 +188,9 @@ def scaled_q(inst: Instance, makespan: int) -> float:
 def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
             store: ParamStore, model_cfg: ModelConfig, mode: str,
             rng: np.random.Generator | None = None) -> tuple[Decisions, list[ScheduleState]]:
-    """Run one full episode per instance, all in lockstep, without a tape;
-    returns the decisions and each episode's complete schedule.
+    """Run one full episode per instance, all in lockstep, on plain arrays
+    (autodiff.plain, so no Tensor is built); returns the decisions and each
+    episode's complete schedule.
 
     z: latent vectors (B, d_latent); h_real: each instance's real-node
     embeddings (n*m, d_latent).  Op rows are zero-padded to the largest
@@ -211,7 +212,8 @@ def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
     dec = Decisions(z, padded, np.zeros((count, width), dtype=np.int64), np.zeros((count, width)),
                     np.zeros(ops.shape + (6,)), ~valid[..., None] & (np.arange(width) == 0),
                     ops, valid)
-    all_keys = project_keys(padded, store, model_cfg)
+    params = {name: store[name].data for name in store.names()}
+    all_keys = project_keys(padded, params, model_cfg, ad.plain)
     batch = BatchState(insts)
     ends = set(sizes.tolist())
     active, keys, first = slice(None), all_keys, np.full((count, 1), -1)
@@ -227,8 +229,8 @@ def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
         dec.attend[active, t] = attend
         prev = dec.actions[active, t - 1:t] if t else first
         logits = decode_step(z[active], prev, keys, feats[:, None], attend[:, None],
-                             slot_ops[:, None], store, model_cfg)
-        picks, lps = select_action(logits.data[:, 0], mode, rng)
+                             slot_ops[:, None], params, model_cfg, ad.plain)
+        picks, lps = select_action(logits[:, 0], mode, rng)
         dec.actions[active, t] = picks
         dec.log_probs[active, t] = lps
         batch.step(active, picks)

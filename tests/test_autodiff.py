@@ -206,6 +206,18 @@ class TestActivationGrads:
         with pytest.raises(ShapeError):
             ad.masked_softmax(ad.as_tensor(np.ones((1, 3))), np.zeros((1, 3), bool))
 
+    def test_masked_softmax_broadcasts_the_mask(self, rng):
+        """A mask of fewer axes broadcasts to the scores' shape, `axis`
+        counting the scores' axes; one that would widen them is rejected."""
+        a = ad.as_tensor(rng.normal(size=(2, 3)))
+        full = np.array([[True, False, True]] * 2)
+        np.testing.assert_array_equal(ad.masked_softmax(a, full[0]).data,
+                                      ad.masked_softmax(a, full).data)
+        with pytest.raises(ShapeError, match="no unmasked"):
+            ad.masked_softmax(a, np.array([True, False, True]), axis=0)
+        with pytest.raises(ShapeError, match="mask of shape"):
+            ad.masked_softmax(a, np.ones((4, 2, 3), bool))
+
     def test_masked_softmax_grad(self, rng):
         p = Parameter(rng.uniform(-2, 2, (2, 4)))
         mask = np.array([[True, True, False, True], [True, False, True, True]])

@@ -26,6 +26,7 @@ from vg2s.env import replay, reset
 from vg2s.graph import build_graph
 from vg2s.instance import Instance
 from vg2s.nnutil import mlp
+from vg2s.policy import decode_step, project_keys
 from vg2s.trainer import Decisions, build_model, embed, log_prob_totals, rollout
 
 LOG_PROB_TOL = 1e-12   # absolute, per step and per episode total
@@ -241,3 +242,70 @@ def test_padded_decisions_contribute_nothing(tiny_cfg):
     for got, want in zip(grads, ref_grads):
         scale = max(np.abs(want).max(), GRAD_SCALE_FLOOR)
         assert np.abs(got - want).max() <= GRAD_TOL * scale
+
+
+def _arrays(store):
+    """The store's parameter arrays by name, as an untaped rollout reads them."""
+    return {name: store[name].data for name in store.names()}
+
+
+def _assert_same_bits(got, want):
+    assert isinstance(got, np.ndarray) and not isinstance(got, ad.Tensor)
+    np.testing.assert_array_equal(got, want.data, strict=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(insts=instance_batches(), layers=st.integers(1, 2),
+       model_seed=st.integers(0, 100), seed=st.integers(0, 10_000))
+@example(insts=[ONE_BY_ONE], layers=1, model_seed=0, seed=0)
+@example(insts=[IDENTICAL_JOBS, ONE_BY_ONE], layers=2, model_seed=1, seed=1)
+@example(insts=[TWELVE_BY_TEN, TWO_BY_THREE], layers=2, model_seed=3, seed=3)
+def test_plain_namespace_matches_autodiff(tiny_cfg, insts, layers, model_seed, seed):
+    """project_keys and decode_step on autodiff.plain return exactly the
+    bits of autodiff's Tensors: every block of the projection, and the
+    logits of a rollout's recorded decisions, scored all at once (T = the
+    longest episode) and one step at a time (T = 1)."""
+    cfg = dataclasses.replace(tiny_cfg, glimpse_layers=layers)
+    store, rng, h_real, _, z = _batch_inputs(insts, cfg, model_seed, seed)
+    dec, _ = rollout(insts, z, h_real, store, cfg, "sample", rng=rng)
+    params = _arrays(store)
+    taped = project_keys(dec.h_real, store, cfg)
+    plain = project_keys(dec.h_real, params, cfg, ad.plain)
+    _assert_same_bits(plain.state_zero, taped.state_zero)
+    assert len(plain.glimpses) == len(taped.glimpses) == layers
+    for got, want in zip(plain.glimpses + [plain.pointer], taped.glimpses + [taped.pointer]):
+        for field in ("wq", "keys_t", "wk_state_t", "values", "wv_state"):
+            if getattr(want, field) is None:
+                assert getattr(got, field) is None
+            else:
+                _assert_same_bits(getattr(got, field), getattr(want, field))
+
+    prev = np.concatenate([np.full((len(insts), 1), -1), dec.actions[:, :-1]], axis=1)
+    inputs = (dec.feats, dec.attend, dec.ops)
+    _assert_same_bits(decode_step(dec.z, prev, plain, *inputs, params, cfg, ad.plain),
+                      decode_step(dec.z, prev, taped, *inputs, store, cfg))
+    for t in range(dec.actions.shape[1]):
+        step = [x[:, t:t + 1] for x in (prev,) + inputs]
+        _assert_same_bits(decode_step(dec.z, *step[:1], plain, *step[1:], params, cfg, ad.plain),
+                          decode_step(dec.z, *step[:1], taped, *step[1:], store, cfg))
+
+
+def test_untaped_rollouts_build_no_tensor(tiny_cfg, monkeypatch):
+    """A sampling and a greedy rollout of a mixed batch, with episodes
+    leaving it at different steps, construct no autodiff Tensor; the
+    scoring pass, which a backward pass walks, does."""
+    insts = [TWO_BY_THREE, ONE_BY_FOUR, random_instance(3, 3, seed=1)]
+    store, rng, h_real, mu, z = _batch_inputs(insts, tiny_cfg, 0, 0)
+    built = [0]
+    init = ad.Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counted)
+    dec, _ = rollout(insts, z, h_real, store, tiny_cfg, "sample", rng=rng)
+    rollout(insts, mu, h_real, store, tiny_cfg, "greedy")
+    assert built[0] == 0
+    log_prob_totals(dec, store, tiny_cfg)
+    assert built[0] > 0

@@ -796,6 +796,17 @@ class TestGap:
         err = _usage_error(["gap", "65", *flags], capsys)
         assert err.startswith("vg2s: error: gap: nonpositive")
 
+    @pytest.mark.parametrize("argv", [["nan", "--ub", "5"], ["10", "--ub", "nan"],
+                                      ["10", "--ub", "inf"], ["10", "--baseline", "nan"],
+                                      ["1e400", "--ub", "5"], ["10", "--baseline=-inf"]])
+    def test_non_finite_number_one_line_error(self, argv, capsys):
+        err = _usage_error(["gap", *argv], capsys)
+        assert err.startswith("vg2s: error: gap: ") and "finite" in err
+
+    def test_overflowing_result_one_line_error(self, capsys):
+        err = _usage_error(["gap", "1e308", "--ub", "1e-300"], capsys)
+        assert err.startswith("vg2s: error: gap: the result overflows")
+
     @pytest.mark.parametrize("flags", [[], ["--ub", "55", "--baseline", "60"]])
     def test_exactly_one_reference_required(self, flags, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -30,20 +30,31 @@ def policy_setup(two_by_two, tiny_cfg, rng):
     return store, h_real, z, st_
 
 
-def step_logits(setup, cfg, prev=None, avail=None, attend=None):
+# decode_step's two namespaces: taped Tensors over a ParamStore, and plain
+# arrays over its arrays by name.
+NAMESPACES = pytest.mark.parametrize("xp", [ad, ad.plain], ids=["autodiff", "plain"])
+
+
+def _params(store, xp):
+    return store if xp is ad else {name: store[name].data for name in store.names()}
+
+
+def step_logits(setup, cfg, prev=None, avail=None, attend=None, xp=ad):
     """decode_step for the one episode of `setup` (a batch of one), over
-    `avail`, a subset of its available ops (all of them by default)."""
+    `avail`, a subset of its available ops (all of them by default), on
+    the ops of `xp`."""
     store, h_real, z, st_ = setup
+    store = _params(store, xp)
     ops = st_.available()
     avail = ops if avail is None else avail
     feats = state_features(st_)[[ops.index(u) for u in avail]]
     if attend is None:
         attend = np.ones((1, 1, 4), dtype=bool)
     prev = np.array([[-1 if prev is None else prev]])
-    out = decode_step(z.data[None], prev, project_keys(h_real.data[None], store, cfg),
+    out = decode_step(z.data[None], prev, project_keys(h_real.data[None], store, cfg, xp),
                       feats[None, None], attend, np.array([[avail]], dtype=np.int64),
-                      store, cfg)
-    return ad.reshape(out, (1, 4))
+                      store, cfg, xp)
+    return xp.reshape(out, (1, 4))
 
 
 class TestDecodeStep:
@@ -72,26 +83,30 @@ class TestDecodeStep:
         finite = np.isfinite(a)
         assert not np.allclose(a[finite], b[finite])
 
-    def test_empty_avail_rejected(self, policy_setup, tiny_cfg):
+    @NAMESPACES
+    def test_empty_avail_rejected(self, policy_setup, tiny_cfg, xp):
         with pytest.raises(ValueError):
-            step_logits(policy_setup, tiny_cfg, avail=[])
+            step_logits(policy_setup, tiny_cfg, avail=[], xp=xp)
 
-    def test_all_scheduled_rejected(self, policy_setup, tiny_cfg):
+    @NAMESPACES
+    def test_all_scheduled_rejected(self, policy_setup, tiny_cfg, xp):
         with pytest.raises(ValueError):
             step_logits(policy_setup, tiny_cfg, avail=[0],
-                        attend=np.zeros((1, 1, 4), dtype=bool))
+                        attend=np.zeros((1, 1, 4), dtype=bool), xp=xp)
 
-    def test_dense_features_rejected(self, policy_setup, tiny_cfg):
+    @NAMESPACES
+    def test_dense_features_rejected(self, policy_setup, tiny_cfg, xp):
         """state_feats holds one slot per slot of the map: the dense (N, 6)
         features of every op row, 4 rows for 2 available ops, fail."""
         store, h_real, z, st_ = policy_setup
-        keys = project_keys(h_real.data[None], store, tiny_cfg)
+        store = _params(store, xp)
+        keys = project_keys(h_real.data[None], store, tiny_cfg, xp)
         dense = np.zeros((4, 6))
         dense[st_.available()] = state_features(st_)
         with pytest.raises(ValueError, match="slots"):
             decode_step(z.data[None], np.array([[-1]]), keys, dense[None, None],
                         np.ones((1, 1, 4), dtype=bool), np.array([[st_.available()]]),
-                        store, tiny_cfg)
+                        store, tiny_cfg, xp)
 
 
 def _two_episodes(tiny_cfg, n=6, m=5, seed=3, points=(3, 11)):
