@@ -13,7 +13,7 @@ from .env import ScheduleState, reset
 from .graph import build_graph
 from .instance import GenConfig, Instance, generate_random
 from .oracle import branch_and_bound
-from .rules import Rule, dispatch, optimality_gap, select
+from .rules import Rule, decisions, dispatch, optimality_gap
 from .trainer import Decisions, embed, rollout
 from .vge import ModelConfig
 
@@ -97,14 +97,12 @@ def write_csv(rows: list[dict], path, columns: list[str] | None = None) -> None:
         writer.writerows(rows)
 
 
-def _similarity_records(inst: Instance, pick_action, instance_id: int) -> list[dict]:
-    """Per-step records of a rollout driven by `pick_action(state)`."""
+def _similarity_records(inst: Instance, actions: list[int], instance_id: int) -> list[dict]:
+    """Per-step records of replaying a complete episode's `actions`."""
     st = reset(inst)
     records = []
-    step = 1
-    while not st.done:
+    for step, action in enumerate(actions, 1):
         avail = st.available()
-        action = pick_action(st)
         j, k = divmod(action, inst.m)
         durations = np.sort(inst.durations.ravel()[avail])
         rank = int(np.searchsorted(durations, inst.durations[j, k])) + 1
@@ -116,7 +114,6 @@ def _similarity_records(inst: Instance, pick_action, instance_id: int) -> list[d
             "num_available": len(avail),
         })
         st.step(action)
-        step += 1
     return records
 
 
@@ -134,13 +131,12 @@ def pdr_similarity(count: int, n: int, m: int, seed: int,
     for idx in range(count):
         inst = generate_random(gen, rng)
         if rule is not None:
-            pick = lambda st: select(rule, st)
+            actions = decisions(inst, rule)
         else:
             if store is None or model_cfg is None:
                 raise ValueError("pdr_similarity needs a model or a rule")
-            actions = iter(_greedy(inst, store, model_cfg)[0].actions[0].tolist())
-            pick = lambda st: next(actions)
-        rows.extend(_similarity_records(inst, pick, idx))
+            actions = _greedy(inst, store, model_cfg)[0].actions[0].tolist()
+        rows.extend(_similarity_records(inst, actions, idx))
     return rows
 
 

@@ -49,6 +49,8 @@ def branch_and_bound(inst: Instance, budget: int = DEFAULT_BUDGET) -> OracleResu
     child counts one node; the count stops at `budget`, which it never
     exceeds, and a search cut there is not proven.
     """
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise ValueError(f"budget must be an int, got {budget!r}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     best, best_actions = float("inf"), ()

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_rules import reference_select
 from vg2s.bench import (eval_bench, export_latents, gantt_svg, pdr_similarity,
                         solve_with_model, write_csv)
-from vg2s.env import replay
+from vg2s.env import replay, reset
 from vg2s.instance import GenConfig, generate_random
 from vg2s.rules import Rule
 from vg2s.trainer import EncoderCache, InstancePool, TrainConfig, build_model
@@ -105,6 +106,34 @@ class TestSimilarity:
     def test_requires_model_or_rule(self):
         with pytest.raises(ValueError):
             pdr_similarity(1, 2, 2, seed=0)
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 4), extra_jobs=st.integers(0, 3))
+def test_rule_trace_matches_reference_select(rule, seed, m, extra_jobs):
+    """A rule's similarity rows equal the rows recorded while stepping
+    `reference_select` over the same generated instances."""
+    count, n = 3, m + extra_jobs
+    rows = pdr_similarity(count, n, m, seed, rule=rule)
+    rng = np.random.default_rng(seed)
+    expected = []
+    for idx in range(count):
+        inst = generate_random(GenConfig(m_lo=m, m_hi=m, n_hi=n), rng)
+        st_ = reset(inst)
+        while not st_.done:
+            avail = st_.available()
+            u = reference_select(rule, st_)
+            p = inst.durations.flat[u]
+            expected.append({
+                "instance": idx,
+                "step": st_.t,
+                "completed_ops": u % inst.m,
+                "pt_rank": 1 + sum(int(inst.durations.flat[a] < p) for a in avail),
+                "num_available": len(avail),
+            })
+            st_.step(u)
+    assert rows == expected
 
 
 class TestExportLatents:

@@ -93,6 +93,13 @@ class TestBudget:
         with pytest.raises(ValueError, match="budget must be >= 0, got -5"):
             search(two_by_two, budget=-5)
 
+    @pytest.mark.parametrize("budget", [99.5, True])
+    def test_non_int_budget_rejected(self, ft06, budget):
+        """A float budget would never equal the node count, and a bool one
+        reads as 0 or 1 nodes; both are rejected before any search."""
+        with pytest.raises(ValueError, match=f"budget must be an int, got {budget!r}"):
+            branch_and_bound(ft06, budget=budget)
+
     @pytest.mark.parametrize("budget", [0, 1, 10, 4055])
     def test_branch_and_bound_stops_at_budget(self, ft06, budget):
         res = branch_and_bound(ft06, budget=budget)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vg2s.env import ScheduleState, replay, reset
 from vg2s.instance import GenConfig, Instance, generate_random
-from vg2s.rules import Rule, dispatch, improvement_rate, optimality_gap, select
+from vg2s.rules import Rule, decisions, dispatch, improvement_rate, optimality_gap
 
 
 def reference_priority(rule: Rule, st_: ScheduleState, u: int) -> float:
@@ -57,19 +57,38 @@ def tie_heavy_instances(draw):
         for _ in range(n)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(inst=tie_heavy_instances(), seed=st.integers(0, 10_000))
-@example(inst=Instance(n=2, m=3, ops=(((0, 1), (1, 1), (2, 1)), ((2, 1), (1, 1), (0, 1)))),
-         seed=0)
-def test_select_matches_reference_along_random_rollouts(inst, seed):
-    """At every state of a random rollout, each rule's array pass picks the
-    op the one-candidate-at-a-time reference picks."""
-    rng = np.random.default_rng(seed)
-    st_ = reset(inst)
+def reference_order(rule: Rule, inst: Instance) -> list[int]:
+    """The decisions of stepping `reference_select` from reset."""
+    st_, order = reset(inst), []
     while not st_.done:
-        for rule in Rule:
-            assert select(rule, st_) == reference_select(rule, st_)
-        st_.step(int(rng.choice(st_.available())))
+        order.append(reference_select(rule, st_))
+        st_.step(order[-1])
+    return order
+
+
+STATE_FIELDS = ("start", "end", "scheduled", "next_op", "machine_ready", "job_ready",
+                "machine_remaining", "job_remaining")
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=tie_heavy_instances())
+@example(inst=Instance(n=2, m=3, ops=(((0, 1), (1, 1), (2, 1)), ((2, 1), (1, 1), (0, 1)))))
+@example(inst=Instance(n=1, m=4, ops=(((2, 3), (0, 1), (3, 3), (1, 2)),)))
+@example(inst=Instance(n=4, m=1, ops=(((0, 2),), ((0, 1),), ((0, 2),), ((0, 1),))))
+def test_engine_matches_reference_select(inst):
+    """Each rule's heap engine decides what stepping the one-candidate-at-a-
+    time reference decides, in the same order, and `dispatch` returns the
+    state that replaying those decisions steps to, field for field."""
+    for rule in Rule:
+        order = reference_order(rule, inst)
+        assert decisions(inst, rule) == order
+        st_, c = dispatch(inst, rule)
+        ref = replay(inst, order)
+        for name in STATE_FIELDS:
+            got, want = getattr(st_, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert st_.t == ref.t and st_.done
+        assert type(c) is int and c == ref.makespan()
 
 
 FT06_MAKESPANS = {
@@ -83,30 +102,34 @@ FT06_MAKESPANS = {
 
 
 class TestSelect:
+    """The engine's first decision (its second, where the earliest-start
+    filter binds)."""
+
     def test_spt_picks_shortest(self):
         # three one-op jobs on the same machine, p = (3, 1, 2)
         inst = Instance(n=3, m=1, ops=(((0, 3),), ((0, 1),), ((0, 2),)))
-        assert select(Rule.SPT, reset(inst)) == 1
+        assert decisions(inst, Rule.SPT)[0] == 1
 
     def test_lpt_picks_longest(self):
         inst = Instance(n=3, m=1, ops=(((0, 3),), ((0, 1),), ((0, 2),)))
-        assert select(Rule.LPT, reset(inst)) == 0
+        assert decisions(inst, Rule.LPT)[0] == 0
 
     def test_tie_break_lowest_job(self):
         inst = Instance(n=2, m=1, ops=(((0, 4),), ((0, 4),)))
         for rule in Rule:
-            assert select(rule, reset(inst)) == 0
+            assert decisions(inst, rule)[0] == 0
 
-    def test_non_delay_restriction(self, two_by_two):
-        # after J1O1 and J2O1, J2O2 can start at t=3 while J1O2 at t=3 too;
-        # play one more step so the earliest-start filter becomes binding
-        st_ = replay(two_by_two, [0, 2])
-        # J1O2 (machine 1, est max(2,3)=3) vs J2O2 (machine 0, est max(3,2)=3)
-        assert select(Rule.SPT, st_) == 1  # p=2 beats p=4
+    def test_non_delay_restriction(self):
+        # J0 = (M0,1)(M1,1), J1 = (M1,5)(M0,5): SPT first places J0O0 on
+        # [0, 1]; then J0O1 (p=1) could start on M1 only at 1, while J1O0
+        # (p=5) starts there at 0, so the earliest-start filter overrides
+        # the shorter op
+        inst = Instance(n=2, m=2, ops=(((0, 1), (1, 1)), ((1, 5), (0, 5))))
+        assert decisions(inst, Rule.SPT)[:2] == [0, 2]
 
     def test_mwkr_prefers_loaded_job(self, two_by_two):
         # job 1 has total 6 > job 0 total 5, both first ops start at 0
-        assert select(Rule.MWKR, reset(two_by_two)) == 2
+        assert decisions(two_by_two, Rule.MWKR)[0] == 2
 
 
 class TestDispatch:
