@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import ParamStore
-from .env import ScheduleState, reset
+from .env import BatchState, ScheduleState, state_features
 from .graph import build_graph
 from .instance import GenConfig, Instance, generate_random
 from .oracle import branch_and_bound
@@ -97,24 +97,40 @@ def write_csv(rows: list[dict], path, columns: list[str] | None = None) -> None:
         writer.writerows(rows)
 
 
-def _similarity_records(inst: Instance, actions: list[int], instance_id: int) -> list[dict]:
-    """Per-step records of replaying a complete episode's `actions`."""
-    st = reset(inst)
-    records = []
-    for step, action in enumerate(actions, 1):
-        avail = st.available()
-        j, k = divmod(action, inst.m)
-        durations = np.sort(inst.durations.ravel()[avail])
-        rank = int(np.searchsorted(durations, inst.durations[j, k])) + 1
-        records.append({
-            "instance": instance_id,
-            "step": step,
-            "completed_ops": int(st.next_op[j]),
-            "pt_rank": rank,
-            "num_available": len(avail),
-        })
-        st.step(action)
-    return records
+def _similarity_records(insts: list[Instance], actions: list[list[int]]) -> list[dict]:
+    """Per-step records of replaying each instance's complete decision list,
+    instance by instance.  The instances are the rows of one BatchState,
+    stepped together; each step's available ops are state_features' slot
+    map, and a row leaves once its schedule is complete."""
+    if not insts:
+        return []
+    batch = BatchState(insts)
+    sizes = batch.sizes
+    count, width = len(insts), int(sizes.max())
+    chosen = np.zeros((count, width), dtype=np.int64)
+    for e, acts in enumerate(actions):
+        chosen[e, :sizes[e]] = acts
+    ranks = np.zeros((count, width), dtype=np.int64)
+    available = np.zeros((count, width), dtype=np.int64)
+    ends = set(sizes.tolist())
+    active = slice(None)
+    for t in range(width):
+        if t in ends:
+            active = np.flatnonzero(sizes > t)
+        _, ops = state_features(batch, active)
+        picks = chosen[active, t]
+        offset = batch.op_offset[active, None]
+        slot = ops >= 0
+        shorter = batch.durations[offset + ops] < batch.durations[offset + picks[:, None]]
+        ranks[active, t] = 1 + (shorter & slot).sum(axis=1)
+        available[active, t] = slot.sum(axis=1)
+        batch.step(active, picks)
+    completed = chosen % batch.m[:, None]
+    return [{"instance": e, "step": t + 1, "completed_ops": c, "pt_rank": r,
+             "num_available": a}
+            for e in range(count)
+            for t, c, r, a in zip(range(sizes[e]), completed[e].tolist(),
+                                  ranks[e].tolist(), available[e].tolist())]
 
 
 def pdr_similarity(count: int, n: int, m: int, seed: int,
@@ -127,17 +143,14 @@ def pdr_similarity(count: int, n: int, m: int, seed: int,
     proxy).  Either a model checkpoint or a rule drives the choices."""
     rng = np.random.default_rng(seed)
     gen = GenConfig(m_lo=m, m_hi=m, n_hi=n)
-    rows = []
-    for idx in range(count):
-        inst = generate_random(gen, rng)
-        if rule is not None:
-            actions = decisions(inst, rule)
-        else:
-            if store is None or model_cfg is None:
-                raise ValueError("pdr_similarity needs a model or a rule")
-            actions = _greedy(inst, store, model_cfg)[0].actions[0].tolist()
-        rows.extend(_similarity_records(inst, actions, idx))
-    return rows
+    insts = [generate_random(gen, rng) for _ in range(count)]
+    if rule is not None:
+        actions = [decisions(inst, rule) for inst in insts]
+    else:
+        if store is None or model_cfg is None:
+            raise ValueError("pdr_similarity needs a model or a rule")
+        actions = [_greedy(inst, store, model_cfg)[0].actions[0].tolist() for inst in insts]
+    return _similarity_records(insts, actions)
 
 
 def export_latents(instances: dict[str, Instance], store: ParamStore,

@@ -245,15 +245,16 @@ def cmd_train(args) -> int:
 
 def _load_ubs(path: str) -> dict[str, int]:
     """Read a JSON object mapping instance id -> best-known makespan.  Any
-    value but a JSON integer >= 1 raises UsageError."""
+    value but a JSON integer in [1, 2^63 - 1] raises UsageError; no
+    makespan is larger, since an Instance's duration sums fit int64."""
     try:
         raw = json.loads(_read_input(Path.read_text, Path(path)))
         if not isinstance(raw, dict):
             raise ValueError("expected a JSON object of instance id -> makespan")
         for name, val in raw.items():
-            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
+            if isinstance(val, bool) or not isinstance(val, int) or not 1 <= val < 2**63:
                 raise ValueError(f"{name}: best-known makespan must be an integer "
-                                 f">= 1, got {json.dumps(val)}")
+                                 f"in [1, 2^63 - 1], got {json.dumps(val)}")
     except ValueError as exc:
         raise UsageError(f"ub file {path}: {exc}") from None
     return raw

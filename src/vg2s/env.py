@@ -3,10 +3,11 @@
 A schedule is built one operation at a time; the action set at every step is
 the next unscheduled operation of each unfinished job.  Placement is
 semi-active: an op starts at max(machine ready, job ready), so no machine
-idles while work it could start is waiting.  `ScheduleState` holds one
-instance's partial schedule; `BatchState` holds a batch of them as one
-padded state, which a lockstep rollout steps, and reads features off, in
-one array pass per step.
+idles while work it could start is waiting.  `BatchState` holds a batch
+of partial schedules as one padded state, which a lockstep rollout steps,
+and reads features off, in one array pass per step.  `ScheduleState` is one
+instance's schedule: `replay` steps it op by op, and `ScheduleState.finished`
+builds a complete one from its start and end times.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ class ActionError(ValueError):
 
 
 class ScheduleState:
-    """Mutable partial schedule for one instance.
+    """Mutable schedule of one instance: each machine's and job's ready
+    time, each job's next op, and each op's start and end (UNSET until
+    scheduled).
 
     Arrays are indexed by op node u = j*m + k.  `t` counts decision steps
     starting at 1; exactly t-1 ops are scheduled at step t.
@@ -35,22 +38,25 @@ class ScheduleState:
         self.machine_ready = np.zeros(m, dtype=np.int64)
         self.job_ready = np.zeros(n, dtype=np.int64)
         self.next_op = np.zeros(n, dtype=np.int64)
-        self.scheduled = np.zeros(n * m, dtype=bool)
         self.start = np.full(n * m, UNSET, dtype=np.int64)
         self.end = np.full(n * m, UNSET, dtype=np.int64)
         self.t = 1
-        # remaining unscheduled work per machine / per job
-        self.machine_remaining = np.array(inst.machine_totals, dtype=np.int64)
-        self.job_remaining = np.array(inst.job_totals, dtype=np.int64)
+
+    @classmethod
+    def finished(cls, inst: Instance, start, end) -> ScheduleState:
+        """The complete schedule with these op start and end times."""
+        st = cls(inst)
+        st.start[:] = start
+        st.end[:] = end
+        st.next_op[:] = inst.m
+        st.job_ready[:] = st.end[inst.m - 1::inst.m]
+        np.maximum.at(st.machine_ready, inst.machines.ravel(), st.end)
+        st.t += inst.num_ops
+        return st
 
     @property
     def done(self) -> bool:
-        return bool(self.scheduled.all())
-
-    def available(self) -> list[int]:
-        """Op nodes selectable now: the next op of every unfinished job."""
-        jobs = np.flatnonzero(self.next_op < self.inst.m)
-        return (jobs * self.inst.m + self.next_op[jobs]).tolist()
+        return bool((self.next_op == self.inst.m).all())
 
     def step(self, u: int) -> None:
         """Schedule op u semi-actively; rejects unavailable actions."""
@@ -64,9 +70,6 @@ class ScheduleState:
         self.end[u] = start + p
         self.machine_ready[i] = start + p
         self.job_ready[j] = start + p
-        self.machine_remaining[i] -= p
-        self.job_remaining[j] -= p
-        self.scheduled[u] = True
         self.next_op[j] += 1
         self.t += 1
 
@@ -74,10 +77,6 @@ class ScheduleState:
         if not self.done:
             raise ValueError("schedule incomplete: makespan undefined")
         return int(self.end.max())
-
-
-def reset(inst: Instance) -> ScheduleState:
-    return ScheduleState(inst)
 
 
 def replay(inst: Instance, actions) -> ScheduleState:
@@ -100,7 +99,7 @@ class BatchState:
     holds its largest next_op.
 
     Each array also has a flat view, and the instances' tables are
-    flattened once at reset over the flat op index e * N + j * m_e + k:
+    flattened once at construction over the flat op index e * N + j * m_e + k:
     `durations`, and `machines` as flat machine indices e * m_max + i.
     `live_jobs` lists each row's unfinished jobs in job order, as flat job
     indices e * n_max + j, then `dummy_job`, never live, whose op reads
@@ -191,19 +190,12 @@ class BatchState:
                 self.live_count[e] -= 1
 
     def schedule(self, e: int) -> ScheduleState:
-        """Row e as a ScheduleState of its own instance."""
+        """Row e's complete schedule as a ScheduleState of its own instance."""
         inst = self.insts[e]
-        st = ScheduleState(inst)
-        st.machine_ready[:] = self.machine_ready[e, :inst.m]
-        st.machine_remaining[:] = self.machine_remaining[e, :inst.m]
-        st.job_ready[:] = self.job_ready[e, :inst.n]
-        st.job_remaining[:] = self.job_remaining[e, :inst.n]
-        st.next_op[:] = self.next_op[e, :inst.n]
-        st.scheduled[:] = self.scheduled[e, :inst.num_ops]
-        st.start[:] = self.start[e, :inst.num_ops]
-        st.end[:] = self.end[e, :inst.num_ops]
-        st.t = int(self.t[e])
-        return st
+        if (self.next_op[e, :inst.n] < inst.m).any():
+            raise ValueError(f"row {e}'s schedule is incomplete")
+        return ScheduleState.finished(inst, self.start[e, :inst.num_ops],
+                                      self.end[e, :inst.num_ops])
 
 
 def state_features(batch: BatchState, episodes) -> tuple[np.ndarray, np.ndarray]:

@@ -28,9 +28,8 @@ def _run(inst: Instance, rule: Rule) -> tuple[list[int], ...]:
     machine i's ready time and remaining work and job j's ready time and
     remaining work, so only job j and the jobs whose next op waits on
     machine i get new keys; a superseded entry is skipped when popped, by
-    its job's stamp.  Returns the decisions in order, each op's start and
-    end, and the final machine ready, machine remaining, job ready and job
-    remaining lists.
+    its job's stamp.  Returns the decisions in order and each op's start
+    and end.
     """
     n, m, ops = inst.n, inst.m, inst.ops
     machine_ready, job_ready = [0] * m, [0] * n
@@ -82,7 +81,7 @@ def _run(inst: Instance, rule: Rule) -> tuple[list[int], ...]:
             a = machine_ready[i]
             stamp[j] += 1
             heappush(heap, (a if a > done else done, priority(j, i, p), j, stamp[j]))
-    return order, start, end, machine_ready, machine_remaining, job_ready, job_remaining
+    return order, start, end
 
 
 def decisions(inst: Instance, rule: Rule) -> list[int]:
@@ -92,19 +91,8 @@ def decisions(inst: Instance, rule: Rule) -> list[int]:
 
 def dispatch(inst: Instance, rule: Rule) -> tuple[ScheduleState, int]:
     """Run the rule to completion; returns the schedule and its makespan."""
-    order, start, end, machine_ready, machine_remaining, job_ready, job_remaining = \
-        _run(inst, rule)
-    st = ScheduleState(inst)
-    st.start[:] = start
-    st.end[:] = end
-    st.machine_ready[:] = machine_ready
-    st.machine_remaining[:] = machine_remaining
-    st.job_ready[:] = job_ready
-    st.job_remaining[:] = job_remaining
-    st.next_op[:] = inst.m
-    st.scheduled[:] = True
-    st.t += len(order)
-    return st, max(machine_ready)
+    _, start, end = _run(inst, rule)
+    return ScheduleState.finished(inst, start, end), max(end)
 
 
 def optimality_gap(c: float, ub: float) -> float:

@@ -1,6 +1,7 @@
-"""Reference `state_features` for one ScheduleState, for the differential
-tests of `vg2s.env.state_features`, which computes the same features for
-every unfinished row of a BatchState in one array pass.
+"""Per-state references over one ScheduleState stepped op by op: its
+available ops, its remaining work, and `state_features`, for the
+differential tests of `vg2s.env.state_features`, which computes the same
+features for every unfinished row of a BatchState in one array pass.
 
 This is the per-state form: the successor's max over its available set is
 taken over an explicit (available x available) matrix of the other ops'
@@ -11,7 +12,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from vg2s.env import ScheduleState
+from vg2s.env import UNSET, ScheduleState
+
+
+def available(st: ScheduleState) -> list[int]:
+    """Op nodes selectable now: the next op of every unfinished job."""
+    jobs = np.flatnonzero(st.next_op < st.inst.m)
+    return (jobs * st.inst.m + st.next_op[jobs]).tolist()
+
+
+def remaining(st: ScheduleState) -> tuple[np.ndarray, np.ndarray]:
+    """Unscheduled work per machine and per job: the instance's totals
+    minus the durations of the scheduled ops."""
+    inst = st.inst
+    done = np.where(st.start != UNSET, inst.durations.ravel(), 0)
+    machine_done = np.zeros(inst.m, dtype=np.int64)
+    np.add.at(machine_done, inst.machines.ravel(), done)
+    return (np.array(inst.machine_totals) - machine_done,
+            np.array(inst.job_totals) - done.reshape(inst.n, inst.m).sum(axis=1))
 
 
 def state_features(st: ScheduleState) -> np.ndarray:
@@ -40,22 +58,23 @@ def state_features(st: ScheduleState) -> np.ndarray:
     # machine of the job's op k+1 (for a terminal op, its own machine: a
     # placeholder masked below)
     follow_mach = inst.machines[jobs, np.minimum(ks + 1, m - 1)]
+    machine_remaining, job_remaining = remaining(st)
     est = np.maximum(st.machine_ready[mach], st.job_ready[jobs])
-    machine_load = st.machine_ready + st.machine_remaining
-    job_load = st.job_ready[jobs] + st.job_remaining[jobs]
+    machine_load = st.machine_ready + machine_remaining
+    job_load = st.job_ready[jobs] + job_remaining[jobs]
     terminal = ks == m - 1
-    own = np.where(terminal, 0, est + np.maximum(st.machine_remaining[mach],
-                                                 st.job_remaining[jobs]))
+    own = np.where(terminal, 0, est + np.maximum(machine_remaining[mach],
+                                                 job_remaining[jobs]))
     # others[a, v]: term of job v's next op once candidate a is scheduled;
     # only ops sharing a's machine see the moved machine ready time
-    moved = (est + st.machine_remaining[mach])[:, None]
+    moved = (est + machine_remaining[mach])[:, None]
     others_machine = np.where(mach[:, None] == mach[None, :], moved,
                               machine_load[mach][None, :])
     others = np.where(terminal[None, :], 0, np.maximum(others_machine, job_load[None, :]))
     np.fill_diagonal(others, 0)
     # job j's op k+1 runs on another machine (machine orders are permutations)
     follow = np.where(ks + 1 >= m - 1, 0, np.maximum(machine_load[follow_mach],
-                                                     est + st.job_remaining[jobs]))
+                                                     est + job_remaining[jobs]))
     best = np.maximum(np.maximum(own, follow), others.max(axis=1))
 
     feats = np.empty((jobs.size, 6), dtype=np.float64)

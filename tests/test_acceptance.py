@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from autodiff_extra import batch_norm, div, exp, softmax, tmax
-from env_reference import state_features
+from env_reference import available, state_features
 from helpers import grad_check, section_bytes
 from oracle_reference import enumerate_all
 from vg2s import autodiff as ad
 from vg2s.bench import solve_with_model
 from vg2s.checkpoint import ParamStore, load_checkpoint
-from vg2s.env import reset
+from vg2s.env import UNSET, ScheduleState
 from vg2s.graph import build_graph, reconstruction_targets
 from vg2s.instance import GenConfig, generate_random
 from vg2s.oracle import branch_and_bound
@@ -88,12 +88,12 @@ def test_criterion_03_semi_active_suite():
     gen = GenConfig()  # m in [5,9], n in [m,9]: sizes up to 9x9
     for _ in range(1000):
         inst = generate_random(gen, rng)
-        st = reset(inst)
+        st = ScheduleState(inst)
         steps = 0
         while not st.done:
             machine_before = st.machine_ready.copy()
             job_before = st.job_ready.copy()
-            u = int(rng.choice(st.available()))
+            u = int(rng.choice(available(st)))
             j, k = divmod(u, inst.m)
             i = inst.machines[j, k]
             st.step(u)
@@ -184,10 +184,10 @@ def test_criterion_04_gradient_verification(two_by_two):
 
     # (d) one policy-decoder step log-probability
     h_data = encode(graph, store, cfg).data
-    st = reset(two_by_two)
+    st = ScheduleState(two_by_two)
     feats = state_features(st)
 
-    ops = np.array([[st.available()]])
+    ops = np.array([[available(st)]])
 
     def pol_logprob():
         keys = project_keys(h_data[None, :4], store, cfg)
@@ -328,7 +328,8 @@ def test_criterion_08_decoupling_contract(tmp_path, two_by_two):
                  "--instances", str(inst_dir),
                  "--checkpoint", str(baseline_ckpt),
                  "--log", str(baseline_log)]) == 0
-    logged = list(csv.DictReader(baseline_log.open()))
+    with baseline_log.open() as fh:
+        logged = list(csv.DictReader(fh))
     assert len(logged) == 5
     assert set(logged[0]) == {"epoch", "policy_loss", "critic_loss", "mean_cmax"}
     report(8, "encoder/latent/decoder byte-identical through phase 2; "
@@ -348,12 +349,12 @@ def test_criterion_09_masking_probability():
         h_real = h.data[None, : inst.num_ops]
         keys = project_keys(h_real, store, cfg)
         z = latent(h, store, cfg).z
-        st = reset(inst)
+        st = ScheduleState(inst)
         prev = None
         while not st.done:
-            avail = st.available()
+            avail = available(st)
             out = decode_step(z.data[None], np.array([[-1 if prev is None else prev]]), keys,
-                              state_features(st)[None, None], ~st.scheduled[None, None],
+                              state_features(st)[None, None], (st.start == UNSET)[None, None],
                               np.array([[avail]]), store, cfg)
             full = out.data[0, 0]
             finite = np.isfinite(full)

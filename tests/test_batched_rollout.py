@@ -19,10 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from autodiff_extra import softmax
-from env_reference import state_features
+from env_reference import available, state_features
 from helpers import instance_batches, random_instance
 from vg2s import autodiff as ad
-from vg2s.env import replay, reset
+from vg2s.env import UNSET, ScheduleState, replay
 from vg2s.graph import build_graph
 from vg2s.instance import Instance
 from vg2s.nnutil import mlp
@@ -103,14 +103,14 @@ def reference_rollout(inst, z, h_real, store, cfg, actions):
     per decision.  Returns (per-step log-probs, taped log-probability total,
     per-step full logit vectors)."""
     z, h_real = ad.Tensor(z), ad.Tensor(h_real)
-    st_ = reset(inst)
+    st_ = ScheduleState(inst)
     log_probs, terms, fulls = [], [], []
     prev = None
     for action in actions:
         feats = np.zeros((inst.num_ops, 6))  # the reference reads dense features
-        feats[st_.available()] = state_features(st_)
-        out = reference_decode_step(z, h_real, prev, feats, st_.scheduled,
-                                    st_.available(), store, cfg)
+        feats[available(st_)] = state_features(st_)
+        out = reference_decode_step(z, h_real, prev, feats, st_.start != UNSET,
+                                    available(st_), store, cfg)
         terms.append(out.log_prob(action))
         log_probs.append(reference_log_prob(out.full, action))
         fulls.append(out.full)

@@ -4,14 +4,16 @@ import csv
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from env_reference import available
+from helpers import instance_batches
 from test_rules import reference_select
-from vg2s.bench import (eval_bench, export_latents, gantt_svg, pdr_similarity,
-                        solve_with_model, write_csv)
-from vg2s.env import replay, reset
-from vg2s.instance import GenConfig, generate_random
+from vg2s.bench import (_similarity_records, eval_bench, export_latents, gantt_svg,
+                        pdr_similarity, solve_with_model, write_csv)
+from vg2s.env import ScheduleState, replay
+from vg2s.instance import GenConfig, Instance, generate_random
 from vg2s.rules import Rule
 from vg2s.trainer import EncoderCache, InstancePool, TrainConfig, build_model
 
@@ -67,7 +69,8 @@ class TestWriteCsv:
         rows = [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}]
         path = tmp_path / "out.csv"
         write_csv(rows, path)
-        back = list(csv.DictReader(path.open()))
+        with path.open() as fh:
+            back = list(csv.DictReader(fh))
         assert back == [{"a": "1", "b": "x"}, {"a": "2", "b": "y"}]
 
     def test_empty(self, tmp_path):
@@ -78,9 +81,10 @@ class TestWriteCsv:
     def test_empty_with_columns_keeps_header(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv([], path, ["a", "b"])
-        reader = csv.DictReader(path.open())
-        assert reader.fieldnames == ["a", "b"]
-        assert list(reader) == []
+        with path.open() as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == ["a", "b"]
+            assert list(reader) == []
 
 
 class TestSimilarity:
@@ -120,9 +124,9 @@ def test_rule_trace_matches_reference_select(rule, seed, m, extra_jobs):
     expected = []
     for idx in range(count):
         inst = generate_random(GenConfig(m_lo=m, m_hi=m, n_hi=n), rng)
-        st_ = reset(inst)
+        st_ = ScheduleState(inst)
         while not st_.done:
-            avail = st_.available()
+            avail = available(st_)
             u = reference_select(rule, st_)
             p = inst.durations.flat[u]
             expected.append({
@@ -134,6 +138,52 @@ def test_rule_trace_matches_reference_select(rule, seed, m, extra_jobs):
             })
             st_.step(u)
     assert rows == expected
+
+
+def stepped_records(insts: list[Instance], actions: list[list[int]]) -> list[dict]:
+    """Similarity records of stepping each instance's decisions alone on a
+    ScheduleState, reading the reference `available` before each step."""
+    records = []
+    for idx, (inst, acts) in enumerate(zip(insts, actions)):
+        st_ = ScheduleState(inst)
+        durations = inst.durations.ravel()
+        for u in acts:
+            avail = available(st_)
+            records.append({
+                "instance": idx,
+                "step": st_.t,
+                "completed_ops": int(st_.next_op[u // inst.m]),
+                "pt_rank": 1 + sum(int(durations[a] < durations[u]) for a in avail),
+                "num_available": len(avail),
+            })
+            st_.step(u)
+    return records
+
+
+ONE_BY_ONE = Instance(n=1, m=1, ops=(((0, 5),),))
+THREE_BY_ONE = Instance(n=3, m=1, ops=(((0, 2),), ((0, 2),), ((0, 1),)))
+ONE_BY_THREE = Instance(n=1, m=3, ops=(((1, 4), (0, 4), (2, 1)),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(insts=instance_batches(), seed=st.integers(0, 10_000))
+@example(insts=[ONE_BY_ONE], seed=0)
+@example(insts=[THREE_BY_ONE, ONE_BY_ONE, ONE_BY_THREE], seed=1)
+@example(insts=[ONE_BY_THREE, THREE_BY_ONE], seed=2)
+def test_batched_similarity_records_match_stepping_alone(insts, seed):
+    """Replaying mixed-size instances' random complete decision lists as
+    the rows of one BatchState gives, row for row, the records of stepping
+    each instance alone with the reference `available`."""
+    rng = np.random.default_rng(seed)
+    actions = []
+    for inst in insts:
+        st_, acts = ScheduleState(inst), []
+        while not st_.done:
+            acts.append(int(rng.choice(available(st_))))
+            st_.step(acts[-1])
+        actions.append(acts)
+    assert _similarity_records(insts, actions) == stepped_records(insts, actions)
+    assert _similarity_records([], []) == []
 
 
 class TestExportLatents:

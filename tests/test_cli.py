@@ -128,7 +128,7 @@ class TestTrainPipeline:
                      "--config", tiny_config_file, "--instances", instance_dir,
                      "--checkpoint", str(ckpt1), "--log", str(log1)]) == 0
         assert ckpt1.exists()
-        rows = list(csv.DictReader(log1.open()))
+        rows = list(csv.DictReader(log1.read_text().splitlines()))
         assert len(rows) == 3
         assert set(rows[0]) == {"epoch", "kl", "node", "edge", "total"}
 
@@ -185,7 +185,7 @@ class TestTrainPipeline:
                      "--checkpoint", str(ckpt)]) == 0
         assert main(["export-latents", "--model", str(ckpt), "--config", tiny_config_file,
                      "--instances", instance_dir, "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [row["instance"] for row in rows] == ["ft06", "toy"]
         assert float(rows[0]["greedy_cmax"]) >= 55  # FT06's optimum
         capsys.readouterr()
@@ -534,7 +534,7 @@ def test_malformed_instance_one_line_error(tmp_path, ft06_file, capsys, case, co
     d = tmp_path / "instances"
     d.mkdir()
     path = d / name
-    path.write_text(open(ft06_file).read() if text is None else text)
+    path.write_text(Path(ft06_file).read_text() if text is None else text)
     out = tmp_path / "out"
     argv = {
         "parse": ["parse", str(path), "--format", fmt],
@@ -597,7 +597,7 @@ class TestChecksBeforeWork:
     def test_negative_budget(self, tmp_path, ft06_file, capsys, argv):
         bench = tmp_path / "bench"
         bench.mkdir()
-        (bench / "ft06.txt").write_text(open(ft06_file).read())
+        (bench / "ft06.txt").write_text(Path(ft06_file).read_text())
         before = _tree(tmp_path)
         argv = [a.format(ft06=ft06_file, bench=bench, out=tmp_path / "out") for a in argv]
         budget = argv[argv.index("--budget") + 1]
@@ -620,7 +620,7 @@ class TestChecksBeforeWork:
         assert list((tmp_path / "gen").iterdir()) == []
         assert main(["similarity", "--rule", "spt", "--count", "0",
                      "--out", str(tmp_path / "sim.csv")]) == 0
-        reader = csv.DictReader((tmp_path / "sim.csv").open())
+        reader = csv.DictReader((tmp_path / "sim.csv").read_text().splitlines())
         assert reader.fieldnames == ["instance", "step", "completed_ops", "pt_rank",
                                      "num_available"]
         assert list(reader) == []
@@ -630,7 +630,7 @@ class TestChecksBeforeWork:
         empty.mkdir()
         out = tmp_path / "r.csv"
         assert main(["eval", "--dir", str(empty), "--methods", "spt", "--out", str(out)]) == 0
-        reader = csv.DictReader(out.open())
+        reader = csv.DictReader(out.read_text().splitlines())
         assert reader.fieldnames == ["instance", "size", "method", "cmax", "ub", "gap"]
         assert list(reader) == []
 
@@ -664,7 +664,7 @@ class TestChecksBeforeWork:
                                          instance_dir, capsys, argv, dest):
         bench = tmp_path / "bench"
         bench.mkdir()
-        (bench / "ft06.txt").write_text(open(ft06_file).read())
+        (bench / "ft06.txt").write_text(Path(ft06_file).read_text())
         before = _tree(tmp_path)
         bad = tmp_path / "nodir" / "x"
         argv = [a.format(ft06=ft06_file, bench=bench, config=tiny_config_file,
@@ -711,25 +711,28 @@ class TestEval:
     def test_csv_report(self, tmp_path, ft06_file, capsys):
         d = tmp_path / "bench"
         d.mkdir()
-        (d / "ft06.txt").write_text(open(ft06_file).read())
+        (d / "ft06.txt").write_text(Path(ft06_file).read_text())
         ubs = tmp_path / "ubs.json"
         ubs.write_text(json.dumps({"ft06": 55}))
         out = tmp_path / "report.csv"
         assert main(["eval", "--dir", str(d), "--format", "orlib",
                      "--methods", "fifo", "mwkr", "--ub-file", str(ubs),
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         by_method = {r["method"]: r for r in rows if r["instance"] == "ft06"}
         assert by_method["fifo"]["cmax"] == "65"
         assert by_method["mwkr"]["cmax"] == "61"
 
-    @pytest.mark.parametrize("value", ['"abc"', "0", "-3", "1.5", "true"])
+    @pytest.mark.parametrize("value", ['"abc"', "0", "-3", "1.5", "true",
+                                       pytest.param(str(2**63), id="2^63"),
+                                       pytest.param("1" + "0" * 400, id="1e400")])
     def test_bad_ub_one_line_error(self, tmp_path, ft06_file, capsys, value):
-        """Only JSON integers >= 1 are best-known makespans; anything else
-        stops before any CSV is written (1.5 is not truncated to 1)."""
+        """Only JSON integers in [1, 2^63 - 1] are best-known makespans;
+        anything else stops before any CSV is written (1.5 is not truncated
+        to 1, and 10^400, too large for a float, is no traceback)."""
         d = tmp_path / "bench"
         d.mkdir()
-        (d / "ft06.txt").write_text(open(ft06_file).read())
+        (d / "ft06.txt").write_text(Path(ft06_file).read_text())
         ubs = tmp_path / "ubs.json"
         ubs.write_text('{"ft06": %s}' % value)
         out = tmp_path / "report.csv"
@@ -742,10 +745,22 @@ class TestEval:
         assert value in err
         assert not out.exists()
 
+    def test_largest_ub_accepted(self, tmp_path, ft06_file, capsys):
+        d = tmp_path / "bench"
+        d.mkdir()
+        (d / "ft06.txt").write_text(Path(ft06_file).read_text())
+        ubs = tmp_path / "ubs.json"
+        ubs.write_text(json.dumps({"ft06": 2**63 - 1}))
+        out = tmp_path / "report.csv"
+        assert main(["eval", "--dir", str(d), "--methods", "fifo", "--ub-file", str(ubs),
+                     "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert rows[0]["ub"] == str(2**63 - 1) and float(rows[0]["gap"]) == -100.0
+
     def test_unknown_method_rejected_before_running(self, tmp_path, ft06_file, capsys):
         d = tmp_path / "bench"
         d.mkdir()
-        (d / "ft06.txt").write_text(open(ft06_file).read())
+        (d / "ft06.txt").write_text(Path(ft06_file).read_text())
         out = tmp_path / "report.csv"
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--dir", str(d), "--methods", "fifo", "mwrk",
@@ -760,7 +775,7 @@ class TestSimilarityAndLatents:
         out = tmp_path / "sim.csv"
         assert main(["similarity", "--rule", "spt", "--count", "2",
                      "--jobs", "3", "--machines", "2", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 12
 
     def test_similarity_rejects_fewer_jobs_than_machines(self, tmp_path, capsys):
@@ -778,7 +793,7 @@ class TestSimilarityAndLatents:
         assert main(["export-latents", "--model", str(ckpt),
                      "--config", tiny_config_file, "--instances", instance_dir,
                      "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 1 and rows[0]["instance"] == "toy"
 
 

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from env_reference import available, remaining
 from env_reference import state_features as reference_state_features
 from helpers import instance_batches
-from vg2s.env import (UNSET, ActionError, BatchState, replay, reset, schedule_records,
+from vg2s.env import (UNSET, ActionError, BatchState, ScheduleState, replay, schedule_records,
                       state_features)
 from vg2s.instance import GenConfig, Instance, generate_random
 
@@ -26,17 +27,18 @@ def reference_bounds(st_, u) -> tuple[float, float]:
     of the successor's available ops; a job's terminal op has term zero."""
     inst = st_.inst
     nxt = _successor(st_, u)
+    machine_remaining, job_remaining = remaining(nxt)
 
     def term(v):
         j, k = divmod(v, inst.m)
         if k == inst.m - 1:
             return 0.0
         i = inst.machines[j, k]
-        return float(max(nxt.machine_ready[i] + nxt.machine_remaining[i],
-                         nxt.job_ready[j] + nxt.job_remaining[j]))
+        return float(max(nxt.machine_ready[i] + machine_remaining[i],
+                         nxt.job_ready[j] + job_remaining[j]))
 
     own = term(u)
-    return own, max([own] + [term(v) for v in nxt.available()])
+    return own, max([own] + [term(v) for v in available(nxt)])
 
 
 def reference_features(st_) -> np.ndarray:
@@ -45,7 +47,7 @@ def reference_features(st_) -> np.ndarray:
     inst = st_.inst
     n, m = inst.n, inst.m
     feats = np.zeros((n * m, 6), dtype=np.float64)
-    avail = st_.available()
+    avail = available(st_)
     if not avail:
         return feats
     raw = np.zeros((len(avail), 6), dtype=np.float64)
@@ -77,7 +79,7 @@ class OneRow:
     stepped together."""
 
     def __init__(self, inst: Instance, actions=()):
-        self.st = reset(inst)
+        self.st = ScheduleState(inst)
         self.batch = BatchState([inst])
         for u in actions:
             self.step(u)
@@ -89,19 +91,19 @@ class OneRow:
     def features(self) -> np.ndarray:
         """state_features of the row: one slot per available op."""
         feats, ops = state_features(self.batch, slice(None))
-        assert ops[0].tolist() == self.st.available()
+        assert ops[0].tolist() == available(self.st)
         return feats[0]
 
 
 class TestReset:
     def test_initial_state(self, two_by_two):
-        st_ = reset(two_by_two)
+        st_ = ScheduleState(two_by_two)
         assert st_.t == 1
-        assert st_.available() == [0, 2]  # first op of each job
+        assert available(st_) == [0, 2]  # first op of each job
         assert not st_.done
 
     def test_ft06_has_six_initial_actions(self, ft06):
-        assert len(reset(ft06).available()) == 6
+        assert len(available(ScheduleState(ft06))) == 6
 
 
 class TestStep:
@@ -128,12 +130,12 @@ class TestStep:
         assert st_.makespan() == 5
 
     def test_unavailable_action_rejected(self, two_by_two):
-        st_ = reset(two_by_two)
+        st_ = ScheduleState(two_by_two)
         with pytest.raises(ActionError):
             st_.step(1)  # second op of job 0 before the first
 
     def test_semi_active_start_times(self, two_by_two):
-        st_ = reset(two_by_two)
+        st_ = ScheduleState(two_by_two)
         st_.step(0)
         assert st_.start[0] == 0 and st_.end[0] == 3
         st_.step(2)
@@ -142,16 +144,16 @@ class TestStep:
         assert st_.start[3] == 3 and st_.end[3] == 7
 
     def test_makespan_requires_completion(self, two_by_two):
-        st_ = reset(two_by_two)
+        st_ = ScheduleState(two_by_two)
         st_.step(0)
         with pytest.raises(ValueError, match="incomplete"):
             st_.makespan()
 
     def test_replay_reproduces_schedule(self, ft06, rng):
         actions = []
-        st_ = reset(ft06)
+        st_ = ScheduleState(ft06)
         while not st_.done:
-            choice = int(rng.choice(st_.available()))
+            choice = int(rng.choice(available(st_)))
             actions.append(choice)
             st_.step(choice)
         again = replay(ft06, actions)
@@ -161,7 +163,7 @@ class TestStep:
 
 class TestStateFeatures:
     def test_reset_candidate_lookahead(self, two_by_two):
-        st_ = reset(two_by_two)
+        st_ = ScheduleState(two_by_two)
         # choosing J1O1: in the successor, machine 0 carries 3+4 remaining
         own, best = reference_bounds(st_, 0)
         assert own == 7.0
@@ -176,7 +178,7 @@ class TestStateFeatures:
         no features."""
         row = OneRow(two_by_two)
         for u in (0, 2, 3, 1):
-            expected = reference_features(row.st)[row.st.available()]
+            expected = reference_features(row.st)[available(row.st)]
             np.testing.assert_array_equal(row.features(), expected)  # shapes too
             row.step(u)
         with pytest.raises(ValueError, match="complete"):
@@ -189,7 +191,7 @@ class TestStateFeatures:
 
     def test_terminal_op_zeroing(self, two_by_two):
         inst = Instance(n=1, m=1, ops=(((0, 5),),))
-        own, best = reference_bounds(reset(inst), 0)
+        own, best = reference_bounds(ScheduleState(inst), 0)
         assert own == 0.0 and best == 0.0
         assert np.all(OneRow(inst).features()[0, 2:4] == 0.0)
         # both candidates end their jobs, so every lookahead term is zero
@@ -208,7 +210,7 @@ class TestStateFeatures:
         while not row.st.done:
             feats = row.features()
             assert np.all(feats >= 0.0) and np.all(feats <= 1.0)
-            row.step(int(rng.choice(row.st.available())))
+            row.step(int(rng.choice(available(row.st))))
 
     def test_best_bound_dominates_candidate(self, rng):
         cfg = GenConfig(m_lo=2, m_hi=4, n_hi=4)
@@ -216,12 +218,12 @@ class TestStateFeatures:
             inst = generate_random(cfg, rng)
             row = OneRow(inst)
             while not row.st.done:
-                for u in row.st.available():
+                for u in available(row.st):
                     own, best = reference_bounds(row.st, u)
                     assert best >= own
-                expected = reference_features(row.st)[row.st.available()]
+                expected = reference_features(row.st)[available(row.st)]
                 assert row.features().tobytes() == expected.tobytes()
-                row.step(int(rng.choice(row.st.available())))
+                row.step(int(rng.choice(available(row.st))))
 
 
 class TestScheduleRecords:
@@ -238,10 +240,10 @@ class TestScheduleRecords:
 def test_random_rollout_invariants(seed):
     rng = np.random.default_rng(seed)
     inst = generate_random(GenConfig(m_lo=2, m_hi=5, n_hi=6), rng)
-    st_ = reset(inst)
+    st_ = ScheduleState(inst)
     steps = 0
     while not st_.done:
-        avail = st_.available()
+        avail = available(st_)
         machine_before = st_.machine_ready.copy()
         job_before = st_.job_ready.copy()
         u = int(rng.choice(avail))
@@ -264,7 +266,7 @@ def test_lookahead_features_match_raw_bounds(seed):
     inst = generate_random(GenConfig(m_lo=1, m_hi=4, n_hi=5), rng)
     row = OneRow(inst)
     while not row.st.done:
-        avail = row.st.available()
+        avail = available(row.st)
         raw = np.array([reference_bounds(row.st, u) for u in avail])
         top = raw.max(axis=0)
         expected = raw / np.where(top > 0, top, 1.0)
@@ -288,22 +290,42 @@ def test_state_features_match_clone_and_step_reference(n, m, seed, job_first):
     rng = np.random.default_rng(seed)
     row = OneRow(inst)
     while not row.st.done:
-        expected = reference_features(row.st)[row.st.available()]
+        expected = reference_features(row.st)[available(row.st)]
         assert row.features().tobytes() == expected.tobytes()
         assert reference_state_features(row.st).tobytes() == expected.tobytes()
-        avail = row.st.available()
+        avail = available(row.st)
         row.step(avail[0] if job_first else int(rng.choice(avail)))
     assert reference_state_features(row.st).shape == (0, 6)
 
 
-STATE_ARRAYS = ("machine_ready", "machine_remaining", "job_ready", "job_remaining",
-                "next_op", "scheduled", "start", "end")
+STATE_ARRAYS = ("machine_ready", "job_ready", "next_op", "start", "end")
+BATCH_ARRAYS = STATE_ARRAYS + ("machine_remaining", "job_remaining", "scheduled", "t",
+                               "furthest", "live_jobs", "live_count")
 
 
 def assert_same_state(got, want) -> None:
     for name in STATE_ARRAYS:
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        got_a, want_a = getattr(got, name), getattr(want, name)
+        assert got_a.dtype == want_a.dtype, name
+        np.testing.assert_array_equal(got_a, want_a, err_msg=name)
     assert got.t == want.t
+
+
+def assert_row_holds(batch: BatchState, e: int, st_) -> None:
+    """Row e of the batch holds st_'s schedule: every ScheduleState array
+    and the step count, and its remaining-work and scheduled rows equal the
+    instance's totals minus st_'s scheduled work and st_'s scheduled ops."""
+    inst = st_.inst
+    n, m, size = inst.n, inst.m, inst.num_ops
+    widths = {"machine_ready": m, "job_ready": n, "next_op": n, "start": size, "end": size}
+    for name in STATE_ARRAYS:
+        np.testing.assert_array_equal(getattr(batch, name)[e, :widths[name]],
+                                      getattr(st_, name), err_msg=name)
+    assert batch.t[e] == st_.t
+    machine_remaining, job_remaining = remaining(st_)
+    np.testing.assert_array_equal(batch.machine_remaining[e, :m], machine_remaining)
+    np.testing.assert_array_equal(batch.job_remaining[e, :n], job_remaining)
+    np.testing.assert_array_equal(batch.scheduled[e, :size], st_.start != UNSET)
 
 
 ONE_BY_ONE = Instance(n=1, m=1, ops=(((0, 5),),))
@@ -322,17 +344,19 @@ def test_batch_state_matches_schedule_states(insts, seed, by_index):
     same random actions.  At every step: each row's features equal the
     per-state reference's byte for byte, its slot map lists its available
     ops, its attend mask (~scheduled) marks its unscheduled ops only, and
-    after the step every state array and the step count agree.  Rows leave
-    as their schedules complete; until the first does, the batch is
-    addressed by a slice unless `by_index`."""
+    after the step every state array and the step count agree, and the
+    row's remaining work is its totals minus its scheduled work.  Rows
+    leave as their schedules complete; until the first does, the batch is
+    addressed by a slice unless `by_index`.  Each complete row's
+    `schedule` equals its ScheduleState field by field."""
     rng = np.random.default_rng(seed)
     batch = BatchState(insts)
-    states = [reset(inst) for inst in insts]
+    states = [ScheduleState(inst) for inst in insts]
     for _ in range(max(inst.num_ops for inst in insts)):
         active = np.flatnonzero([not st_.done for st_ in states])
         episodes = active if by_index or active.size < len(insts) else slice(None)
         feats, ops = state_features(batch, episodes)
-        avails = [states[e].available() for e in active]
+        avails = [available(states[e]) for e in active]
         slots = max(len(avail) for avail in avails)
         assert feats.shape == (active.size, slots, 6) and ops.shape == (active.size, slots)
         for i, (e, avail) in enumerate(zip(active, avails)):
@@ -341,15 +365,16 @@ def test_batch_state_matches_schedule_states(insts, seed, by_index):
             assert not feats[i, len(avail):].any()
             assert ops[i].tolist() == avail + [UNSET] * (slots - len(avail))
             attend = ~batch.scheduled[e]
-            assert attend[:st_.inst.num_ops].tolist() == (~st_.scheduled).tolist()
+            assert attend[:st_.inst.num_ops].tolist() == (st_.start == UNSET).tolist()
             assert not attend[st_.inst.num_ops:].any()
         actions = np.array([int(rng.choice(avail)) for avail in avails])
         batch.step(episodes, actions)
         for e, u in zip(active, actions.tolist()):
             states[e].step(u)
-            assert_same_state(batch.schedule(e), states[e])
+            assert_row_holds(batch, e, states[e])
     for e, st_ in enumerate(states):
         assert st_.done
+        assert_same_state(batch.schedule(e), st_)
         assert batch.schedule(e).makespan() == st_.makespan()
 
 
@@ -359,13 +384,29 @@ class TestBatchState:
         padded op rows of the smaller instance are all rejected, and a
         rejected step changes nothing."""
         batch = BatchState([two_by_two, ONE_BY_ONE])  # op rows 1-3 of row 1 are padding
-        before = batch.schedule(0)
+        before = {name: getattr(batch, name).copy() for name in BATCH_ARRAYS}
         for actions in ([1, 0], [0, -1], [4, 0], [0, 1], [0, 3]):
             with pytest.raises(ActionError):
                 batch.step(slice(None), np.array(actions))
-        assert_same_state(batch.schedule(0), before)
+        for name in BATCH_ARRAYS:
+            np.testing.assert_array_equal(getattr(batch, name), before[name], err_msg=name)
         batch.step(np.array([1]), np.array([0]))  # row 1 alone
-        assert batch.schedule(0).t == 1 and batch.schedule(1).t == 2
+        assert batch.t.tolist() == [1, 2]
+
+    def test_schedule_of_unfinished_row_rejected(self, two_by_two):
+        """`schedule` builds complete rows only: a fresh row and a row one
+        op short raise, and the complete row beside them does not."""
+        batch = BatchState([two_by_two, ONE_BY_ONE])
+        with pytest.raises(ValueError, match="incomplete"):
+            batch.schedule(0)
+        batch.step(slice(None), np.array([0, 0]))
+        assert batch.schedule(1).makespan() == 5
+        batch.step(np.array([0]), np.array([2]))
+        batch.step(np.array([0]), np.array([3]))
+        with pytest.raises(ValueError, match="incomplete"):
+            batch.schedule(0)
+        batch.step(np.array([0]), np.array([1]))
+        assert_same_state(batch.schedule(0), replay(two_by_two, [0, 2, 3, 1]))
 
     def test_complete_row_has_no_features(self):
         batch = BatchState([ONE_BY_ONE, ONE_BY_FOUR])

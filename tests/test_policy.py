@@ -3,11 +3,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from env_reference import state_features
+from env_reference import available, state_features
 from helpers import grad_check, random_instance
 from vg2s import autodiff as ad
 from vg2s.checkpoint import ParamStore
-from vg2s.env import reset
+from vg2s.env import UNSET, ScheduleState
 from vg2s.graph import build_graph
 from vg2s.policy import (build_critic_params, build_policy_params,
                          critic_value, decode_step, log_prob, project_keys,
@@ -26,7 +26,7 @@ def policy_setup(two_by_two, tiny_cfg, rng):
     h = encode(graph, store, tiny_cfg)
     h_real = ad.take(h, np.arange(4))
     z = latent(h, store, tiny_cfg).z
-    st_ = reset(two_by_two)
+    st_ = ScheduleState(two_by_two)
     return store, h_real, z, st_
 
 
@@ -45,7 +45,7 @@ def step_logits(setup, cfg, prev=None, avail=None, attend=None, xp=ad):
     the ops of `xp`."""
     store, h_real, z, st_ = setup
     store = _params(store, xp)
-    ops = st_.available()
+    ops = available(st_)
     avail = ops if avail is None else avail
     feats = state_features(st_)[[ops.index(u) for u in avail]]
     if attend is None:
@@ -102,10 +102,10 @@ class TestDecodeStep:
         store = _params(store, xp)
         keys = project_keys(h_real.data[None], store, tiny_cfg, xp)
         dense = np.zeros((4, 6))
-        dense[st_.available()] = state_features(st_)
+        dense[available(st_)] = state_features(st_)
         with pytest.raises(ValueError, match="slots"):
             decode_step(z.data[None], np.array([[-1]]), keys, dense[None, None],
-                        np.ones((1, 1, 4), dtype=bool), np.array([[st_.available()]]),
+                        np.ones((1, 1, 4), dtype=bool), np.array([[available(st_)]]),
                         store, tiny_cfg, xp)
 
 
@@ -121,13 +121,13 @@ def _two_episodes(tiny_cfg, n=6, m=5, seed=3, points=(3, 11)):
     z = rng.normal(size=(2, tiny_cfg.d_latent))
     feats, attend, ops = np.zeros((2, 1, n, 6)), [], np.full((2, 1, n), -1)
     for e, steps in enumerate(points):
-        st_ = reset(inst)
+        st_ = ScheduleState(inst)
         for _ in range(steps):
-            st_.step(int(rng.choice(st_.available())))
-        avail = st_.available()
+            st_.step(int(rng.choice(available(st_))))
+        avail = available(st_)
         feats[e, 0, :len(avail)] = state_features(st_)
         ops[e, 0, :len(avail)] = avail
-        attend.append(~st_.scheduled)
+        attend.append(st_.start == UNSET)
     slots = (ops >= 0).sum(axis=-1).max()
     return (store, z, h_real, feats[:, :, :slots], np.stack(attend)[:, None], ops[..., :slots])
 
@@ -274,7 +274,7 @@ class TestGradients:
         h_fixed = h_real.data.copy()
         params = store.section("policy.")
 
-        ops = np.array([[st_.available()]])
+        ops = np.array([[available(st_)]])
 
         def f():
             keys = project_keys(h_fixed[None], store, tiny_cfg)

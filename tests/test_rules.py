@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vg2s.env import ScheduleState, replay, reset
+from env_reference import available, remaining
+from vg2s.env import ScheduleState, replay
 from vg2s.instance import GenConfig, Instance, generate_random
 from vg2s.rules import Rule, decisions, dispatch, improvement_rate, optimality_gap
 
@@ -16,6 +17,7 @@ def reference_priority(rule: Rule, st_: ScheduleState, u: int) -> float:
     inst = st_.inst
     j, k = divmod(u, inst.m)
     i, p = inst.ops[j][k]
+    machine_remaining, job_remaining = remaining(st_)
     if rule is Rule.FIFO:
         return float(st_.job_ready[j])
     if rule is Rule.SPT:
@@ -23,11 +25,11 @@ def reference_priority(rule: Rule, st_: ScheduleState, u: int) -> float:
     if rule is Rule.LPT:
         return -float(p)
     if rule is Rule.SRM:
-        return float(st_.machine_remaining[i])
+        return float(machine_remaining[i])
     if rule is Rule.SRPT:
-        return float(st_.job_remaining[j])
+        return float(job_remaining[j])
     if rule is Rule.MWKR:
-        return -float(st_.job_remaining[j])
+        return -float(job_remaining[j])
     raise ValueError(f"unknown rule {rule!r}")
 
 
@@ -36,7 +38,7 @@ def reference_select(rule: Rule, st_: ScheduleState) -> int:
     machine) key among the available ops."""
     best_u = -1
     best_key = None
-    for u in st_.available():
+    for u in available(st_):
         j, k = divmod(u, st_.inst.m)
         i = st_.inst.ops[j][k][0]
         est = max(int(st_.machine_ready[i]), int(st_.job_ready[j]))
@@ -58,16 +60,15 @@ def tie_heavy_instances(draw):
 
 
 def reference_order(rule: Rule, inst: Instance) -> list[int]:
-    """The decisions of stepping `reference_select` from reset."""
-    st_, order = reset(inst), []
+    """The decisions of stepping `reference_select` from the empty schedule."""
+    st_, order = ScheduleState(inst), []
     while not st_.done:
         order.append(reference_select(rule, st_))
         st_.step(order[-1])
     return order
 
 
-STATE_FIELDS = ("start", "end", "scheduled", "next_op", "machine_ready", "job_ready",
-                "machine_remaining", "job_remaining")
+STATE_FIELDS = ("start", "end", "next_op", "machine_ready", "job_ready")
 
 
 @settings(max_examples=150, deadline=None)
@@ -78,16 +79,18 @@ STATE_FIELDS = ("start", "end", "scheduled", "next_op", "machine_ready", "job_re
 def test_engine_matches_reference_select(inst):
     """Each rule's heap engine decides what stepping the one-candidate-at-a-
     time reference decides, in the same order, and `dispatch` returns the
-    state that replaying those decisions steps to, field for field."""
+    state that replaying those decisions steps to, field for field; so does
+    `ScheduleState.finished` of the replay's start and end times."""
     for rule in Rule:
         order = reference_order(rule, inst)
         assert decisions(inst, rule) == order
         st_, c = dispatch(inst, rule)
         ref = replay(inst, order)
-        for name in STATE_FIELDS:
-            got, want = getattr(st_, name), getattr(ref, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert st_.t == ref.t and st_.done
+        for built in (st_, ScheduleState.finished(inst, ref.start, ref.end)):
+            for name in STATE_FIELDS:
+                got, want = getattr(built, name), getattr(ref, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+            assert built.t == ref.t and built.done
         assert type(c) is int and c == ref.makespan()
 
 
