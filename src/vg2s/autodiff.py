@@ -421,21 +421,30 @@ def conv1d(x, w, b=None, padding=0) -> Tensor:
 
 def conv_transpose1d(x, w, b=None, stride=2, padding=1) -> Tensor:
     """x: (C_in, L), w: (C_in, C_out, K).  Output length (L-1)*stride
-    - 2*padding + K; with K=4, stride=2, padding=1 the length doubles."""
+    - 2*padding + K; with K=4, stride=2, padding=1 the length doubles.
+    One product computes every tap; each tap's in-range columns then add
+    into every stride-th output sample through one strided slice."""
     x, w = as_tensor(x), as_tensor(w)
     c_in, length = x.data.shape
     c_in_w, c_out, k = w.data.shape
     if c_in != c_in_w:
         raise ShapeError(f"conv_transpose1d: input channels {c_in} != weight channels {c_in_w}")
     l_out = (length - 1) * stride - 2 * padding + k
-    y = np.zeros((c_out, l_out))
-    positions = np.arange(length) * stride - padding
-    spans = []  # (kk, valid input slice, valid output positions)
+    # Input sample l of tap kk lands on output l*stride - padding + kk; the
+    # in-range ones are the run lo <= l < hi.
+    spans = []  # (kk, input slice, output slice)
     for kk in range(k):
-        t = positions + kk
-        valid = (t >= 0) & (t < l_out)
-        spans.append((kk, valid, t[valid]))
-        y[:, t[valid]] += w.data[:, :, kk].T @ x.data[:, valid]
+        lo = max(0, -((kk - padding) // stride))
+        hi = min(length, -((kk - padding - l_out) // stride))
+        if lo < hi:
+            first = lo * stride - padding + kk
+            last = first + (hi - lo - 1) * stride
+            spans.append((kk, slice(lo, hi), slice(first, last + 1, stride)))
+    w_flat = w.data.reshape(c_in, c_out * k)
+    cols = (w_flat.T @ x.data).reshape(c_out, k, length)
+    y = np.zeros((c_out, l_out))
+    for kk, src, dst in spans:
+        y[:, dst] += cols[:, kk, src]
     parents = [x, w]
     if b is not None:
         b = as_tensor(b)
@@ -443,12 +452,12 @@ def conv_transpose1d(x, w, b=None, stride=2, padding=1) -> Tensor:
         parents.append(b)
 
     def vjp(g):
-        dx = np.zeros_like(x.data)
-        dw = np.zeros_like(w.data)
-        for kk, valid, t in spans:
-            dx[:, valid] += w.data[:, :, kk] @ g[:, t]
-            dw[:, :, kk] += x.data[:, valid] @ g[:, t].T
-        grads = [dx, dw]
+        # Gather g back onto the columns; out-of-range columns stay zero.
+        g_cols = np.zeros((c_out, k, length))
+        for kk, src, dst in spans:
+            g_cols[:, kk, src] = g[:, dst]
+        g_cols = g_cols.reshape(c_out * k, length)
+        grads = [w_flat @ g_cols, (x.data @ g_cols.T).reshape(w.data.shape)]
         if b is not None:
             grads.append(g.sum(axis=1))
         return tuple(grads)
@@ -483,17 +492,16 @@ def interp_linear(x, out_len) -> Tensor:
     lo = np.minimum(lo, length - 1)
     hi = np.minimum(lo + 1, length - 1)
     frac = pos - lo
-    y = x.data[:, lo] * (1.0 - frac) + x.data[:, hi] * frac
+    y = np.take(x.data, lo, axis=1) * (1.0 - frac) + np.take(x.data, hi, axis=1) * frac
 
     # lo and hi are sorted, so each source sample's share of the gradient is
     # one contiguous run of output samples: sum the runs with reduceat.
-    lo_at, lo_runs = np.unique(lo, return_index=True)
-    hi_at, hi_runs = np.unique(hi, return_index=True)
+    lo_runs, hi_runs = (np.flatnonzero(np.diff(idx, prepend=-1)) for idx in (lo, hi))
 
     def vjp(g):
         dx = np.zeros_like(x.data)
-        dx[:, lo_at] += np.add.reduceat(g * (1.0 - frac), lo_runs, axis=1)
-        dx[:, hi_at] += np.add.reduceat(g * frac, hi_runs, axis=1)
+        dx[:, lo[lo_runs]] += np.add.reduceat(g * (1.0 - frac), lo_runs, axis=1)
+        dx[:, hi[hi_runs]] += np.add.reduceat(g * frac, hi_runs, axis=1)
         return (dx,)
 
     return _record(Tensor(y, (x,), vjp))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import ParamStore
-from .env import BatchState, ScheduleState, state_features
+from .env import BatchState, ScheduleState
 from .graph import build_graph
 from .instance import GenConfig, Instance, generate_random
 from .oracle import branch_and_bound
@@ -100,8 +100,8 @@ def write_csv(rows: list[dict], path, columns: list[str] | None = None) -> None:
 def _similarity_records(insts: list[Instance], actions: list[list[int]]) -> list[dict]:
     """Per-step records of replaying each instance's complete decision list,
     instance by instance.  The instances are the rows of one BatchState,
-    stepped together; each step's available ops are state_features' slot
-    map, and a row leaves once its schedule is complete."""
+    stepped together; each step's available ops are the next ops of the
+    rows' `live_jobs`, and a row leaves once its schedule is complete."""
     if not insts:
         return []
     batch = BatchState(insts)
@@ -117,13 +117,16 @@ def _similarity_records(insts: list[Instance], actions: list[list[int]]) -> list
     for t in range(width):
         if t in ends:
             active = np.flatnonzero(sizes > t)
-        _, ops = state_features(batch, active)
+        counts = batch.live_count[active]
+        slots = np.arange(counts.max())
+        jobs = batch.live_jobs[active, :slots.size]
+        # flat index of each live job's next op; the dummy job's is in bounds
+        ops = batch.job_first[jobs] + batch._flat["next_op"][jobs]
         picks = chosen[active, t]
-        offset = batch.op_offset[active, None]
-        slot = ops >= 0
-        shorter = batch.durations[offset + ops] < batch.durations[offset + picks[:, None]]
-        ranks[active, t] = 1 + (shorter & slot).sum(axis=1)
-        available[active, t] = slot.sum(axis=1)
+        picked = batch.durations[batch.op_offset[active] + picks]
+        shorter = (batch.durations[ops] < picked[:, None]) & (slots < counts[:, None])
+        ranks[active, t] = 1 + shorter.sum(axis=1)
+        available[active, t] = counts
         batch.step(active, picks)
     completed = chosen % batch.m[:, None]
     return [{"instance": e, "step": t + 1, "completed_ops": c, "pt_rank": r,

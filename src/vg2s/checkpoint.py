@@ -66,7 +66,16 @@ class ParamStore:
                 p.data[...] = other._params[name].data
 
 
+def _non_finite(path, store: ParamStore) -> ValueError:
+    """The ValueError naming every parameter of `store` that holds a
+    non-finite value."""
+    bad = [name for name in store.names() if not np.isfinite(store[name].data).all()]
+    return ValueError(f"{path}: non-finite values in {', '.join(map(repr, bad)) or 'the blob'}")
+
+
 def save_checkpoint(store: ParamStore, path) -> None:
+    """Write the store; a non-finite parameter raises ValueError naming it,
+    and no file is written."""
     manifest = []
     blob = bytearray()
     for name in store.names():
@@ -77,6 +86,8 @@ def save_checkpoint(store: ParamStore, path) -> None:
             "byte_offset": len(blob),
         })
         blob.extend(data.tobytes())
+    if not np.isfinite(np.frombuffer(blob, dtype="<f8")).all():
+        raise _non_finite(path, store)
     header = json.dumps(manifest, separators=(",", ":"), sort_keys=False).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -134,6 +145,5 @@ def load_checkpoint(path) -> ParamStore:
         store.add(name, arr.astype(np.float64))
     # One pass over the whole blob; only a failure looks for the culprits.
     if not np.isfinite(np.frombuffer(blob, dtype="<f8", count=len(blob) // 8)).all():
-        bad = [name for name in store.names() if not np.isfinite(store[name].data).all()]
-        raise ValueError(f"{path}: non-finite values in {', '.join(map(repr, bad)) or 'the blob'}")
+        raise _non_finite(path, store)
     return store

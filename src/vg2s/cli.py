@@ -18,8 +18,9 @@ from .checkpoint import ParamStore, load_checkpoint, save_checkpoint
 from .env import replay, schedule_records
 from .instance import GenConfig, Instance, parse_orlib, parse_taillard, generate_random
 from .oracle import DEFAULT_BUDGET, branch_and_bound
+from .policy import NonFiniteLogits
 from .rules import Rule, dispatch, improvement_rate, optimality_gap
-from .trainer import (ENCODER_SECTIONS, InstancePool, TrainConfig,
+from .trainer import (ENCODER_SECTIONS, InstancePool, TrainConfig, TrainingDiverged,
                       build_model, train_policy, train_representation)
 from .vge import RETIRED_PARAMS, ModelConfig
 
@@ -230,9 +231,15 @@ def cmd_train(args) -> int:
         raise UsageError(f"--instances {args.instances}: {exc}") from None
     if not policy:  # phase 1 reconstructs every instance on the model's canvas
         _check_canvas(frozen, pool.gen_cfg, model_cfg.canvas)
-    report = (train_policy if policy else train_representation)(
-        train_cfg, model_cfg, store, pool, rng)
-    save_checkpoint(store, args.checkpoint)
+    try:
+        report = (train_policy if policy else train_representation)(
+            train_cfg, model_cfg, store, pool, rng)
+    except TrainingDiverged as exc:
+        raise UsageError(f"training diverged: {exc}") from None
+    try:
+        save_checkpoint(store, args.checkpoint)
+    except ValueError as exc:  # the last steps left a non-finite parameter
+        raise UsageError(f"training diverged: {exc}") from None
     if args.log:
         write_csv([dict(zip(report.columns, row)) for row in report.rows], args.log,
                   list(report.columns))
@@ -415,7 +422,7 @@ def main(argv=None) -> int:
         _check_output_dirs(args)
         _check_nonnegative(args)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, NonFiniteLogits) as exc:  # the latter: a model that diverged
         print(f"vg2s: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 

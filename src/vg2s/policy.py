@@ -13,6 +13,11 @@ from .nnutil import add_linear, add_mlp, glorot, linear, mlp
 from .vge import ModelConfig
 
 
+class NonFiniteLogits(ValueError):
+    """A row of logits has a NaN or no finite entry: the policy's numbers
+    have diverged."""
+
+
 def build_policy_params(store: ParamStore, cfg: ModelConfig, rng) -> None:
     d2 = 2 * cfg.d_latent
     d_qk = cfg.d_latent + cfg.d_glimpse
@@ -233,7 +238,8 @@ def select_action(logits: np.ndarray, mode: str, rng=None) -> tuple[np.ndarray, 
     """
     top = logits.max(axis=1, keepdims=True)
     if not np.isfinite(top).all():
-        raise ValueError("select_action: a row has no finite logit")
+        raise NonFiniteLogits("select_action: a row has a NaN or no finite logit "
+                              "(have the model's parameters diverged?)")
     e = np.exp(logits - top)  # exactly 0 at -inf
     probs = e / e.sum(axis=1, keepdims=True)
     if mode == "greedy":

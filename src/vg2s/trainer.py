@@ -12,8 +12,8 @@ from .checkpoint import ParamStore
 from .env import BatchState, ScheduleState, state_features
 from .graph import HeteroGraph, build_graph
 from .instance import GenConfig, Instance, generate_random
-from .policy import (build_critic_params, build_policy_params, critic_value,
-                     decode_step, log_prob, project_keys, select_action)
+from .policy import (NonFiniteLogits, build_critic_params, build_policy_params,
+                     critic_value, decode_step, log_prob, project_keys, select_action)
 from .vge import (ModelConfig, build_decoder_params, build_encoder_params,
                   check_fields, latent, representation_loss)
 from . import vge
@@ -321,7 +321,10 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
             h_real.append(h)
             zs.append(z)
         z = np.stack(zs)
-        dec, states = rollout(insts, z, h_real, store, model_cfg, "sample", rng=rng)
+        try:
+            dec, states = rollout(insts, z, h_real, store, model_cfg, "sample", rng=rng)
+        except NonFiniteLogits:  # finite but huge parameters or latents
+            raise TrainingDiverged(f"non-finite policy logits at epoch {epoch}") from None
         makespans = [st.makespan() for st in states]
         q = np.array([scaled_q(inst, c) for inst, c in zip(insts, makespans)])
         # Python's left-to-right sum; numpy's row sums round differently.
@@ -337,6 +340,10 @@ def train_policy(cfg: TrainConfig, model_cfg: ModelConfig, store: ParamStore,
             ad.backward(ad.sub(l_cr, l_pol))
         _check_gradients(params, "policy/critic", epoch)
         _sgd_step(params, cfg.lr_policy)
+        # An overflowing step would otherwise surface in the next rollout;
+        # phase 1's parameters are checked when the checkpoint is saved.
+        if not all(np.isfinite(p.data).all() for p in params):
+            raise TrainingDiverged(f"non-finite policy/critic parameter after epoch {epoch}")
         tape.nodes.clear()  # as in train_representation
         report.append(epoch, float(l_pol.data), float(l_cr.data),
                       float(np.mean(makespans)))

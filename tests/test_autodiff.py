@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from autodiff_extra import adaptive_avg_pool1d_loop, batch_norm, div, exp, softmax, tmax
+from autodiff_extra import (adaptive_avg_pool1d_loop, batch_norm, conv_transpose1d_per_tap, div,
+                           exp, interp_linear_fancy, softmax, tmax)
 from helpers import grad_check
 from vg2s import autodiff as ad
 from vg2s.autodiff import Parameter, ShapeError, Tape, backward, zero_grad
@@ -348,6 +349,54 @@ def test_adaptive_pool_matches_per_bin_loop(channels, length, out_len, seed):
         outs.append(y.data)
     np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-12)
     np.testing.assert_allclose(x_fast.grad, x_loop.grad, rtol=0, atol=1e-12)
+
+
+def _forward_and_vjp(op, g, *arrays, **kwargs):
+    """op's output on Parameters holding `arrays`, then its VJP of g."""
+    with Tape():
+        y = op(*map(Parameter, arrays), **kwargs)
+    return (y.data, *y.vjp(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(c_in=st.integers(1, 5), c_out=st.integers(1, 5), k=st.integers(1, 5),
+       stride=st.integers(1, 3), padding=st.integers(0, 6), length=st.integers(1, 7),
+       seed=st.integers(0, 10_000))
+def test_conv_transpose_matches_per_tap(c_in, c_out, k, stride, padding, length, seed):
+    """The one-product conv_transpose1d against the per-tap one: output, dx,
+    dw and db each within 1e-12 times the per-tap op run on the magnitudes
+    |x|, |w|, |b| and |g| (the rounding of a sum in another order).  A
+    padding of K or more leaves some taps, or every tap, out of range."""
+    l_out = (length - 1) * stride - 2 * padding + k
+    assume(l_out >= 0)
+    rng = np.random.default_rng(seed)
+    x, w = rng.normal(size=(c_in, length)), rng.normal(size=(c_in, c_out, k))
+    b = rng.normal(size=c_out)
+    g = rng.normal(size=(c_out, l_out))
+    kw = dict(stride=stride, padding=padding)
+    fast = _forward_and_vjp(ad.conv_transpose1d, g, x, w, b, **kw)
+    ref = _forward_and_vjp(conv_transpose1d_per_tap, g, x, w, b, **kw)
+    scale = _forward_and_vjp(conv_transpose1d_per_tap, np.abs(g),
+                             np.abs(x), np.abs(w), np.abs(b), **kw)
+    for got, want, bound in zip(fast, ref, scale):
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-12 * bound).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(channels=st.integers(1, 4), length=st.integers(1, 30), out_len=st.integers(1, 90),
+       seed=st.integers(0, 10_000))
+def test_interp_matches_fancy_index(channels, length, out_len, seed):
+    """np.take gathers and diff-found runs move no arithmetic: the output and
+    the VJP equal the fancy-index form's bit for bit, up- and downsampling,
+    from a single sample and to a single one."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(channels, length))
+    g = rng.normal(size=(channels, out_len))
+    fast = _forward_and_vjp(ad.interp_linear, g, x, out_len=out_len)
+    ref = _forward_and_vjp(interp_linear_fancy, g, x, out_len=out_len)
+    for got, want in zip(fast, ref):
+        assert got.tobytes() == want.tobytes()
 
 
 class TestComposite:

@@ -130,6 +130,19 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_save_refuses_non_finite(self, rng, tmp_path, bad):
+        """A diverged store is refused as load_checkpoint would refuse its
+        file, naming the parameter; no file is written."""
+        store = make_store(rng)
+        name = store.names()[-1]
+        store[name].data.flat[0] = bad
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite values "
+                                             f"in {re.escape(repr(name))}$"):
+            save_checkpoint(store, path)
+        assert not path.exists()
+
     def test_empty_parameter_loads(self, tmp_path):
         store = ParamStore()
         store.add("a", np.zeros((0, 3)))

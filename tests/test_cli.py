@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -448,6 +449,52 @@ class TestConfigErrors:
         assert err.startswith("vg2s: error: ") and err.count("\n") == 1
         assert str(cfg) in err and key in err
         assert not ckpt.exists()
+
+
+class TestDivergedTraining:
+    """A run whose numbers diverge ends in one `vg2s: error:` line and exit
+    status 2 and writes no checkpoint and no log.  A checkpoint whose
+    parameters are finite but too large for the policy's numbers ends a
+    solve the same way."""
+
+    @staticmethod
+    def _config(tmp_path, **train) -> str:
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps({"model": TINY_MODEL, "train": train}))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, train, message", [
+        (["train-repr", "--epochs", "1", "--seed", "2"], {"lr_repr": 1e308},
+         r".*x\.ckpt: non-finite values in 'encoder\.embed\.fc1\.b', "),
+        (["train-repr", "--epochs", "3", "--seed", "0"], {"lr_repr": 1e308},
+         r"non-finite representation loss at epoch 2\n"),
+        (["train-policy", "--skip-phase1", "--epochs", "1", "--seed", "0"],
+         {"lr_policy": 1e308}, r"non-finite policy/critic parameter after epoch 1\n"),
+        (["train-policy", "--skip-phase1", "--epochs", "3", "--seed", "0"],
+         {"lr_policy": 1e100}, r"non-finite policy logits at epoch 2\n"),
+    ], ids=["repr-saved-store", "repr-loss", "policy-parameter", "policy-logits"])
+    def test_one_line_error_and_nothing_written(self, tmp_path, instance_dir, capsys,
+                                                argv, train, message):
+        ckpt, log = tmp_path / "x.ckpt", tmp_path / "log.csv"
+        with np.errstate(all="ignore"):
+            err = _usage_error([*argv, "--config", self._config(tmp_path, **train),
+                                "--instances", instance_dir, "--checkpoint", str(ckpt),
+                                "--log", str(log)], capsys)
+        assert re.match(f"vg2s: error: training diverged: {message}", err), err
+        assert not ckpt.exists() and not log.exists()
+
+    def test_solve_with_finite_but_diverged_model(self, tmp_path, instance_dir, ft06_file,
+                                                   capsys):
+        config = self._config(tmp_path, lr_policy=1e100)
+        ckpt = tmp_path / "p.ckpt"
+        with np.errstate(all="ignore"):
+            assert main(["train-policy", "--skip-phase1", "--epochs", "1", "--seed", "0",
+                         "--config", config, "--instances", instance_dir,
+                         "--checkpoint", str(ckpt)]) == 0
+            capsys.readouterr()
+            err = _usage_error(["solve", ft06_file, "--method", "vg2s", "--model", str(ckpt),
+                                "--config", config], capsys)
+        assert err.startswith("vg2s: error: select_action: a row has a NaN or no finite logit")
 
 
 class TestFlagErrors:

@@ -327,6 +327,21 @@ class TestPhase2:
             train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
         assert section_bytes(store, "policy.") + section_bytes(store, "critic.") == before
 
+    @pytest.mark.parametrize("lr, epochs, message", [
+        (1e308, 1, "non-finite policy/critic parameter after epoch 1"),
+        (1e100, 3, "non-finite policy logits at epoch 2"),
+    ], ids=["overflowing-step", "finite-but-huge-step"])
+    def test_diverging_step_raises(self, two_by_two, tiny_cfg, lr, epochs, message):
+        """A step that overflows a parameter stops training at once; one
+        that leaves the parameters finite but huge stops it at the next
+        rollout, whose logits are not finite, as TrainingDiverged rather
+        than select_action's error."""
+        cfg = TrainConfig(policy_epochs=epochs, batch_size=2, lr_policy=lr, seed=0)
+        store = build_model(tiny_cfg, seed=0)
+        pool = InstancePool(cfg, np.random.default_rng(0), frozen=[two_by_two])
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match=f"^{message}$"):
+            train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
+
 
 class TestGreedyEval:
     def test_mean_over_pool(self, tiny_cfg, rng):
