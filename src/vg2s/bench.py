@@ -4,12 +4,13 @@ similarity traces, all emitted as deterministic CSV."""
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left, insort
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import ParamStore
-from .env import BatchState, ScheduleState
+from .env import ScheduleState
 from .graph import build_graph
 from .instance import GenConfig, Instance, generate_random
 from .oracle import branch_and_bound
@@ -98,42 +99,23 @@ def write_csv(rows: list[dict], path, columns: list[str] | None = None) -> None:
 
 
 def _similarity_records(insts: list[Instance], actions: list[list[int]]) -> list[dict]:
-    """Per-step records of replaying each instance's complete decision list,
-    instance by instance.  The instances are the rows of one BatchState,
-    stepped together; each step's available ops are the next ops of the
-    rows' `live_jobs`, and a row leaves once its schedule is complete."""
-    if not insts:
-        return []
-    batch = BatchState(insts)
-    sizes = batch.sizes
-    count, width = len(insts), int(sizes.max())
-    chosen = np.zeros((count, width), dtype=np.int64)
-    for e, acts in enumerate(actions):
-        chosen[e, :sizes[e]] = acts
-    ranks = np.zeros((count, width), dtype=np.int64)
-    available = np.zeros((count, width), dtype=np.int64)
-    ends = set(sizes.tolist())
-    active = slice(None)
-    for t in range(width):
-        if t in ends:
-            active = np.flatnonzero(sizes > t)
-        counts = batch.live_count[active]
-        slots = np.arange(counts.max())
-        jobs = batch.live_jobs[active, :slots.size]
-        # flat index of each live job's next op; the dummy job's is in bounds
-        ops = batch.job_first[jobs] + batch._flat["next_op"][jobs]
-        picks = chosen[active, t]
-        picked = batch.durations[batch.op_offset[active] + picks]
-        shorter = (batch.durations[ops] < picked[:, None]) & (slots < counts[:, None])
-        ranks[active, t] = 1 + shorter.sum(axis=1)
-        available[active, t] = counts
-        batch.step(active, picks)
-    completed = chosen % batch.m[:, None]
-    return [{"instance": e, "step": t + 1, "completed_ops": c, "pt_rank": r,
-             "num_available": a}
-            for e in range(count)
-            for t, c, r, a in zip(range(sizes[e]), completed[e].tolist(),
-                                  ranks[e].tolist(), available[e].tolist())]
+    """Per-step records of each instance's complete decision list.  The
+    available ops are the unfinished jobs' next ops, so a trace needs only
+    their durations, kept sorted: at decision u = (j, k) they number
+    `num_available`, and p_u's `pt_rank` is one more than the count shorter
+    than it.  Then p_u leaves the list and job j's op k+1, if any, enters."""
+    records = []
+    for e, (inst, acts) in enumerate(zip(insts, actions)):
+        m, durations = inst.m, inst.durations.ravel().tolist()
+        available = sorted(durations[::m])
+        for step, u in enumerate(acts, 1):
+            k, shorter = u % m, bisect_left(available, durations[u])
+            records.append({"instance": e, "step": step, "completed_ops": k,
+                            "pt_rank": 1 + shorter, "num_available": len(available)})
+            del available[shorter]
+            if k + 1 < m:
+                insort(available, durations[u + 1])
+    return records
 
 
 def pdr_similarity(count: int, n: int, m: int, seed: int,

@@ -92,9 +92,9 @@ class BatchState:
 
     Jobs are padded to the largest n (`next_op`, `job_ready`,
     `job_remaining`), machines to the largest m (`machine_ready`,
-    `machine_remaining`) and op rows to the largest n*m (`scheduled`,
-    `start`, `end`).  A padded job is never live: its next_op is already
-    its row's m.  A padded op row counts as scheduled.  `t` counts each
+    `machine_remaining`) and op rows to the largest n*m (`start`, `end`).
+    A padded job is never live: its next_op is already its row's m.  A
+    padded op row starts at 0, so it reads as scheduled.  `t` counts each
     row's decision steps from 1, as ScheduleState's does, and `furthest`
     holds its largest next_op.
 
@@ -128,8 +128,7 @@ class BatchState:
             a[:-1].reshape(count, n_max) for a in per_job)
         self.machine_ready = np.zeros((count, m_max), dtype=np.int64)
         self.machine_remaining = np.zeros((count, m_max), dtype=np.int64)
-        self.scheduled = np.ones((count, width), dtype=bool)
-        self.start = np.full((count, width), UNSET, dtype=np.int64)
+        self.start = np.zeros((count, width), dtype=np.int64)
         self.end = np.full((count, width), UNSET, dtype=np.int64)
         self.t = np.ones(count, dtype=np.int64)
         self.furthest = np.zeros(count, dtype=np.int64)
@@ -145,10 +144,10 @@ class BatchState:
             self.next_op[e, :inst.n] = 0
             self.job_remaining[e, :inst.n] = inst.job_totals
             self.machine_remaining[e, :inst.m] = inst.machine_totals
-            self.scheduled[e, :inst.num_ops] = False
+            self.start[e, :inst.num_ops] = UNSET
             self.live_jobs[e, :inst.n] = e * n_max + np.arange(inst.n)
         self._flat = dict(zip(("next_op", "job_ready", "job_remaining"), per_job))
-        for name in ("machine_ready", "machine_remaining", "scheduled", "start", "end"):
+        for name in ("machine_ready", "machine_remaining", "start", "end"):
             self._flat[name] = getattr(self, name).reshape(-1)
 
     def step(self, episodes, actions: np.ndarray) -> None:
@@ -171,7 +170,6 @@ class BatchState:
         end = start + p
         flat["start"][op] = start
         flat["end"][op] = end
-        flat["scheduled"][op] = True
         flat["machine_ready"][mach] = end
         flat["job_ready"][job] = end
         flat["machine_remaining"][mach] -= p

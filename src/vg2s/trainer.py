@@ -9,7 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import ParamStore
-from .env import BatchState, ScheduleState, state_features
+from .env import UNSET, BatchState, ScheduleState, state_features
 from .graph import HeteroGraph, build_graph
 from .instance import GenConfig, Instance, generate_random
 from .policy import (NonFiniteLogits, build_critic_params, build_policy_params,
@@ -225,7 +225,7 @@ def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
         slots = feats.shape[1]
         dec.feats[active, t, :slots] = feats
         dec.ops[active, t, :slots] = slot_ops
-        attend = ~batch.scheduled[active]
+        attend = batch.start[active] == UNSET
         dec.attend[active, t] = attend
         prev = dec.actions[active, t - 1:t] if t else first
         logits = decode_step(z[active], prev, keys, feats[:, None], attend[:, None],
@@ -287,8 +287,13 @@ class EncoderCache:
         self.entries: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def rebuild(self, pool: InstancePool):
+        """Embed every pool slot; a non-finite output, as a diverged phase-1
+        checkpoint gives, raises TrainingDiverged naming the slot."""
         self.entries = [embed(pool.graph(i), self.store, self.model_cfg)
                         for i in range(len(pool))]
+        for i, entry in enumerate(self.entries):
+            if not all(np.isfinite(a).all() for a in entry):
+                raise TrainingDiverged(f"non-finite frozen-encoder output for pool slot {i}")
 
     def draw(self, idx: int, rng: np.random.Generator):
         h_real, mu, sigma = self.entries[idx]

@@ -163,6 +163,12 @@ def stepped_records(insts: list[Instance], actions: list[list[int]]) -> list[dic
 ONE_BY_ONE = Instance(n=1, m=1, ops=(((0, 5),),))
 THREE_BY_ONE = Instance(n=3, m=1, ops=(((0, 2),), ((0, 2),), ((0, 1),)))
 ONE_BY_THREE = Instance(n=1, m=3, ops=(((1, 4), (0, 4), (2, 1)),))
+ONE_BY_FOUR = Instance(n=1, m=4, ops=(((2, 1), (0, 7), (3, 7), (1, 2)),))
+FOUR_BY_ONE = Instance(n=4, m=1, ops=(((0, 3),), ((0, 1),), ((0, 3),), ((0, 1),)))
+ALL_FIVE = Instance(n=3, m=3, ops=tuple(
+    tuple((i, 5) for i in order) for order in ((0, 1, 2), (2, 0, 1), (1, 2, 0))))
+ONES_AND_TWOS = generate_random(GenConfig(m_lo=3, m_hi=3, n_hi=6, p_lo=1, p_hi=2),
+                                np.random.default_rng(0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,10 +176,13 @@ ONE_BY_THREE = Instance(n=1, m=3, ops=(((1, 4), (0, 4), (2, 1)),))
 @example(insts=[ONE_BY_ONE], seed=0)
 @example(insts=[THREE_BY_ONE, ONE_BY_ONE, ONE_BY_THREE], seed=1)
 @example(insts=[ONE_BY_THREE, THREE_BY_ONE], seed=2)
-def test_batched_similarity_records_match_stepping_alone(insts, seed):
-    """Replaying mixed-size instances' random complete decision lists as
-    the rows of one BatchState gives, row for row, the records of stepping
-    each instance alone with the reference `available`."""
+@example(insts=[ALL_FIVE], seed=3)
+@example(insts=[ONES_AND_TWOS, ALL_FIVE], seed=4)
+@example(insts=[ONE_BY_FOUR, FOUR_BY_ONE], seed=5)
+def test_similarity_records_match_stepping_alone(insts, seed):
+    """Counting each instance's random complete decision list on the sorted
+    durations of its available ops gives, instance by instance, the records
+    of stepping it alone with the reference `available`, ties included."""
     rng = np.random.default_rng(seed)
     actions = []
     for inst in insts:

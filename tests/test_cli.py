@@ -483,6 +483,23 @@ class TestDivergedTraining:
         assert re.match(f"vg2s: error: training diverged: {message}", err), err
         assert not ckpt.exists() and not log.exists()
 
+    def test_diverged_encoder_checkpoint(self, tmp_path, instance_dir, capsys):
+        """A phase-1 run whose parameters are finite but huge saves its
+        checkpoint; phase 2 on it blames the frozen encoder, not the policy."""
+        config = self._config(tmp_path, lr_repr=1e308)
+        repr_ckpt, ckpt, log = tmp_path / "r.ckpt", tmp_path / "x.ckpt", tmp_path / "log.csv"
+        with np.errstate(all="ignore"):
+            assert main(["train-repr", "--epochs", "1", "--seed", "0", "--config", config,
+                         "--instances", instance_dir, "--checkpoint", str(repr_ckpt)]) == 0
+            capsys.readouterr()
+            err = _usage_error(["train-policy", "--encoder-ckpt", str(repr_ckpt),
+                                "--epochs", "1", "--seed", "0", "--config", config,
+                                "--instances", instance_dir, "--checkpoint", str(ckpt),
+                                "--log", str(log)], capsys)
+        assert err == ("vg2s: error: training diverged: "
+                       "non-finite frozen-encoder output for pool slot 0\n")
+        assert not ckpt.exists() and not log.exists()
+
     def test_solve_with_finite_but_diverged_model(self, tmp_path, instance_dir, ft06_file,
                                                    capsys):
         config = self._config(tmp_path, lr_policy=1e100)

@@ -299,8 +299,8 @@ def test_state_features_match_clone_and_step_reference(n, m, seed, job_first):
 
 
 STATE_ARRAYS = ("machine_ready", "job_ready", "next_op", "start", "end")
-BATCH_ARRAYS = STATE_ARRAYS + ("machine_remaining", "job_remaining", "scheduled", "t",
-                               "furthest", "live_jobs", "live_count")
+BATCH_ARRAYS = STATE_ARRAYS + ("machine_remaining", "job_remaining", "t", "furthest",
+                               "live_jobs", "live_count")
 
 
 def assert_same_state(got, want) -> None:
@@ -313,8 +313,9 @@ def assert_same_state(got, want) -> None:
 
 def assert_row_holds(batch: BatchState, e: int, st_) -> None:
     """Row e of the batch holds st_'s schedule: every ScheduleState array
-    and the step count, and its remaining-work and scheduled rows equal the
-    instance's totals minus st_'s scheduled work and st_'s scheduled ops."""
+    and the step count, its remaining-work rows equal the instance's totals
+    minus st_'s scheduled work, and its padded op rows read as scheduled
+    (a start other than UNSET)."""
     inst = st_.inst
     n, m, size = inst.n, inst.m, inst.num_ops
     widths = {"machine_ready": m, "job_ready": n, "next_op": n, "start": size, "end": size}
@@ -325,7 +326,7 @@ def assert_row_holds(batch: BatchState, e: int, st_) -> None:
     machine_remaining, job_remaining = remaining(st_)
     np.testing.assert_array_equal(batch.machine_remaining[e, :m], machine_remaining)
     np.testing.assert_array_equal(batch.job_remaining[e, :n], job_remaining)
-    np.testing.assert_array_equal(batch.scheduled[e, :size], st_.start != UNSET)
+    assert (batch.start[e, size:] != UNSET).all()
 
 
 ONE_BY_ONE = Instance(n=1, m=1, ops=(((0, 5),),))
@@ -343,7 +344,7 @@ def test_batch_state_matches_schedule_states(insts, seed, by_index):
     together, against one ScheduleState per instance stepped alone with the
     same random actions.  At every step: each row's features equal the
     per-state reference's byte for byte, its slot map lists its available
-    ops, its attend mask (~scheduled) marks its unscheduled ops only, and
+    ops, its attend mask (start == UNSET) marks its unscheduled ops only, and
     after the step every state array and the step count agree, and the
     row's remaining work is its totals minus its scheduled work.  Rows
     leave as their schedules complete; until the first does, the batch is
@@ -364,7 +365,7 @@ def test_batch_state_matches_schedule_states(insts, seed, by_index):
             assert feats[i, :len(avail)].tobytes() == reference_state_features(st_).tobytes()
             assert not feats[i, len(avail):].any()
             assert ops[i].tolist() == avail + [UNSET] * (slots - len(avail))
-            attend = ~batch.scheduled[e]
+            attend = batch.start[e] == UNSET
             assert attend[:st_.inst.num_ops].tolist() == (st_.start == UNSET).tolist()
             assert not attend[st_.inst.num_ops:].any()
         actions = np.array([int(rng.choice(avail)) for avail in avails])

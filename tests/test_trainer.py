@@ -342,6 +342,19 @@ class TestPhase2:
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match=f"^{message}$"):
             train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
 
+    def test_diverged_frozen_encoder_raises(self, two_by_two, tiny_cfg):
+        """Finite but huge phase-1 parameters whose latent sigma overflows
+        stop phase 2 before its first rollout, and the error names the
+        frozen encoder and the pool slot rather than the policy."""
+        cfg = TrainConfig(policy_epochs=1, batch_size=2, seed=0)
+        store = build_model(tiny_cfg, seed=0)
+        for name in ("latent.sigma.w", "latent.sigma.b"):
+            store[name].data[...] = 1e308
+        pool = InstancePool(cfg, np.random.default_rng(0), frozen=[two_by_two])
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDiverged, match="^non-finite frozen-encoder output for pool slot 0$"):
+            train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
+
 
 class TestGreedyEval:
     def test_mean_over_pool(self, tiny_cfg, rng):
