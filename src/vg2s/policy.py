@@ -42,25 +42,28 @@ def build_critic_params(store: ParamStore, cfg: ModelConfig, rng) -> None:
 class Attention:
     """One attention block of a batch of episodes over N op rows, head-major.
 
-    Its keys act on [h_real, state_emb] (2d = 2 * d_latent columns).  `wq`
-    (H, 2d, w) holds the query weights with the score scale folded in;
-    `keys_t` (B, H, w, N) the keys of every row with state_emb at the
-    constant c of an unavailable op; `wk_state_t` (H, w, d) the transposed
-    state half of the key weights, which corrects the keys of available
-    rows.  Glimpse blocks carry `values` (B, H, N, 2d) and `wv_state`
-    (H, d, 2d) the same way; the pointer is a one-head block without them.
-    Each is a taped Tensor or, from an untaped projection, a plain array.
+    Its keys act on [h_real, state_emb] (2d = 2 * d_latent columns) and are
+    held in query space: each head's query weights wq (2d, w), with the
+    score scale folded in, are multiplied into them once per rollout, so a
+    2d-wide query row scores them with no product of its own.  `keys_t`
+    (B, H, 2d, N) holds wq @ the keys of every row with state_emb at the
+    constant c of an unavailable op; `wk_state_t` (H, 2d, d) holds wq @
+    the transposed state half of the key weights, which corrects the keys
+    of available rows.  Glimpse blocks carry `values` (B, H, N, 2d) and
+    `wv_state` (H, d, 2d), unfolded; the pointer is a one-head block
+    without them.  Each is a taped Tensor or, from an untaped projection,
+    a plain array.
     """
 
-    wq: ad.Tensor | np.ndarray
     keys_t: ad.Tensor | np.ndarray
     wk_state_t: ad.Tensor | np.ndarray
     values: ad.Tensor | np.ndarray | None = None
     wv_state: ad.Tensor | np.ndarray | None = None
 
     def rows(self, episodes: np.ndarray) -> "Attention":
-        # np.take copies the rows C-ordered, as ad.take does; indexing would
-        # keep the transposed layout, and the products would round otherwise.
+        # `values` is a transposed view (`keys_t` a fresh product).  np.take
+        # copies rows C-ordered, as ad.take does; indexing would keep the
+        # transposed layout, and the products would round otherwise.
         values = None if self.values is None else np.take(self.values, episodes, axis=0)
         return replace(self, keys_t=np.take(self.keys_t, episodes, axis=0), values=values)
 
@@ -71,11 +74,11 @@ class EpisodeKeys:
 
     Rows outside a decision's available ops take zero features, so they all
     embed to c = mlp("policy.state")(0) (`state_zero`).
-    Each block's fixed keys and values are projected with every row at c;
-    a decode step adds only the available rows' corrections, through
-    (mlp(f) - c) and the blocks' state weights.  `h_real` (B, N, d_latent)
-    holds the embeddings the keys were projected from, which a decision
-    reads back as its previous action's.
+    Each block's fixed keys (in query space, see Attention) and values are
+    projected with every row at c; a decode step adds only the available
+    rows' corrections, through (mlp(f) - c) and the blocks' state weights.
+    `h_real` (B, N, d_latent) holds the embeddings the keys were projected
+    from, which a decision reads back as its previous action's.
     """
 
     h_real: np.ndarray
@@ -96,8 +99,10 @@ def _heads(x, count: int, axes: tuple[int, ...], xp):
 
 def project_keys(h_real: np.ndarray, store, cfg: ModelConfig, xp=ad) -> EpisodeKeys:
     """The rollout's key projections; h_real: (B, N, d_latent) real-node
-    embeddings, zero-padded to N rows.  On the ops of `xp`: autodiff with
-    `store` a ParamStore, or autodiff.plain with `store` its arrays by name."""
+    embeddings, zero-padded to N rows.  Each block's keys come out already
+    multiplied by its scaled query weights, one (H, 2d, w) @ (B, H, w, N)
+    product per block.  On the ops of `xp`: autodiff with `store` a
+    ParamStore, or autodiff.plain with `store` its arrays by name."""
     d, heads = cfg.d_latent, cfg.glimpse_heads
     d_qk = d + cfg.d_glimpse
     tags = [f"policy.glimpse.l{layer}" for layer in range(cfg.glimpse_layers)]
@@ -115,9 +120,9 @@ def project_keys(h_real: np.ndarray, store, cfg: ModelConfig, xp=ad) -> EpisodeK
     state_parts = iter(xp.split(w_state, widths, axis=1))
 
     def block(wq, count: int, scale: float, values: bool) -> Attention:
-        out = Attention(xp.mul(_heads(wq, count, (1, 0, 2), xp), scale),
-                        _heads(next(fixed_parts), count, (0, 2, 3, 1), xp),
-                        _heads(next(state_parts), count, (1, 2, 0), xp))
+        wq = xp.mul(_heads(wq, count, (1, 0, 2), xp), scale)
+        out = Attention(xp.matmul(wq, _heads(next(fixed_parts), count, (0, 2, 3, 1), xp)),
+                        xp.matmul(wq, _heads(next(state_parts), count, (1, 2, 0), xp)))
         if values:
             out.values = _heads(next(fixed_parts), count, (0, 2, 1, 3), xp)
             out.wv_state = _heads(next(state_parts), count, (1, 0, 2), xp)
@@ -150,14 +155,16 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     The T decisions of an episode are the query rows of one product per
     head with its keys and one with its values, so no per-decision copy of
     the keys is built.  `keys` already holds every op row at the zero
-    features of an op that is not available.  Only the available
-    ops are embedded, as e = mlp(f) - c, and their corrections enter each
-    score as e . (W_state,k q) and each context as (w_avail e) W_state,v,
-    through a one-hot (b, 1, T, n, N) selection from slots to op rows; only
-    these corrections batch over decisions.  All heads of a layer share one batched matmul and one
-    softmax.  For K key columns a decision thus costs O((N + d) * K) plus
-    the selection products, not the O(N * d * K) of projecting every row's
-    keys.
+    features of an op that is not available, in query space, so the
+    (b, 1, T, 2d) context rows multiply into them with no query product.
+    Only the available ops are embedded, as e = mlp(f) - c, and their
+    corrections enter each score as e . (W_state,k W_q q) and each context
+    as (w_avail e) W_state,v, through a one-hot (b, 1, T, n, N) selection
+    from slots to op rows; only these corrections batch over decisions.
+    All heads of a layer share one batched matmul and one softmax.  Per
+    head a decision thus costs O((N + d) * 2d) plus the selection
+    products, not the O(N * d * K) of projecting every row's K key
+    columns.
     """
     count, steps, slots = ops.shape
     if state_feats.shape[:3] != ops.shape:
@@ -200,10 +207,9 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
 
     def scores(query, blk: Attention):
         """(b, H, T, N) scaled scores of every head of one block."""
-        qh = xp.matmul(query, blk.wq)
-        state_q = across(xp.matmul(qh, blk.wk_state_t), 1, -1)
+        state_q = across(xp.matmul(query, blk.wk_state_t), 1, -1)
         correction = xp.matmul(xp.matmul(state_q, moved_t), select)
-        return xp.add(xp.matmul(qh, blk.keys_t), across(correction, -1))
+        return xp.add(xp.matmul(query, blk.keys_t), across(correction, -1))
 
     attend = attend_mask[:, None]
     for blk in keys.glimpses:

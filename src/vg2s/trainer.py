@@ -42,6 +42,8 @@ class TrainConfig:
         for name in ("lr_repr", "lr_policy"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.alpha_entropy < 0:
+            raise ValueError("alpha_entropy must be non-negative")
 
 
 @dataclass

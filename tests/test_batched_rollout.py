@@ -15,6 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +29,7 @@ from vg2s.instance import Instance
 from vg2s.nnutil import mlp
 from vg2s.policy import decode_step, project_keys
 from vg2s.trainer import Decisions, build_model, embed, log_prob_totals, rollout
+from vg2s.vge import ModelConfig
 
 LOG_PROB_TOL = 1e-12   # absolute, per step and per episode total
 GRAD_TOL = 1e-10       # relative to each parameter's largest |gradient|
@@ -125,6 +127,7 @@ def reference_rollout(inst, z, h_real, store, cfg, actions):
 
 ONE_BY_ONE = Instance(n=1, m=1, ops=(((0, 5),),))
 ONE_BY_FOUR = Instance(n=1, m=4, ops=(((2, 1), (0, 7), (3, 7), (1, 2)),))
+FOUR_BY_ONE = Instance(n=4, m=1, ops=(((0, 3),), ((0, 1),), ((0, 3),), ((0, 6),)))
 TWO_BY_THREE = Instance(n=2, m=3, ops=(((0, 3), (1, 2), (2, 4)), ((2, 2), (0, 4), (1, 1))))
 IDENTICAL_JOBS = Instance(n=4, m=2, ops=(((0, 1), (1, 1)),) * 4)
 
@@ -164,7 +167,11 @@ def test_batched_rollout_matches_scalar_reference(tiny_cfg, insts, layers, model
     """With the batched rollout's sampled actions forced on the reference,
     per-step log-probs, per-episode totals and policy gradients agree, and
     each returned schedule is the one its actions build."""
-    cfg = dataclasses.replace(tiny_cfg, glimpse_layers=layers)
+    check_sampled_rollout(insts, dataclasses.replace(tiny_cfg, glimpse_layers=layers),
+                          model_seed, seed)
+
+
+def check_sampled_rollout(insts, cfg, model_seed, seed):
     store, rng, h_real, _, z = _batch_inputs(insts, cfg, model_seed, seed)
     weights = rng.uniform(-2.0, 2.0, len(insts))
     dec, states = rollout(insts, z, h_real, store, cfg, "sample", rng=rng)
@@ -205,7 +212,10 @@ def test_greedy_actions_match_scalar_reference(tiny_cfg, insts, layers, model_se
     rounding (identical jobs, say), either pick is the greedy one: the
     lowest-index tie-break then depends on the last bit of each logit,
     which differs between any two summation orders."""
-    cfg = dataclasses.replace(tiny_cfg, glimpse_layers=layers)
+    check_greedy_rollout(insts, dataclasses.replace(tiny_cfg, glimpse_layers=layers), model_seed)
+
+
+def check_greedy_rollout(insts, cfg, model_seed):
     store, _, h_real, mu, _ = _batch_inputs(insts, cfg, model_seed, 0)
     dec, _ = rollout(insts, mu, h_real, store, cfg, "greedy")
     for e, inst in enumerate(insts):
@@ -215,6 +225,25 @@ def test_greedy_actions_match_scalar_reference(tiny_cfg, insts, layers, model_se
             assert full[action] >= full.max() - LOG_PROB_TOL
         np.testing.assert_allclose(dec.log_probs[e, :inst.num_ops], log_probs,
                                    rtol=0, atol=LOG_PROB_TOL)
+
+
+# ModelConfig()'s widths: 4 heads, d_latent = d_glimpse = d_logit = 64 and 2
+# glimpse layers, where each head's 2 * d_latent folded key rows equal its
+# d_latent + d_glimpse key columns; and the same with d_glimpse and d_logit
+# apart from d_latent, where they do not.
+MODEL_WIDTHS = [ModelConfig(), dataclasses.replace(ModelConfig(), d_glimpse=32, d_logit=96)]
+
+
+@pytest.mark.parametrize("cfg", MODEL_WIDTHS, ids=["default", "d_glimpse-32"])
+@pytest.mark.parametrize("insts", [
+    [ONE_BY_ONE],
+    [ONE_BY_FOUR, FOUR_BY_ONE, TWO_BY_THREE],
+    [IDENTICAL_JOBS, random_instance(3, 2, seed=7)],
+], ids=["1x1", "1x4-4x1-2x3", "4x2-3x2"])
+def test_rollouts_match_scalar_reference_at_model_widths(cfg, insts):
+    """The sampled and greedy checks above, at the widths of a real model."""
+    check_sampled_rollout(insts, cfg, 0, 0)
+    check_greedy_rollout(insts, cfg, 1)
 
 
 def test_padded_decisions_contribute_nothing(tiny_cfg):
@@ -274,7 +303,7 @@ def test_plain_namespace_matches_autodiff(tiny_cfg, insts, layers, model_seed, s
     _assert_same_bits(plain.state_zero, taped.state_zero)
     assert len(plain.glimpses) == len(taped.glimpses) == layers
     for got, want in zip(plain.glimpses + [plain.pointer], taped.glimpses + [taped.pointer]):
-        for field in ("wq", "keys_t", "wk_state_t", "values", "wv_state"):
+        for field in ("keys_t", "wk_state_t", "values", "wv_state"):
             if getattr(want, field) is None:
                 assert getattr(got, field) is None
             else:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from env_reference import available
 from helpers import instance_batches
 from test_rules import reference_select
-from vg2s.bench import (_similarity_records, eval_bench, export_latents, gantt_svg,
+from vg2s.bench import (_greedy, _similarity_records, eval_bench, export_latents, gantt_svg,
                         pdr_similarity, solve_with_model, write_csv)
 from vg2s.env import ScheduleState, replay
 from vg2s.instance import GenConfig, Instance, generate_random
 from vg2s.rules import Rule
 from vg2s.trainer import EncoderCache, InstancePool, TrainConfig, build_model
+from vg2s.vge import ModelConfig
 
 
 class TestEvalBench:
@@ -62,6 +64,38 @@ class TestSolveWithModel:
         a = solve_with_model(two_by_two, store, tiny_cfg)[1]
         b = solve_with_model(two_by_two, store, tiny_cfg)[1]
         assert a == b
+
+
+EIGHT_BY_EIGHT = GenConfig(m_lo=8, m_hi=8, n_hi=8)
+# Greedy solves of an untrained ModelConfig() model built from seed 0, the
+# benchmark's eval model: (generator, instance seed, makespan, first 16 hex
+# digits of the sha256 of the int64 action sequence).  A decoder change that
+# only rounds differently keeps every entry; one that flips a decision does not.
+GREEDY_SENTINEL = [
+    (EIGHT_BY_EIGHT, 0, 2592, "9947221343a4da36"),
+    (EIGHT_BY_EIGHT, 1, 2078, "3a50ef1ee9a8b751"),
+    (EIGHT_BY_EIGHT, 2, 2115, "8250e79b54fdc4f4"),
+    (EIGHT_BY_EIGHT, 3, 2216, "cbb161141c2eec3f"),
+    (EIGHT_BY_EIGHT, 4, 1901, "e58b40d582fc7c97"),
+    (EIGHT_BY_EIGHT, 5, 1953, "673c41efcfac1261"),
+    (EIGHT_BY_EIGHT, 6, 2042, "dbfd659456484a33"),
+    (EIGHT_BY_EIGHT, 7, 2419, "a78b510acdee3082"),
+    (GenConfig(), 0, 2215, "64bbf1e892d3fce8"),    # 9x9
+    (GenConfig(), 1, 2152, "20fe1fa0429eac44"),    # 8x7
+    (GenConfig(), 11, 857, "15ff9bc788acb27c"),    # 5x5
+    (GenConfig(), 14, 2265, "e4df89ee4a1f7a33"),   # 9x5
+]
+
+
+def test_greedy_sentinel():
+    cfg = ModelConfig()
+    store = build_model(cfg, seed=0)
+    got = []
+    for gen, seed, _, _ in GREEDY_SENTINEL:
+        dec, state = _greedy(generate_random(gen, np.random.default_rng(seed)), store, cfg)
+        digest = hashlib.sha256(dec.actions[0].astype(np.int64).tobytes()).hexdigest()
+        got.append((gen, seed, state.makespan(), digest[:16]))
+    assert got == GREEDY_SENTINEL
 
 
 class TestWriteCsv:

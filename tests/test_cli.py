@@ -436,6 +436,7 @@ class TestConfigErrors:
         ({"model": {"logit_clip": float("nan")}}, "logit_clip"),
         (None, "No such file"),                            # missing file
         ([1], "expected a JSON object"),                   # not an object
+        ({"train": {"alpha_entropy": -1.0}}, "alpha_entropy"),  # rewards a collapsed policy
     ])
     def test_one_line_error_and_exit_2(self, tmp_path, capsys, raw, key):
         cfg = tmp_path / "cfg.json"
