@@ -128,7 +128,7 @@ def load_checkpoint(path) -> ParamStore:
     (hlen,) = struct.unpack("<Q", raw[8:16])
     try:
         manifest = json.loads(raw[16:16 + hlen].decode())
-    except ValueError as exc:  # also a cut or garbled UTF-8 manifest
+    except (ValueError, RecursionError) as exc:  # also cut, garbled UTF-8 or nested too deep
         raise ValueError(f"{path}: unreadable manifest ({exc})") from None
     if not isinstance(manifest, list):
         raise ValueError(f"{path}: manifest is not a list of parameter entries")

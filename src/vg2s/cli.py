@@ -39,9 +39,9 @@ def load_configs(path: str | None, args=None, **options: str) -> tuple[TrainConf
     """Read {"train": {...}, "model": {...}} JSON; missing keys keep defaults.
     Then each TrainConfig field named in `options` (field=dest) takes the
     value of the command-line option args.<dest> when it is given, and the
-    seed takes VG2S_SEED when that is set.  An unreadable file, malformed
-    JSON, an unknown key or a value the configs' own checks reject raises
-    UsageError naming the file, or the option."""
+    seed takes VG2S_SEED when that is set.  An unreadable file, malformed or
+    too deep JSON, an unknown key or a value the configs' own checks reject
+    raises UsageError naming the file, or the option."""
     train_cfg, model_cfg = TrainConfig(), ModelConfig()
     if path:
         try:
@@ -50,7 +50,7 @@ def load_configs(path: str | None, args=None, **options: str) -> tuple[TrainConf
                 raise ValueError('expected a JSON object with "train" and "model"')
             train_cfg = TrainConfig(**raw.get("train", {}))
             model_cfg = ModelConfig(**raw.get("model", {}))
-        except (OSError, TypeError, ValueError) as exc:
+        except (OSError, TypeError, ValueError, RecursionError) as exc:
             raise UsageError(f"config {path}: {exc}") from None
     given = {name: (f"--{dest}", getattr(args, dest, None)) for name, dest in options.items()}
     env = os.environ.get("VG2S_SEED")
@@ -117,14 +117,14 @@ def _load_model(args, missing: str) -> tuple[ParamStore, ModelConfig]:
 
 
 def _load_instance(path: str, fmt: str) -> Instance:
-    """Parse the instance file at `path`; a malformed one raises UsageError
-    naming the file, with the parser's message (and line number)."""
+    """Parse the instance file at `path`; a malformed or too deeply nested one
+    raises UsageError naming the file, with the parser's message (and line number)."""
     parse = PARSERS[fmt]
     try:
         return parse(Path(path).read_text())
     except KeyError as exc:  # a JSON instance without "n", "m" or "jobs"
         raise UsageError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 
@@ -138,11 +138,13 @@ def _check_nonnegative(args) -> None:
 
 def _check_output_dirs(args) -> None:
     """Every output file named on the command line must go into an existing
-    directory, so that a bad path fails before any work or any write."""
+    directory and not be one, so a bad path fails before any work or write."""
     for dest in OUTPUT_FILES:
         path = getattr(args, dest, None)
         if path and not Path(path).parent.is_dir():
             raise UsageError(f"--{dest} {path}: directory {Path(path).parent} does not exist")
+        if path and Path(path).is_dir():
+            raise UsageError(f"--{dest} {path}: is a directory, not a file")
 
 
 def _check_canvas(frozen: dict[str, Instance] | None, gen: GenConfig, canvas: int) -> None:
@@ -169,7 +171,10 @@ def _load_instance_dir(path: str, fmt: str) -> dict[str, Instance]:
 def cmd_gen(args) -> int:
     rng = np.random.default_rng(_seed(args))
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, at the path or above it
+        raise UsageError(f"--out {out_dir}: {exc.strerror or exc}") from None
     cfg = GenConfig()
     for idx in range(args.count):
         inst = generate_random(cfg, rng)
@@ -262,7 +267,7 @@ def _load_ubs(path: str) -> dict[str, int]:
             if isinstance(val, bool) or not isinstance(val, int) or not 1 <= val < 2**63:
                 raise ValueError(f"{name}: best-known makespan must be an integer "
                                  f"in [1, 2^63 - 1], got {json.dumps(val)}")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise UsageError(f"ub file {path}: {exc}") from None
     return raw
 

@@ -6,8 +6,8 @@ semi-active: an op starts at max(machine ready, job ready), so no machine
 idles while work it could start is waiting.  `BatchState` holds a batch
 of partial schedules as one padded state, which a lockstep rollout steps,
 and reads features off, in one array pass per step.  `ScheduleState` is one
-instance's schedule: `replay` steps it op by op, and `ScheduleState.finished`
-builds a complete one from its start and end times.
+instance's schedule, its start and end times alone: `replay` steps it op by
+op, reading each op's readiness off the times already placed.
 """
 
 from __future__ import annotations
@@ -24,54 +24,35 @@ class ActionError(ValueError):
 
 
 class ScheduleState:
-    """Mutable schedule of one instance: each machine's and job's ready
-    time, each job's next op, and each op's start and end (UNSET until
-    scheduled).
+    """Schedule of one instance: copies of the op start and end times (op
+    node u = j*m + k), UNSET until scheduled and all UNSET when none are
+    given.  They fix the rest: an unscheduled op is available once its job
+    predecessor, if any, is scheduled, and starts at the later of that
+    predecessor's end and its machine's latest end."""
 
-    Arrays are indexed by op node u = j*m + k.  `t` counts decision steps
-    starting at 1; exactly t-1 ops are scheduled at step t.
-    """
-
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, start=None, end=None):
         self.inst = inst
-        n, m = inst.n, inst.m
-        self.machine_ready = np.zeros(m, dtype=np.int64)
-        self.job_ready = np.zeros(n, dtype=np.int64)
-        self.next_op = np.zeros(n, dtype=np.int64)
-        self.start = np.full(n * m, UNSET, dtype=np.int64)
-        self.end = np.full(n * m, UNSET, dtype=np.int64)
-        self.t = 1
-
-    @classmethod
-    def finished(cls, inst: Instance, start, end) -> ScheduleState:
-        """The complete schedule with these op start and end times."""
-        st = cls(inst)
-        st.start[:] = start
-        st.end[:] = end
-        st.next_op[:] = inst.m
-        st.job_ready[:] = st.end[inst.m - 1::inst.m]
-        np.maximum.at(st.machine_ready, inst.machines.ravel(), st.end)
-        st.t += inst.num_ops
-        return st
+        unset = np.full(inst.num_ops, UNSET, dtype=np.int64)
+        self.start = unset.copy() if start is None else np.array(start, dtype=np.int64)
+        self.end = unset if end is None else np.array(end, dtype=np.int64)
 
     @property
     def done(self) -> bool:
-        return bool((self.next_op == self.inst.m).all())
+        return bool((self.start != UNSET).all())
 
     def step(self, u: int) -> None:
         """Schedule op u semi-actively; rejects unavailable actions."""
-        j, k = divmod(u, self.inst.m)
-        if not (0 <= j < self.inst.n and self.next_op[j] == k):
-            raise ActionError(f"operation {u} is not available at step {self.t}")
-        # scalar reads from the tuples: cheaper than numpy scalar indexing
-        i, p = self.inst.ops[j][k]
-        start = max(int(self.machine_ready[i]), int(self.job_ready[j]))
-        self.start[u] = start
-        self.end[u] = start + p
-        self.machine_ready[i] = start + p
-        self.job_ready[j] = start + p
-        self.next_op[j] += 1
-        self.t += 1
+        inst, start, end = self.inst, self.start, self.end
+        j, k = divmod(u, inst.m)
+        if not (0 <= j < inst.n and start[u] == UNSET and (k == 0 or start[u - 1] != UNSET)):
+            raise ActionError(f"operation {u} is not available at step "
+                              f"{np.count_nonzero(start != UNSET) + 1}")
+        i, p = inst.ops[j][k]
+        # the latest end on machine i (an unscheduled op's, UNSET, is below
+        # 0) and the job predecessor's end
+        start[u] = max(int(end.max(where=inst.machines.ravel() == i, initial=0)),
+                       int(end[u - 1]) if k else 0)
+        end[u] = start[u] + p
 
     def makespan(self) -> int:
         if not self.done:
@@ -95,7 +76,7 @@ class BatchState:
     `machine_remaining`) and op rows to the largest n*m (`start`, `end`).
     A padded job is never live: its next_op is already its row's m.  A
     padded op row starts at 0, so it reads as scheduled.  `t` counts each
-    row's decision steps from 1, as ScheduleState's does, and `furthest`
+    row's decision steps from 1 (so t-1 ops are scheduled), and `furthest`
     holds its largest next_op.
 
     Each array also has a flat view, and the instances' tables are
@@ -192,8 +173,7 @@ class BatchState:
         inst = self.insts[e]
         if (self.next_op[e, :inst.n] < inst.m).any():
             raise ValueError(f"row {e}'s schedule is incomplete")
-        return ScheduleState.finished(inst, self.start[e, :inst.num_ops],
-                                      self.end[e, :inst.num_ops])
+        return ScheduleState(inst, self.start[e, :inst.num_ops], self.end[e, :inst.num_ops])
 
 
 def state_features(batch: BatchState, episodes) -> tuple[np.ndarray, np.ndarray]:

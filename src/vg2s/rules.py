@@ -92,7 +92,7 @@ def decisions(inst: Instance, rule: Rule) -> list[int]:
 def dispatch(inst: Instance, rule: Rule) -> tuple[ScheduleState, int]:
     """Run the rule to completion; returns the schedule and its makespan."""
     _, start, end = _run(inst, rule)
-    return ScheduleState.finished(inst, start, end), max(end)
+    return ScheduleState(inst, start, end), max(end)
 
 
 def optimality_gap(c: float, ub: float) -> float:

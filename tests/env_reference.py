@@ -1,7 +1,8 @@
-"""Per-state references over one ScheduleState stepped op by op: its
-available ops, its remaining work, and `state_features`, for the
-differential tests of `vg2s.env.state_features`, which computes the same
-features for every unfinished row of a BatchState in one array pass.
+"""Per-state references over one ScheduleState stepped op by op, all read
+off its start and end times: its step count, ready times and available
+ops, its remaining work, and `state_features`, for the differential tests
+of `vg2s.env.state_features`, which computes the same features for every
+unfinished row of a BatchState in one array pass.
 
 This is the per-state form: the successor's max over its available set is
 taken over an explicit (available x available) matrix of the other ops'
@@ -15,10 +16,31 @@ import numpy as np
 from vg2s.env import UNSET, ScheduleState
 
 
+def step_count(st: ScheduleState) -> int:
+    """The decision step, from 1: one more than the scheduled ops."""
+    return int(np.count_nonzero(st.start != UNSET)) + 1
+
+
+def _next_op(st: ScheduleState) -> np.ndarray:
+    """Each job's next op: its count of scheduled ops."""
+    return (st.start != UNSET).reshape(st.inst.n, st.inst.m).sum(axis=1)
+
+
+def ready(st: ScheduleState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each machine's ready time, each job's ready time and each job's next
+    op: the latest end on the machine and in the job (0 before any op)."""
+    inst = st.inst
+    machine_ready = np.zeros(inst.m, dtype=np.int64)
+    np.maximum.at(machine_ready, inst.machines.ravel(), st.end)
+    job_ready = np.maximum(st.end.reshape(inst.n, inst.m).max(axis=1), 0)
+    return machine_ready, job_ready, _next_op(st)
+
+
 def available(st: ScheduleState) -> list[int]:
     """Op nodes selectable now: the next op of every unfinished job."""
-    jobs = np.flatnonzero(st.next_op < st.inst.m)
-    return (jobs * st.inst.m + st.next_op[jobs]).tolist()
+    next_op = _next_op(st)
+    jobs = np.flatnonzero(next_op < st.inst.m)
+    return (jobs * st.inst.m + next_op[jobs]).tolist()
 
 
 def remaining(st: ScheduleState) -> tuple[np.ndarray, np.ndarray]:
@@ -50,18 +72,19 @@ def state_features(st: ScheduleState) -> np.ndarray:
     """
     inst = st.inst
     n, m = inst.n, inst.m
-    jobs = np.flatnonzero(st.next_op < m)
+    machine_ready, job_ready, next_op = ready(st)
+    jobs = np.flatnonzero(next_op < m)
     if jobs.size == 0:
         return np.zeros((0, 6))
-    ks = st.next_op[jobs]
+    ks = next_op[jobs]
     mach, p = inst.machines[jobs, ks], inst.durations[jobs, ks]
     # machine of the job's op k+1 (for a terminal op, its own machine: a
     # placeholder masked below)
     follow_mach = inst.machines[jobs, np.minimum(ks + 1, m - 1)]
     machine_remaining, job_remaining = remaining(st)
-    est = np.maximum(st.machine_ready[mach], st.job_ready[jobs])
-    machine_load = st.machine_ready + machine_remaining
-    job_load = st.job_ready[jobs] + job_remaining[jobs]
+    est = np.maximum(machine_ready[mach], job_ready[jobs])
+    machine_load = machine_ready + machine_remaining
+    job_load = job_ready[jobs] + job_remaining[jobs]
     terminal = ks == m - 1
     own = np.where(terminal, 0, est + np.maximum(machine_remaining[mach],
                                                  job_remaining[jobs]))
@@ -82,8 +105,8 @@ def state_features(st: ScheduleState) -> np.ndarray:
     feats[:, 1] = est + p
     feats[:, 2] = own
     feats[:, 3] = best
-    feats[:, 4] = np.maximum(st.next_op.max(), ks + 1) / m
-    feats[:, 5] = (st.next_op.sum() + 1) / n / m
+    feats[:, 4] = np.maximum(next_op.max(), ks + 1) / m
+    feats[:, 5] = (next_op.sum() + 1) / n / m
     top = feats[:, :4].max(axis=0)
     feats[:, :4] /= np.where(top > 0, top, 1.0)
     return feats

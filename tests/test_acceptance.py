@@ -91,13 +91,14 @@ def test_criterion_03_semi_active_suite():
         st = ScheduleState(inst)
         steps = 0
         while not st.done:
-            machine_before = st.machine_ready.copy()
-            job_before = st.job_ready.copy()
             u = int(rng.choice(available(st)))
             j, k = divmod(u, inst.m)
-            i = inst.machines[j, k]
+            # the latest end on u's machine and in its job, before the step
+            ends = st.end.reshape(inst.n, inst.m)
+            machine_before = ends[inst.machines == inst.machines[j, k]].max(initial=0)
+            job_before = ends[j, k - 1] if k else 0
             st.step(u)
-            assert st.start[u] == max(machine_before[i], job_before[j])
+            assert st.start[u] == max(machine_before, job_before)
             steps += 1
         assert steps == inst.num_ops
         assert st.makespan() >= inst.load_lower_bound()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from env_reference import available
+from env_reference import available, ready, step_count
 from helpers import instance_batches
 from test_rules import reference_select
 from vg2s.bench import (_greedy, _similarity_records, eval_bench, export_latents, gantt_svg,
@@ -165,7 +165,7 @@ def test_rule_trace_matches_reference_select(rule, seed, m, extra_jobs):
             p = inst.durations.flat[u]
             expected.append({
                 "instance": idx,
-                "step": st_.t,
+                "step": step_count(st_),
                 "completed_ops": u % inst.m,
                 "pt_rank": 1 + sum(int(inst.durations.flat[a] < p) for a in avail),
                 "num_available": len(avail),
@@ -185,8 +185,8 @@ def stepped_records(insts: list[Instance], actions: list[list[int]]) -> list[dic
             avail = available(st_)
             records.append({
                 "instance": idx,
-                "step": st_.t,
-                "completed_ops": int(st_.next_op[u // inst.m]),
+                "step": step_count(st_),
+                "completed_ops": int(ready(st_)[2][u // inst.m]),
                 "pt_rank": 1 + sum(int(durations[a] < durations[u]) for a in avail),
                 "num_available": len(avail),
             })

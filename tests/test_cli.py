@@ -12,7 +12,7 @@ import pytest
 import vge_reference
 from helpers import (MALFORMED_CHECKPOINTS, random_instance, section_bytes,
                      write_malformed_checkpoint)
-from vg2s.checkpoint import ParamStore, load_checkpoint, save_checkpoint
+from vg2s.checkpoint import MAGIC, ParamStore, load_checkpoint, save_checkpoint
 from vg2s.cli import main
 from vg2s.instance import Instance
 from vg2s.trainer import build_model
@@ -615,6 +615,42 @@ def test_malformed_instance_one_line_error(tmp_path, ft06_file, capsys, case, co
     assert not out.exists()
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # far past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("command", ["parse", "eval-dir", "config", "ub-file", "solve-model",
+                                     "train-policy-encoder"])
+def test_deeply_nested_json_one_line_error(tmp_path, ft06_file, instance_dir, capsys,
+                                           command):
+    """JSON nested deeper than the decoder's recursion limit, in an
+    instance, a config, a best-known-makespan file or a checkpoint
+    manifest, ends in one `vg2s: error:` line naming the file, not in a
+    RecursionError; nothing is written."""
+    d = tmp_path / "deep"
+    d.mkdir()
+    deep = d / "deep.json"
+    deep.write_text(DEEP_JSON)
+    ckpt = tmp_path / "deep.ckpt"
+    ckpt.write_bytes(MAGIC + struct.pack("<Q", len(DEEP_JSON)) + DEEP_JSON.encode())
+    out = tmp_path / "out"
+    argv = {
+        "parse": ["parse", str(deep), "--format", "json"],
+        "eval-dir": ["eval", "--dir", str(d), "--methods", "fifo", "--out", str(out)],
+        "config": ["train-repr", "--epochs", "1", "--config", str(deep),
+                   "--instances", instance_dir, "--checkpoint", str(out)],
+        "ub-file": ["eval", "--dir", instance_dir, "--methods", "fifo",
+                    "--ub-file", str(deep), "--out", str(out)],
+        "solve-model": ["solve", ft06_file, "--method", "vg2s", "--model", str(ckpt),
+                        "--out", str(out)],
+        "train-policy-encoder": ["train-policy", "--encoder-ckpt", str(ckpt),
+                                 "--instances", instance_dir, "--epochs", "1",
+                                 "--checkpoint", str(out)],
+    }[command]
+    err = _usage_error(argv, capsys)
+    assert str(ckpt if command.endswith(("model", "encoder")) else deep) in err
+    assert not out.exists()
+
+
 class TestMissingInputs:
     @pytest.mark.parametrize("argv", [
         ["solve", "{missing}", "--method", "fifo", "--out", "{out}"],
@@ -736,6 +772,39 @@ class TestChecksBeforeWork:
                          instances=instance_dir, ok=tmp_path / "ok", bad=bad) for a in argv]
         assert _usage_error(argv, capsys) == (
             f"vg2s: error: --{dest} {bad}: directory {bad.parent} does not exist\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("argv, dest", [
+        (["train-repr", "--epochs", "1", "--config", "{config}", "--instances", "{instances}",
+          "--checkpoint", "{dir}", "--log", "{ok}"], "checkpoint"),
+        (["solve", "{ft06}", "--method", "fifo", "--out", "{dir}"], "out"),
+        (["solve", "{ft06}", "--method", "fifo", "--out", "{ok}", "--gantt", "{dir}"], "gantt"),
+        (["eval", "--dir", "{bench}", "--methods", "fifo", "--out", "{dir}"], "out"),
+        (["similarity", "--rule", "spt", "--count", "1", "--out", "{dir}"], "out"),
+    ], ids=["train-repr-checkpoint", "solve-out", "solve-gantt", "eval-out", "similarity-out"])
+    def test_output_file_is_a_directory(self, tmp_path, ft06_file, tiny_config_file,
+                                        instance_dir, capsys, argv, dest):
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        (bench / "ft06.txt").write_text(Path(ft06_file).read_text())
+        target = tmp_path / "target"
+        target.mkdir()
+        before = _tree(tmp_path)
+        argv = [a.format(ft06=ft06_file, bench=bench, config=tiny_config_file,
+                         instances=instance_dir, ok=tmp_path / "ok", dir=target) for a in argv]
+        assert _usage_error(argv, capsys) == (
+            f"vg2s: error: --{dest} {target}: is a directory, not a file\n")
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("sub, reason", [("", "File exists"), ("sub", "Not a directory")],
+                             ids=["existing-file", "below-a-file"])
+    def test_gen_directory_blocked_by_a_file(self, tmp_path, capsys, sub, reason):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        before = _tree(tmp_path)
+        out = blocker / sub if sub else blocker
+        err = _usage_error(["gen", "--count", "1", "--out", str(out)], capsys)
+        assert err == f"vg2s: error: --out {out}: {reason}\n"
         assert _tree(tmp_path) == before
 
     def test_gen_creates_its_directory(self, tmp_path, capsys):

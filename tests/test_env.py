@@ -7,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from env_reference import available, remaining
+from env_reference import available, ready, remaining, step_count
 from env_reference import state_features as reference_state_features
-from helpers import instance_batches
+from helpers import instance_batches, instances
 from vg2s.env import (UNSET, ActionError, BatchState, ScheduleState, replay, schedule_records,
                       state_features)
 from vg2s.instance import GenConfig, Instance, generate_random
+from vg2s.rules import Rule, dispatch
 
 
 def _successor(st_, u):
@@ -27,6 +28,7 @@ def reference_bounds(st_, u) -> tuple[float, float]:
     of the successor's available ops; a job's terminal op has term zero."""
     inst = st_.inst
     nxt = _successor(st_, u)
+    machine_ready, job_ready, _ = ready(nxt)
     machine_remaining, job_remaining = remaining(nxt)
 
     def term(v):
@@ -34,8 +36,8 @@ def reference_bounds(st_, u) -> tuple[float, float]:
         if k == inst.m - 1:
             return 0.0
         i = inst.machines[j, k]
-        return float(max(nxt.machine_ready[i] + machine_remaining[i],
-                         nxt.job_ready[j] + job_remaining[j]))
+        return float(max(machine_ready[i] + machine_remaining[i],
+                         job_ready[j] + job_remaining[j]))
 
     own = term(u)
     return own, max([own] + [term(v) for v in available(nxt)])
@@ -51,11 +53,12 @@ def reference_features(st_) -> np.ndarray:
     if not avail:
         return feats
     raw = np.zeros((len(avail), 6), dtype=np.float64)
+    machine_ready, job_ready, _ = ready(st_)
     for idx, u in enumerate(avail):
         j, k = divmod(u, m)
         i, p = inst.ops[j][k]
-        est = max(int(st_.machine_ready[i]), int(st_.job_ready[j]))
-        completed = _successor(st_, u).next_op.astype(np.float64)
+        est = max(int(machine_ready[i]), int(job_ready[j]))
+        completed = ready(_successor(st_, u))[2].astype(np.float64)
         raw[idx] = (est, est + p, *reference_bounds(st_, u),
                     completed.max() / m, completed.mean() / m)
     for col in range(4):
@@ -98,7 +101,7 @@ class OneRow:
 class TestReset:
     def test_initial_state(self, two_by_two):
         st_ = ScheduleState(two_by_two)
-        assert st_.t == 1
+        assert step_count(st_) == 1
         assert available(st_) == [0, 2]  # first op of each job
         assert not st_.done
 
@@ -244,8 +247,7 @@ def test_random_rollout_invariants(seed):
     steps = 0
     while not st_.done:
         avail = available(st_)
-        machine_before = st_.machine_ready.copy()
-        job_before = st_.job_ready.copy()
+        machine_before, job_before, _ = ready(st_)
         u = int(rng.choice(avail))
         j, k = divmod(u, inst.m)
         i = inst.machines[j, k]
@@ -298,31 +300,34 @@ def test_state_features_match_clone_and_step_reference(n, m, seed, job_first):
     assert reference_state_features(row.st).shape == (0, 6)
 
 
-STATE_ARRAYS = ("machine_ready", "job_ready", "next_op", "start", "end")
-BATCH_ARRAYS = STATE_ARRAYS + ("machine_remaining", "job_remaining", "t", "furthest",
-                               "live_jobs", "live_count")
+BATCH_ARRAYS = ("machine_ready", "job_ready", "next_op", "start", "end", "machine_remaining",
+                "job_remaining", "t", "furthest", "live_jobs", "live_count")
 
 
 def assert_same_state(got, want) -> None:
-    for name in STATE_ARRAYS:
+    """Same instance, start and end times: the times fix the rest."""
+    assert got.inst is want.inst
+    for name in ("start", "end"):
         got_a, want_a = getattr(got, name), getattr(want, name)
         assert got_a.dtype == want_a.dtype, name
         np.testing.assert_array_equal(got_a, want_a, err_msg=name)
-    assert got.t == want.t
 
 
 def assert_row_holds(batch: BatchState, e: int, st_) -> None:
-    """Row e of the batch holds st_'s schedule: every ScheduleState array
-    and the step count, its remaining-work rows equal the instance's totals
-    minus st_'s scheduled work, and its padded op rows read as scheduled
-    (a start other than UNSET)."""
+    """Row e of the batch holds st_'s schedule: its start and end times, and
+    the ready times, next ops and step count read off them; its
+    remaining-work rows equal the instance's totals minus st_'s scheduled
+    work, and its padded op rows read as scheduled (a start other than
+    UNSET)."""
     inst = st_.inst
     n, m, size = inst.n, inst.m, inst.num_ops
-    widths = {"machine_ready": m, "job_ready": n, "next_op": n, "start": size, "end": size}
-    for name in STATE_ARRAYS:
-        np.testing.assert_array_equal(getattr(batch, name)[e, :widths[name]],
-                                      getattr(st_, name), err_msg=name)
-    assert batch.t[e] == st_.t
+    np.testing.assert_array_equal(batch.start[e, :size], st_.start)
+    np.testing.assert_array_equal(batch.end[e, :size], st_.end)
+    machine_ready, job_ready, next_op = ready(st_)
+    np.testing.assert_array_equal(batch.machine_ready[e, :m], machine_ready)
+    np.testing.assert_array_equal(batch.job_ready[e, :n], job_ready)
+    np.testing.assert_array_equal(batch.next_op[e, :n], next_op)
+    assert batch.t[e] == step_count(st_)
     machine_remaining, job_remaining = remaining(st_)
     np.testing.assert_array_equal(batch.machine_remaining[e, :m], machine_remaining)
     np.testing.assert_array_equal(batch.job_remaining[e, :n], job_remaining)
@@ -416,3 +421,47 @@ class TestBatchState:
             state_features(batch, slice(None))
         feats, ops = state_features(batch, np.array([1]))
         assert ops.tolist() == [[1]] and feats.shape == (1, 1, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=instances(), seed=st.integers(0, 10_000))
+@example(inst=permutation_instance(2, 5, 0), seed=0)  # n < m
+@example(inst=ONE_BY_FOUR, seed=1)
+@example(inst=FOUR_BY_ONE, seed=2)
+def test_step_matches_scalar_placement(inst, seed):
+    """At every state of a random rollout, `step` accepts op u, for every u
+    in [-1, n*m], exactly when a scalar reference that keeps its own ready
+    lists has u available; an accepted step (on a copy) places u alone, at
+    the reference's start, and a rejected one changes nothing.  A complete
+    schedule from `rules.dispatch` rejects every u."""
+    n, m = inst.n, inst.m
+    machine_ready, job_ready, next_op = [0] * m, [0] * n, [0] * n
+    rng = np.random.default_rng(seed)
+    st_ = ScheduleState(inst)
+    for _ in range(inst.num_ops):
+        avail = [j * m + next_op[j] for j in range(n) if next_op[j] < m]
+        before = ScheduleState(inst, st_.start, st_.end)
+        for u in range(-1, n * m + 1):
+            if u in avail:
+                trial = ScheduleState(inst, st_.start, st_.end)
+                trial.step(u)
+                j, k = divmod(u, m)
+                i, p = inst.ops[j][k]
+                assert np.flatnonzero(trial.start != st_.start).tolist() == [u]
+                assert trial.start[u] == max(machine_ready[i], job_ready[j])
+                assert trial.end[u] == trial.start[u] + p
+            else:
+                with pytest.raises(ActionError):
+                    st_.step(u)
+        assert_same_state(st_, before)
+        u = int(rng.choice(avail))
+        j = u // m
+        i, p = inst.ops[j][next_op[j]]
+        machine_ready[i] = job_ready[j] = max(machine_ready[i], job_ready[j]) + p
+        next_op[j] += 1
+        st_.step(u)
+    assert st_.done
+    complete, _ = dispatch(inst, Rule.SPT)
+    for u in range(-1, n * m + 1):
+        with pytest.raises(ActionError):
+            complete.step(u)
