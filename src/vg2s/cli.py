@@ -122,9 +122,7 @@ def _load_instance(path: str, fmt: str) -> Instance:
     parse = PARSERS[fmt]
     try:
         return parse(Path(path).read_text())
-    except KeyError as exc:  # a JSON instance without "n", "m" or "jobs"
-        raise UsageError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, RecursionError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{path}: {exc}") from None
 
 

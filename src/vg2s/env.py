@@ -72,19 +72,19 @@ class BatchState:
     stepped in one array pass.
 
     Jobs are padded to the largest n (`next_op`, `job_ready`,
-    `job_remaining`), machines to the largest m (`machine_ready`,
-    `machine_remaining`) and op rows to the largest n*m (`start`, `end`).
-    A padded job is never live: its next_op is already its row's m.  A
-    padded op row starts at 0, so it reads as scheduled.  `t` counts each
-    row's decision steps from 1 (so t-1 ops are scheduled), and `furthest`
-    holds its largest next_op.
+    `job_remaining`, `job_first`), machines to the largest m
+    (`machine_ready`, `machine_remaining`) and op rows to the largest n*m
+    (`start`, `end`).  A padded job is never live: its next_op is already
+    its row's m.  A padded op row starts at 0, so it reads as scheduled.
+    `t` counts each row's decision steps from 1 (so t-1 ops are
+    scheduled), and `furthest` holds its largest next_op.
 
     Each array also has a flat view, and the instances' tables are
-    flattened once at construction over the flat op index e * N + j * m_e + k:
-    `durations`, and `machines` as flat machine indices e * m_max + i.
-    `live_jobs` lists each row's unfinished jobs in job order, as flat job
-    indices e * n_max + j, then `dummy_job`, never live, whose op reads
-    are in bounds; `live_count` counts the unfinished ones.
+    flattened once at construction over the flat op index
+    e * N + j * m_e + k: `durations`, and `machines` as flat machine
+    indices e * m_max + i.  `job_first` holds each job's first flat op
+    index; a padded job's is 0, so its op reads, like a finished job's,
+    stay in bounds.
     """
 
     def __init__(self, insts: list[Instance]):
@@ -97,39 +97,32 @@ class BatchState:
         self.rows = np.arange(count)
         self.op_offset = self.rows * width
         self.job_offset = self.rows * n_max
-        # the dummy job's ops, and the op after a terminal op of the last
-        # row, read the two entries after the tables' end
+        # a finished job's next op (one past its last), and the op after
+        # it, may read the two entries after the tables' end
         self.machines = np.zeros(count * width + 2, dtype=np.int64)
         self.durations = np.zeros(count * width + 2, dtype=np.int64)
-        self.job_first = np.zeros(count * n_max + 1, dtype=np.int64)
-        # next_op, job_ready and job_remaining of every flat job, then the dummy's
-        per_job = np.zeros((3, count * n_max + 1), dtype=np.int64)
-        per_job[0] = m_max
-        self.next_op, self.job_ready, self.job_remaining = (
-            a[:-1].reshape(count, n_max) for a in per_job)
+        self.job_first = np.zeros((count, n_max), dtype=np.int64)
+        self.next_op = np.repeat(self.m[:, None], n_max, axis=1)
+        self.job_ready = np.zeros((count, n_max), dtype=np.int64)
+        self.job_remaining = np.zeros((count, n_max), dtype=np.int64)
         self.machine_ready = np.zeros((count, m_max), dtype=np.int64)
         self.machine_remaining = np.zeros((count, m_max), dtype=np.int64)
         self.start = np.zeros((count, width), dtype=np.int64)
         self.end = np.full((count, width), UNSET, dtype=np.int64)
         self.t = np.ones(count, dtype=np.int64)
         self.furthest = np.zeros(count, dtype=np.int64)
-        self.dummy_job = count * n_max
-        self.live_jobs = np.full((count, n_max), self.dummy_job)
-        self.live_count = self.n.copy()
         for e, inst in enumerate(insts):
             ops = slice(e * width, e * width + inst.num_ops)
             self.machines[ops] = e * m_max + inst.machines.ravel()
             self.durations[ops] = inst.durations.ravel()
-            self.job_first[e * n_max:(e + 1) * n_max] = e * width + np.arange(n_max) * inst.m
-            self.next_op[e] = inst.m
+            self.job_first[e, :inst.n] = e * width + np.arange(inst.n) * inst.m
             self.next_op[e, :inst.n] = 0
             self.job_remaining[e, :inst.n] = inst.job_totals
             self.machine_remaining[e, :inst.m] = inst.machine_totals
             self.start[e, :inst.num_ops] = UNSET
-            self.live_jobs[e, :inst.n] = e * n_max + np.arange(inst.n)
-        self._flat = dict(zip(("next_op", "job_ready", "job_remaining"), per_job))
-        for name in ("machine_ready", "machine_remaining", "start", "end"):
-            self._flat[name] = getattr(self, name).reshape(-1)
+        self._flat = {name: getattr(self, name).reshape(-1)
+                      for name in ("next_op", "job_ready", "job_remaining", "machine_ready",
+                                   "machine_remaining", "start", "end")}
 
     def step(self, episodes, actions: np.ndarray) -> None:
         """Schedule op actions[i] of row episodes[i] semi-actively, for every
@@ -139,8 +132,7 @@ class BatchState:
         rows = self.rows[episodes]
         if not ((actions >= 0) & (actions < self.sizes[rows])).all():
             raise ActionError(f"operations {actions.tolist()} are not all op rows")
-        m = self.m[rows]
-        jobs, ks = np.divmod(actions, m)
+        jobs, ks = np.divmod(actions, self.m[rows])
         job = self.job_offset[rows] + jobs
         if (flat["next_op"][job] != ks).any():
             raise ActionError(f"operations {actions.tolist()} are not all available "
@@ -159,14 +151,6 @@ class BatchState:
         flat["next_op"][job] = ks
         self.furthest[rows] = np.maximum(self.furthest[rows], ks)
         self.t[rows] += 1
-        finished = ks == m
-        if finished.any():
-            for e, j in zip(rows[finished].tolist(), job[finished].tolist()):
-                live = self.live_jobs[e]
-                pos = live.tolist().index(j)
-                live[pos:-1] = live[pos + 1:].copy()
-                live[-1] = self.dummy_job
-                self.live_count[e] -= 1
 
     def schedule(self, e: int) -> ScheduleState:
         """Row e's complete schedule as a ScheduleState of its own instance."""
@@ -180,10 +164,10 @@ def state_features(batch: BatchState, episodes) -> tuple[np.ndarray, np.ndarray]
     """Dynamic features of the available ops of the unfinished rows
     `episodes` (an index array or a slice) of a batch.
 
-    Returns (feats (b, n, 6), ops (b, n)) with n the largest available count
-    among the b rows: row i's available ops fill its first slots in op
-    order (the slot layout decode_step reads), `ops` maps each slot to its
-    op row, and the slots after the last are zero features and op -1.
+    Returns (feats (b, n_max, 6), ops (b, n_max)), one slot per job: slot j
+    of row i holds job j's next op (the slot layout decode_step reads), and
+    `ops` maps each slot to its op row.  The slot of a finished or padded
+    job is empty: zero features and op -1.
 
     For each available op: earliest start and finish, the two lookahead
     lower-bound terms evaluated in the successor state (the candidate's own
@@ -200,23 +184,22 @@ def state_features(batch: BatchState, episodes) -> tuple[np.ndarray, np.ndarray]
     the candidate's own term; the largest current term of any available
     op, which never exceeds that op's own term; and est + machine i's
     remaining work, when an available non-terminal op runs on machine i.
-    So a row needs one max over its live jobs, and every feature is one
-    array pass over the rows' `live_jobs`.
+    So a row needs one max over its jobs, and every feature is one array
+    pass over the rows' job arrays.
     """
     flat = batch._flat
-    counts = batch.live_count[episodes]
-    slots, fewest = counts.max(), counts.min()
-    if not fewest:
+    nxt, m = batch.next_op[episodes], batch.m[episodes, None]
+    empty = nxt >= m  # a finished or padded job
+    if empty.all(axis=1).any():
         raise ValueError("state_features of a complete schedule")
-    jobs = batch.live_jobs[episodes, :slots]
-    nxt, m = flat["next_op"][jobs], batch.m[episodes, None]
     open_ = nxt < m - 1  # live and not the job's terminal op
-    op = batch.job_first[jobs] + nxt
+    op = batch.job_first[episodes] + nxt
     # machine and duration of each job's next op, and the machine of the op
-    # after it (for a terminal op, a placeholder masked below)
+    # after it (for a terminal op or an empty slot, a placeholder masked
+    # below)
     mach, p, follow_mach = batch.machines[op], batch.durations[op], batch.machines[op + 1]
     machine_load = flat["machine_ready"] + flat["machine_remaining"]
-    job_ready, job_remaining = flat["job_ready"][jobs], flat["job_remaining"][jobs]
+    job_ready, job_remaining = batch.job_ready[episodes], batch.job_remaining[episodes]
     machine_remaining = flat["machine_remaining"][mach]
     est = np.maximum(flat["machine_ready"][mach], job_ready)
     own = (est + np.maximum(machine_remaining, job_remaining)) * open_
@@ -234,19 +217,13 @@ def state_features(batch: BatchState, episodes) -> tuple[np.ndarray, np.ndarray]
     bounds[..., 1] = est + p
     bounds[..., 2] = own
     bounds[..., 3] = best
-    ops = op - batch.op_offset[episodes, None]
-    padded = fewest < slots  # some row's last slots hold the dummy job
-    if padded:
-        empty = nxt >= m
-        bounds[empty] = 0
-        ops[empty] = UNSET
+    bounds[empty] = 0
     feats = np.empty(nxt.shape + (6,), dtype=np.float64)
     feats[..., :4] = bounds / np.maximum(bounds.max(axis=1, keepdims=True), 1)
     feats[..., 4] = np.maximum(batch.furthest[episodes, None], nxt + 1) / m
     feats[..., 5] = (batch.t[episodes] / batch.n[episodes])[:, None] / m
-    if padded:
-        feats[empty, 4:] = 0.0
-    return feats, ops
+    feats[empty, 4:] = 0.0
+    return feats, np.where(empty, UNSET, op - batch.op_offset[episodes, None])
 
 
 def schedule_records(st: ScheduleState) -> list[dict]:

@@ -80,20 +80,25 @@ class Instance:
     @classmethod
     def from_json(cls, text: str) -> "Instance":
         """Read to_json's form; every number must be a JSON integer, so a
-        fraction or a boolean raises ValueError."""
-        raw = json.loads(text)
+        fraction or a boolean raises ValueError.  So does any other malformed
+        text: a missing key, a value of the wrong type, or JSON nested too
+        deep to decode."""
 
         def integer(value, what: str) -> int:
             if type(value) is not int:  # bool subclasses int
                 raise ValueError(f"{what} {json.dumps(value)} is not an integer")
             return value
 
-        return cls(
-            n=integer(raw["n"], "n"),
-            m=integer(raw["m"], "m"),
-            ops=tuple(tuple((integer(mi, f"job {j}: machine"), integer(p, f"job {j}: duration"))
-                            for mi, p in job) for j, job in enumerate(raw["jobs"])),
-        )
+        try:
+            raw = json.loads(text)
+            n, m = integer(raw["n"], "n"), integer(raw["m"], "m")
+            ops = tuple(tuple((integer(mi, f"job {j}: machine"), integer(p, f"job {j}: duration"))
+                              for mi, p in job) for j, job in enumerate(raw["jobs"]))
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc}") from None
+        except (TypeError, RecursionError) as exc:
+            raise ValueError(str(exc)) from None
+        return cls(n=n, m=m, ops=ops)
 
 
 @dataclass(frozen=True)

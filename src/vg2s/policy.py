@@ -144,27 +144,28 @@ def decode_step(z: np.ndarray, prev: np.ndarray, keys: EpisodeKeys,
     learned dummy; keys: the b episodes' rows of the rollout's projections;
     attend_mask (b, T, N) marks the unscheduled real ops (the glimpse
     attends to these only).  ops (b, T, n) maps each decision's slots to
-    its selectable op rows, -1 for a slot that holds none, and
-    state_feats (b, T, n, 6) holds the `state_features` of those slots;
-    the features of an empty slot are not read.  Returns the (b, T, N)
-    logits, -inf at every op row no slot maps to.  A rollout step is
-    T = 1; scoring the recorded decisions of a rollout is T = its longest
-    episode.  The ops are those of `xp`, as in project_keys, which made
-    `keys`: taped Tensors on autodiff, plain arrays on autodiff.plain.
+    its selectable op rows, -1 for a slot that holds none, wherever it
+    falls (a rollout's slot j holds job j's next op, and is empty once job
+    j is finished), and state_feats (b, T, n, 6) holds the `state_features`
+    of those slots; the features of an empty slot are not read.  Returns
+    the (b, T, N) logits, -inf at every op row no slot maps to.  A rollout
+    step is T = 1; scoring the recorded decisions of a rollout is T = its
+    longest episode.  The ops are those of `xp`, as in project_keys, which
+    made `keys`: taped Tensors on autodiff, plain arrays on autodiff.plain.
 
     The T decisions of an episode are the query rows of one product per
     head with its keys and one with its values, so no per-decision copy of
     the keys is built.  `keys` already holds every op row at the zero
     features of an op that is not available, in query space, so the
     (b, 1, T, 2d) context rows multiply into them with no query product.
-    Only the available ops are embedded, as e = mlp(f) - c, and their
-    corrections enter each score as e . (W_state,k W_q q) and each context
-    as (w_avail e) W_state,v, through a one-hot (b, 1, T, n, N) selection
-    from slots to op rows; only these corrections batch over decisions.
-    All heads of a layer share one batched matmul and one softmax.  Per
-    head a decision thus costs O((N + d) * 2d) plus the selection
-    products, not the O(N * d * K) of projecting every row's K key
-    columns.
+    Only the slots are embedded, as e = mlp(f) - c, and their corrections
+    enter each score as e . (W_state,k W_q q) and each context as
+    (w_avail e) W_state,v, through a one-hot (b, 1, T, n, N) selection from
+    slots to op rows, whose rows are zero at the empty slots; only these
+    corrections batch over decisions.  All heads of a layer share one
+    batched matmul and one softmax.  Per head a decision thus costs
+    O((N + d) * 2d) plus the selection products, not the O(N * d * K) of
+    projecting every row's K key columns.
     """
     count, steps, slots = ops.shape
     if state_feats.shape[:3] != ops.shape:

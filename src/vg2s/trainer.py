@@ -164,10 +164,10 @@ class Decisions:
     longest episode: what decode_step read at each one, the action and
     its log-probability under the policy that sampled it.
 
-    `feats` holds each decision's `state_features`, one slot per available
-    op, zero-padded to n_max slots, so it grows with the number of jobs
-    rather than of ops; `ops` maps each slot to its op row of `h_real`, -1
-    for a slot after the last available op.  `attend` is decode_step's
+    `feats` holds each decision's `state_features`, one slot per job of the
+    batch's n_max (slot j holds job j's next op), so it grows with the
+    number of jobs rather than of ops; `ops` maps each slot to its op row
+    of `h_real`, -1 for a finished or padded job.  `attend` is decode_step's
     glimpse mask over the zero-padded op rows.  Steps after an episode's
     end are padding: op row 0 alone attended and in slot 0, action 0,
     log-probability 0, and `valid` False.
@@ -197,11 +197,11 @@ def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
     z: latent vectors (B, d_latent); h_real: each instance's real-node
     embeddings (n*m, d_latent).  Op rows are zero-padded to the largest
     n*m, and the episodes share one BatchState.  Step t is one
-    state_features, one decode_step and one BatchState.step over the
-    episodes that have a t-th decision, so an episode leaves the batch
-    when its schedule is complete; until the first does, the batch is
-    addressed by a slice.  `log_prob_totals` scores the recorded decisions
-    on a tape.
+    state_features (slot j holds job j's next op), one decode_step and one
+    BatchState.step over the episodes that have a t-th decision, so an
+    episode leaves the batch when its schedule is complete; until the
+    first does, the batch is addressed by a slice.  `log_prob_totals`
+    scores the recorded decisions on a tape.
     """
     sizes = np.array([inst.num_ops for inst in insts])
     count, width = len(insts), int(sizes.max())
@@ -224,9 +224,8 @@ def rollout(insts: list[Instance], z: np.ndarray, h_real: list[np.ndarray],
             active = np.flatnonzero(sizes > t)
             keys = all_keys.rows(active)
         feats, slot_ops = state_features(batch, active)
-        slots = feats.shape[1]
-        dec.feats[active, t, :slots] = feats
-        dec.ops[active, t, :slots] = slot_ops
+        dec.feats[active, t] = feats
+        dec.ops[active, t] = slot_ops
         attend = batch.start[active] == UNSET
         dec.attend[active, t] = attend
         prev = dec.actions[active, t - 1:t] if t else first

@@ -2,7 +2,8 @@
 off its start and end times: its step count, ready times and available
 ops, its remaining work, and `state_features`, for the differential tests
 of `vg2s.env.state_features`, which computes the same features for every
-unfinished row of a BatchState in one array pass.
+unfinished row of a BatchState in one array pass, in job slots
+(`job_slots`, `slot_ops`).
 
 This is the per-state form: the successor's max over its available set is
 taken over an explicit (available x available) matrix of the other ops'
@@ -41,6 +42,22 @@ def available(st: ScheduleState) -> list[int]:
     next_op = _next_op(st)
     jobs = np.flatnonzero(next_op < st.inst.m)
     return (jobs * st.inst.m + next_op[jobs]).tolist()
+
+
+def slot_ops(st: ScheduleState) -> np.ndarray:
+    """The job-slot map: slot j holds job j's next op, or UNSET once job j
+    is finished."""
+    inst, next_op = st.inst, _next_op(st)
+    return np.where(next_op < inst.m, np.arange(inst.n) * inst.m + next_op, UNSET)
+
+
+def job_slots(st: ScheduleState, rows: np.ndarray) -> np.ndarray:
+    """Rows of the available ops, one each in op order, scattered into job
+    slots: row r goes to the slot of its op's job, and a finished job's
+    slot is zero."""
+    out = np.zeros((st.inst.n,) + rows.shape[1:], dtype=rows.dtype)
+    out[np.array(available(st), dtype=np.int64) // st.inst.m] = rows
+    return out
 
 
 def remaining(st: ScheduleState) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from env_reference import available, ready, remaining, step_count
+from env_reference import available, job_slots, ready, remaining, slot_ops, step_count
 from env_reference import state_features as reference_state_features
 from helpers import instance_batches, instances
 from vg2s.env import (UNSET, ActionError, BatchState, ScheduleState, replay, schedule_records,
@@ -92,10 +92,15 @@ class OneRow:
         self.batch.step(slice(None), np.array([u]))
 
     def features(self) -> np.ndarray:
-        """state_features of the row: one slot per available op."""
+        """state_features of the row: slot j holds job j's next op, and a
+        finished job's slot is op -1."""
         feats, ops = state_features(self.batch, slice(None))
-        assert ops[0].tolist() == available(self.st)
+        assert ops[0].tolist() == slot_ops(self.st).tolist()
         return feats[0]
+
+    def expected(self) -> np.ndarray:
+        """The clone-and-step reference's available rows in job slots."""
+        return job_slots(self.st, reference_features(self.st)[available(self.st)])
 
 
 class TestReset:
@@ -172,17 +177,16 @@ class TestStateFeatures:
         assert own == 7.0
         assert best >= own
         # J2O1's own term is max(machine 1: 4, job 2: 6) = 6; both best terms are 7
-        feats = OneRow(two_by_two).features()  # slots 0 and 1: ops 0 and 2
+        feats = OneRow(two_by_two).features()  # slots 0 and 1: jobs 0 and 1, ops 0 and 2
         assert feats[0, 2] == 1.0 and feats[1, 2] == 6 / 7
         assert feats[0, 3] == 1.0 and feats[1, 3] == 1.0
 
     def test_rows_are_the_available_ops(self, two_by_two):
-        """One row per available op, in op order; a complete schedule has
-        no features."""
+        """One slot per job, holding its available op's row, zero once the
+        job is finished; a complete schedule has no features."""
         row = OneRow(two_by_two)
-        for u in (0, 2, 3, 1):
-            expected = reference_features(row.st)[available(row.st)]
-            np.testing.assert_array_equal(row.features(), expected)  # shapes too
+        for u in (0, 2, 3, 1):  # job 1 finishes first, and slot 1 empties
+            np.testing.assert_array_equal(row.features(), row.expected())  # shapes too
             row.step(u)
         with pytest.raises(ValueError, match="complete"):
             row.features()
@@ -191,6 +195,7 @@ class TestStateFeatures:
     def test_final_step_normalization(self, two_by_two):
         feats = OneRow(two_by_two, [0, 2, 3]).features()  # op 1 alone is available
         assert feats[0, 0] == 1.0 and feats[0, 1] == 1.0
+        assert not feats[1].any()  # job 1 is finished
 
     def test_terminal_op_zeroing(self, two_by_two):
         inst = Instance(n=1, m=1, ops=(((0, 5),),))
@@ -224,8 +229,7 @@ class TestStateFeatures:
                 for u in available(row.st):
                     own, best = reference_bounds(row.st, u)
                     assert best >= own
-                expected = reference_features(row.st)[available(row.st)]
-                assert row.features().tobytes() == expected.tobytes()
+                assert row.features().tobytes() == row.expected().tobytes()
                 row.step(int(rng.choice(available(row.st))))
 
 
@@ -262,8 +266,8 @@ def test_random_rollout_invariants(seed):
 @given(seed=st.integers(0, 10_000))
 def test_lookahead_features_match_raw_bounds(seed):
     """Columns 2-3 of state_features are the reference lookahead bounds
-    divided by their max over the available ops, at every state of a random
-    rollout."""
+    divided by their max over the available ops, in job slots, at every
+    state of a random rollout."""
     rng = np.random.default_rng(seed)
     inst = generate_random(GenConfig(m_lo=1, m_hi=4, n_hi=5), rng)
     row = OneRow(inst)
@@ -272,7 +276,7 @@ def test_lookahead_features_match_raw_bounds(seed):
         raw = np.array([reference_bounds(row.st, u) for u in avail])
         top = raw.max(axis=0)
         expected = raw / np.where(top > 0, top, 1.0)
-        np.testing.assert_array_equal(row.features()[:, 2:4], expected)
+        np.testing.assert_array_equal(row.features()[:, 2:4], job_slots(row.st, expected))
         row.step(int(rng.choice(avail)))
 
 
@@ -283,17 +287,17 @@ def test_lookahead_features_match_raw_bounds(seed):
 @example(n=1, m=4, seed=1, job_first=False)
 @example(n=3, m=3, seed=2, job_first=True)  # the last 3 states have one available op
 def test_state_features_match_clone_and_step_reference(n, m, seed, job_first):
-    """All six columns of state_features, and of the per-state reference
-    the batch tests compare with, equal the clone-and-step reference's
-    available rows byte for byte, at every state of a rollout (random, or
-    job by job); the per-state reference ends at the complete schedule's
-    (0, 6)."""
+    """All six columns of state_features equal the clone-and-step
+    reference's available rows in job slots, and those of the per-state
+    reference the batch tests compare with equal its available rows, byte
+    for byte, at every state of a rollout (random, or job by job); the
+    per-state reference ends at the complete schedule's (0, 6)."""
     inst = permutation_instance(n, m, seed)
     rng = np.random.default_rng(seed)
     row = OneRow(inst)
     while not row.st.done:
         expected = reference_features(row.st)[available(row.st)]
-        assert row.features().tobytes() == expected.tobytes()
+        assert row.features().tobytes() == job_slots(row.st, expected).tobytes()
         assert reference_state_features(row.st).tobytes() == expected.tobytes()
         avail = available(row.st)
         row.step(avail[0] if job_first else int(rng.choice(avail)))
@@ -301,7 +305,7 @@ def test_state_features_match_clone_and_step_reference(n, m, seed, job_first):
 
 
 BATCH_ARRAYS = ("machine_ready", "job_ready", "next_op", "start", "end", "machine_remaining",
-                "job_remaining", "t", "furthest", "live_jobs", "live_count")
+                "job_remaining", "t", "furthest")
 
 
 def assert_same_state(got, want) -> None:
@@ -348,13 +352,14 @@ def test_batch_state_matches_schedule_states(insts, seed, by_index):
     """One BatchState of mixed-size instances, its unfinished rows stepped
     together, against one ScheduleState per instance stepped alone with the
     same random actions.  At every step: each row's features equal the
-    per-state reference's byte for byte, its slot map lists its available
-    ops, its attend mask (start == UNSET) marks its unscheduled ops only, and
-    after the step every state array and the step count agree, and the
-    row's remaining work is its totals minus its scheduled work.  Rows
-    leave as their schedules complete; until the first does, the batch is
-    addressed by a slice unless `by_index`.  Each complete row's
-    `schedule` equals its ScheduleState field by field."""
+    per-state reference's, in job slots, byte for byte, its slot map holds
+    each unfinished job's next op at the job's slot, its attend mask (start
+    == UNSET) marks its unscheduled ops only, and after the step every
+    state array and the step count agree, and the row's remaining work is
+    its totals minus its scheduled work.  Rows leave as their schedules
+    complete; until the first does, the batch is addressed by a slice
+    unless `by_index`.  Each complete row's `schedule` equals its
+    ScheduleState field by field."""
     rng = np.random.default_rng(seed)
     batch = BatchState(insts)
     states = [ScheduleState(inst) for inst in insts]
@@ -363,13 +368,15 @@ def test_batch_state_matches_schedule_states(insts, seed, by_index):
         episodes = active if by_index or active.size < len(insts) else slice(None)
         feats, ops = state_features(batch, episodes)
         avails = [available(states[e]) for e in active]
-        slots = max(len(avail) for avail in avails)
+        slots = batch.n.max()
         assert feats.shape == (active.size, slots, 6) and ops.shape == (active.size, slots)
-        for i, (e, avail) in enumerate(zip(active, avails)):
+        for i, e in enumerate(active):
             st_ = states[e]
-            assert feats[i, :len(avail)].tobytes() == reference_state_features(st_).tobytes()
-            assert not feats[i, len(avail):].any()
-            assert ops[i].tolist() == avail + [UNSET] * (slots - len(avail))
+            n = st_.inst.n
+            expected = job_slots(st_, reference_state_features(st_))
+            assert feats[i, :n].tobytes() == expected.tobytes()
+            assert not feats[i, n:].any()
+            assert ops[i].tolist() == slot_ops(st_).tolist() + [UNSET] * (slots - n)
             attend = batch.start[e] == UNSET
             assert attend[:st_.inst.num_ops].tolist() == (st_.start == UNSET).tolist()
             assert not attend[st_.inst.num_ops:].any()
@@ -382,6 +389,33 @@ def test_batch_state_matches_schedule_states(insts, seed, by_index):
         assert st_.done
         assert_same_state(batch.schedule(e), st_)
         assert batch.schedule(e).makespan() == st_.makespan()
+
+
+@settings(max_examples=60, deadline=None)
+@given(insts=instance_batches(), seed=st.integers(0, 10_000))
+@example(insts=[ONE_BY_FOUR, ONE_BY_ONE, FOUR_BY_ONE], seed=1)
+@example(insts=[permutation_instance(2, 5, 0), ONE_BY_ONE], seed=2)  # n < m
+def test_slot_j_holds_job_j(insts, seed):
+    """At every step of a random lockstep rollout, slot j of an unfinished
+    row holds op j * m + k while job j's next op is k < m, and op -1, with
+    zero features, once job j is finished or when the row has no job j."""
+    rng = np.random.default_rng(seed)
+    batch = BatchState(insts)
+    states = [ScheduleState(inst) for inst in insts]
+    while not all(st_.done for st_ in states):
+        active = np.flatnonzero([not st_.done for st_ in states])
+        feats, ops = state_features(batch, active)
+        for i, e in enumerate(active):
+            inst, next_op = insts[e], ready(states[e])[2]
+            for j in range(batch.n.max()):
+                if j < inst.n and next_op[j] < inst.m:
+                    assert ops[i, j] == j * inst.m + next_op[j]
+                else:
+                    assert ops[i, j] == UNSET and not feats[i, j].any()
+        actions = np.array([int(rng.choice(available(states[e]))) for e in active])
+        batch.step(active, actions)
+        for e, u in zip(active, actions.tolist()):
+            states[e].step(u)
 
 
 class TestBatchState:

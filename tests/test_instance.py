@@ -50,6 +50,25 @@ class TestInstanceInvariants:
         with pytest.raises(ValueError, match=message):
             Instance.from_json(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ('{"n": 1, "m": 2}', "missing key 'jobs'"),
+        ('{"m": 1, "jobs": [[[0, 3]]]}', "missing key 'n'"),
+        ('{"n": 1, "jobs": [[[0, 3]]]}', "missing key 'm'"),
+        ("[]", "list indices must be integers"),
+        ("null", "not subscriptable"),
+        ('{"n": 1, "m": 1, "jobs": 5}', "not iterable"),
+        ('{"n": 1, "m": 1, "jobs": [5]}', "not iterable"),
+        ('{"n": 1, "m": 1, "jobs": [[1]]}', "cannot unpack"),
+    ], ids=["deep", "no-jobs", "no-n", "no-m", "list", "null", "int-jobs", "int-job", "int-op"])
+    def test_json_malformed_raises_value_error(self, text, message):
+        """Too deep a nesting, a missing key and a value of the wrong type
+        raise ValueError, as every other malformed text does, with the
+        message that names the fault."""
+        with pytest.raises(ValueError, match=message) as info:
+            Instance.from_json(text)
+        assert type(info.value) is ValueError
+
     def test_duration_bound(self):
         """Durations lie in [1, D_MAX] with n * m * D_MAX within int64, so
         every sum of durations is exact; the machine totals too."""

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from env_reference import available, state_features
-from helpers import grad_check, random_instance
+from helpers import grad_check, instance_batches, random_instance
 from vg2s import autodiff as ad
+from vg2s import env
 from vg2s.checkpoint import ParamStore
-from vg2s.env import UNSET, ScheduleState
+from vg2s.env import UNSET, BatchState, ScheduleState
 from vg2s.graph import build_graph
 from vg2s.policy import (build_critic_params, build_policy_params,
                          critic_value, decode_step, log_prob, project_keys,
@@ -189,6 +192,59 @@ class TestAvailableRows:
             log_prob_totals(decisions, store, cfg)
         num_ops = decisions.h_real.shape[1]
         assert max(node.data.size for node in tape.nodes) <= count * num_ops * key_columns
+
+
+@NAMESPACES
+@settings(max_examples=40, deadline=None)
+@given(insts=instance_batches(), model_seed=st.integers(0, 100), seed=st.integers(0, 10_000))
+@example(insts=[random_instance(1, 1, seed=0)], model_seed=0, seed=0)
+@example(insts=[random_instance(1, 4, seed=1), random_instance(4, 1, seed=1),
+                random_instance(1, 1, seed=1)], model_seed=1, seed=1)
+@example(insts=[random_instance(2, 5, seed=2), random_instance(6, 3, seed=3)], model_seed=2,
+         seed=2)
+def test_job_slots_match_packed_layout(tiny_cfg, xp, insts, model_seed, seed):
+    """At a random reachable state of each row of a mixed-size batch,
+    decode_step's logits over the job slots of `state_features` equal,
+    within 1e-12, those over the packed layout the job slots replaced: each
+    row's available ops in its first slots, in op order, with the per-state
+    reference's rows.  The -inf entries fall on exactly the same op rows."""
+    rng = np.random.default_rng(seed)
+    count, width = len(insts), max(inst.num_ops for inst in insts)
+    batch, states = BatchState(insts), [ScheduleState(inst) for inst in insts]
+    prev = np.full((count, 1), -1)
+    for e, inst in enumerate(insts):
+        for _ in range(int(rng.integers(inst.num_ops))):  # stops short of the end
+            prev[e, 0] = int(rng.choice(available(states[e])))
+            states[e].step(prev[e, 0])
+            batch.step(np.array([e]), prev[e])
+    feats, ops = env.state_features(batch, slice(None))
+
+    avails = [available(st_) for st_ in states]
+    packed_feats = np.zeros((count, max(map(len, avails)), 6))
+    packed_ops = np.full(packed_feats.shape[:2], -1)
+    for e, (st_, avail) in enumerate(zip(states, avails)):
+        packed_feats[e, :len(avail)] = state_features(st_)
+        packed_ops[e, :len(avail)] = avail
+
+    store = build_model(tiny_cfg, seed=model_seed)
+    params = _params(store, xp)
+    h_real = np.zeros((count, width, tiny_cfg.d_latent))
+    for e, inst in enumerate(insts):
+        h_real[e, :inst.num_ops] = rng.normal(size=(inst.num_ops, tiny_cfg.d_latent))
+    z = rng.normal(size=(count, tiny_cfg.d_latent))
+    keys = project_keys(h_real, params, tiny_cfg, xp)
+    attend = (batch.start == UNSET)[:, None]
+
+    def logits(slot_feats, slot_ops):
+        out = decode_step(z, prev, keys, slot_feats[:, None], attend, slot_ops[:, None],
+                          params, tiny_cfg, xp)
+        return out if xp is ad.plain else out.data
+
+    got, want = logits(feats, ops), logits(packed_feats, packed_ops)
+    assert (np.isneginf(got) == np.isneginf(want)).all()
+    finite = np.isfinite(want)
+    assert finite.sum() == sum(map(len, avails))
+    np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-12)
 
 
 class TestSelectAction:
