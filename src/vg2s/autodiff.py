@@ -7,8 +7,11 @@ verifiable gradients at desk scale, not throughput.
 
 Usage: create `Parameter` leaves, open a `Tape`, build a scalar loss from
 taped ops, then `backward(loss)`.  Gradients accumulate on parameter
-`.grad` buffers until `zero_grad` is called.  Code that no backward pass
-walks can run the same ops on plain arrays through `plain`.
+`.grad` buffers until `zero_grad` is called.  A parameter's buffer is
+allocated on first use, when a backward pass reaches it, `zero_grad` clears
+it or `.grad` is read, so inference holds no gradients and each training
+phase holds them only for the parameters it trains.  Code that no backward
+pass walks can run the same ops on plain arrays through `plain`.
 """
 
 from __future__ import annotations
@@ -40,11 +43,10 @@ class Tape:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "vjp", "tape", "is_param")
+    __slots__ = ("data", "parents", "vjp", "tape", "is_param")
 
     def __init__(self, data, parents=(), vjp=None, is_param=False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.parents: tuple[Tensor, ...] = parents
         self.vjp = vjp
         self.is_param = is_param
@@ -59,9 +61,25 @@ class Tensor:
 
 
 class Parameter(Tensor):
+    """A leaf whose gradient buffer is allocated on first use: reading
+    `grad` before any backward pass or `zero_grad` reached the parameter
+    returns (and keeps) a zero array of its shape."""
+
+    __slots__ = ("_grad",)
+
     def __init__(self, data):
         super().__init__(data, is_param=True)
-        self.grad = np.zeros_like(self.data)
+        self._grad: np.ndarray | None = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
 
 
 def as_tensor(x) -> Tensor:
@@ -83,7 +101,8 @@ def backward(loss: Tensor) -> None:
     """Populate gradients of every parameter reachable from `loss`.
 
     Repeated calls, each on its own tape, accumulate into parameter .grad
-    buffers; intermediate gradients are local to each call.  The walk
+    buffers, allocating a parameter's buffer when the walk first reaches it;
+    intermediate gradients are local to each call.  The walk
     consumes the graph: each node drops its parents and vjp once walked, so
     the saved inputs of every op are freed here, and a tape supports one
     backward pass.  Node values and the tape's node list stay.
@@ -118,6 +137,7 @@ def backward(loss: Tensor) -> None:
 
 
 def zero_grad(params) -> None:
+    """Clear each parameter's gradient, allocating its buffer on first use."""
     for p in params:
         p.grad[...] = 0.0
 

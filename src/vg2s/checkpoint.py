@@ -3,12 +3,15 @@
 Layout: 8-byte magic "VG2SCKPT", 8-byte little-endian manifest length, the
 UTF-8 JSON manifest [{name, shape, byte_offset}], then one little-endian
 float64 blob holding all parameters back to back.  Round-trips bit-exactly.
+Saving streams each parameter's bytes and loading reads them out of the
+file's bytes by offset, so neither copies the blob as a whole.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -75,25 +78,32 @@ def _non_finite(path, store: ParamStore) -> ValueError:
 
 def save_checkpoint(store: ParamStore, path) -> None:
     """Write the store; a non-finite parameter raises ValueError naming it,
-    and no file is written."""
-    manifest = []
-    blob = bytearray()
-    for name in store.names():
-        data = np.ascontiguousarray(store[name].data, dtype="<f8")
-        manifest.append({
-            "name": name,
-            "shape": list(data.shape),
-            "byte_offset": len(blob),
-        })
-        blob.extend(data.tobytes())
-    if not np.isfinite(np.frombuffer(blob, dtype="<f8")).all():
+    and no file is written.  The bytes go to a new file beside `path` that
+    replaces it only once complete, so a failed save leaves any previous
+    file at `path` as it was."""
+    names = store.names()
+    arrays = [np.ascontiguousarray(store[name].data, dtype="<f8") for name in names]
+    if not all(np.isfinite(data).all() for data in arrays):
         raise _non_finite(path, store)
+    manifest, offset = [], 0
+    for name, data in zip(names, arrays):
+        manifest.append({"name": name, "shape": list(data.shape), "byte_offset": offset})
+        offset += data.nbytes
     header = json.dumps(manifest, separators=(",", ":"), sort_keys=False).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(bytes(blob))
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for data in arrays:
+                fh.write(data.data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _entry(path, entry) -> tuple[str, tuple[int, ...], int]:
@@ -132,7 +142,7 @@ def load_checkpoint(path) -> ParamStore:
         raise ValueError(f"{path}: unreadable manifest ({exc})") from None
     if not isinstance(manifest, list):
         raise ValueError(f"{path}: manifest is not a list of parameter entries")
-    blob = raw[16 + hlen:]
+    blob = memoryview(raw)[16 + hlen:]  # the parameters, read in place
     store = ParamStore()
     for entry in manifest:
         name, shape, off = _entry(path, entry)

@@ -1,11 +1,13 @@
 """Shared by the tests: finite-difference gradient verification, byte
-snapshots of parameter sections, seeded random instances, hypothesis-drawn
-instances and batches of them, and malformed checkpoint files."""
+snapshots of parameter sections, traced allocations, seeded random
+instances, hypothesis-drawn instances and batches of them, and malformed
+checkpoint files."""
 
 from __future__ import annotations
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -49,6 +51,22 @@ def section_bytes(store: ParamStore, prefix: str) -> bytes:
     """Concatenated little-endian bytes of a section, for freeze checks."""
     return b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
                     for p in store.section(prefix))
+
+
+def param_bytes(store: ParamStore) -> int:
+    return sum(store[name].data.nbytes for name in store.names())
+
+
+def traced(f):
+    """f's result, and the peak and retained bytes tracemalloc saw it
+    allocate."""
+    tracemalloc.start()
+    try:
+        out = f()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, retained
 
 
 def random_instance(n: int, m: int, seed: int) -> Instance:

@@ -49,6 +49,21 @@ class TestBasics:
         zero_grad([p])
         np.testing.assert_allclose(p.grad, [0.0])
 
+    def test_grad_buffer_allocated_on_first_use(self):
+        """A parameter holds no gradient buffer until a backward pass
+        reaches it; reading grad before that gives (and keeps) zeros."""
+        p, q, unused = (Parameter(np.array([2.0, 1.0])) for _ in range(3))
+        with Tape():
+            loss = ad.tsum(ad.mul(p, 3.0))
+        assert p._grad is None
+        backward(loss)
+        np.testing.assert_allclose(p._grad, [3.0, 3.0])
+        assert q._grad is None and unused._grad is None
+        np.testing.assert_array_equal(q.grad, [0.0, 0.0])
+        assert q._grad is q.grad
+        zero_grad([unused])
+        np.testing.assert_array_equal(unused._grad, [0.0, 0.0])
+
     def test_backward_consumes_graph(self):
         p = Parameter(np.array([2.0]))
         with Tape() as tape:

@@ -7,9 +7,13 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import MALFORMED_CHECKPOINTS, section_bytes, write_malformed_checkpoint
+from helpers import (MALFORMED_CHECKPOINTS, param_bytes, section_bytes, traced,
+                     write_malformed_checkpoint)
+from vg2s import checkpoint
 from vg2s.checkpoint import (MAGIC, ParamStore, load_checkpoint,
                              save_checkpoint)
+from vg2s.trainer import build_model
+from vg2s.vge import ModelConfig
 
 
 def make_store(rng) -> ParamStore:
@@ -141,7 +145,7 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite values "
                                              f"in {re.escape(repr(name))}$"):
             save_checkpoint(store, path)
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_parameter_loads(self, tmp_path):
         store = ParamStore()
@@ -167,3 +171,71 @@ class TestCheckpointIO:
         path = tmp_path / "s.ckpt"
         save_checkpoint(store, path)
         assert load_checkpoint(path)["critic.bias"].data.item() == 1.5
+
+    def test_byte_layout(self, tmp_path):
+        """The file is MAGIC, the little-endian u64 manifest length, the
+        compact JSON manifest, then every value as little-endian float64,
+        parameter after parameter; a 0-d parameter is stored as shape [1]."""
+        store = ParamStore()
+        store.add("empty", np.zeros((0, 2)))
+        store.add("scalar", -2.5)
+        store.add("matrix", np.arange(6.0).reshape(2, 3).T)  # not C-ordered
+        path = tmp_path / "layout.ckpt"
+        save_checkpoint(store, path)
+        header = (b'[{"name":"empty","shape":[0,2],"byte_offset":0},'
+                  b'{"name":"scalar","shape":[1],"byte_offset":0},'
+                  b'{"name":"matrix","shape":[3,2],"byte_offset":8}]')
+        values = struct.pack("<7d", -2.5, 0.0, 3.0, 1.0, 4.0, 2.0, 5.0)
+        assert path.read_bytes() == MAGIC + struct.pack("<Q", len(header)) + header + values
+
+    def test_failed_save_keeps_the_previous_file(self, rng, tmp_path, monkeypatch):
+        """A write that fails partway leaves the checkpoint already at the
+        path byte for byte, and no other file beside it."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(make_store(rng), path)
+        before = path.read_bytes()
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:  # the first write after the header
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open",
+                            lambda *args: FailingFile(open(*args)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(make_store(np.random.default_rng(9)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+class TestCheckpointMemory:
+    """Saving and loading the default model, measured with tracemalloc
+    against the bytes of its parameters."""
+
+    @pytest.fixture(scope="class")
+    def store(self) -> ParamStore:
+        return build_model(ModelConfig(), 0)
+
+    def test_save_streams_the_parameters(self, store, tmp_path):
+        _, peak, _ = traced(lambda: save_checkpoint(store, tmp_path / "m.ckpt"))
+        assert peak <= 0.25 * param_bytes(store)
+
+    def test_load_reads_the_file_in_place(self, store, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(store, path)
+        load_checkpoint(path)  # first-call allocations
+        loaded, peak, retained = traced(lambda: load_checkpoint(path))
+        assert peak <= 2.25 * param_bytes(store)
+        assert retained <= 1.05 * param_bytes(store)
+        assert all(loaded[name]._grad is None for name in loaded.names())

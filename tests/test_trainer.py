@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_instance, section_bytes
+from helpers import param_bytes, random_instance, section_bytes, traced
 from vg2s import autodiff as ad
 from vg2s import trainer
 from vg2s.bench import solve_with_model
+from vg2s.checkpoint import load_checkpoint, save_checkpoint
 from vg2s.env import replay
 from vg2s.instance import GenConfig, generate_random
 from vg2s.trainer import (ENCODER_SECTIONS, EncoderCache, InstancePool,
                           TrainConfig, TrainingDiverged, build_model,
                           log_prob_totals, rollout, scaled_q, train_policy,
                           train_representation)
+from vg2s.vge import ModelConfig
 
 
 @pytest.fixture()
@@ -157,6 +159,50 @@ class TestBuildModel:
         assert section_bytes(a, "") == section_bytes(b, "")
         c = build_model(tiny_cfg, seed=4)
         assert section_bytes(a, "") != section_bytes(c, "")
+
+    def test_holds_only_the_parameters(self):
+        """The default model keeps its parameter values and no gradient
+        buffers: what stays allocated is at most 1.05x their bytes."""
+        build_model(ModelConfig(), 0)  # import-time and first-call allocations
+        store, _, retained = traced(lambda: build_model(ModelConfig(), 0))
+        assert retained <= 1.05 * param_bytes(store)
+
+
+def with_gradients(store) -> set[str]:
+    """The names of the parameters that hold a gradient buffer (read off
+    the private buffer: reading `grad` allocates one)."""
+    return {name for name in store.names() if store[name]._grad is not None}
+
+
+def names_under(store, prefixes: tuple[str, ...]) -> set[str]:
+    return {name for name in store.names() if name.startswith(prefixes)}
+
+
+class TestGradientBuffers:
+    """Each phase allocates gradients only for the sections it trains, and
+    inference allocates none."""
+
+    def test_greedy_solve_on_a_loaded_store_allocates_none(self, tiny_cfg, two_by_two,
+                                                            tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(tiny_cfg, seed=0), path)
+        store = load_checkpoint(path)
+        solve_with_model(two_by_two, store, tiny_cfg)
+        assert with_gradients(store) == set()
+
+    def test_phase1_only_encoder_sections(self, tiny_cfg, small_pool):
+        _, pool = small_pool
+        store = build_model(tiny_cfg, seed=0)
+        train_representation(TrainConfig(repr_epochs=1), tiny_cfg, store, pool,
+                             np.random.default_rng(0))
+        assert with_gradients(store) == names_under(store, ENCODER_SECTIONS)
+
+    def test_phase2_only_policy_and_critic(self, tiny_cfg, two_by_two):
+        cfg = TrainConfig(policy_epochs=1, batch_size=2, seed=0)
+        store = build_model(tiny_cfg, seed=0)
+        pool = InstancePool(cfg, np.random.default_rng(0), frozen=[two_by_two])
+        train_policy(cfg, tiny_cfg, store, pool, np.random.default_rng(0))
+        assert with_gradients(store) == names_under(store, ("policy.", "critic."))
 
 
 class TestScaledQ:
