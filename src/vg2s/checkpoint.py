@@ -87,7 +87,9 @@ def save_checkpoint(store: ParamStore, path) -> None:
         raise _non_finite(path, store)
     manifest, offset = [], 0
     for name, data in zip(names, arrays):
-        manifest.append({"name": name, "shape": list(data.shape), "byte_offset": offset})
+        # the parameter's own shape: ascontiguousarray makes a 0-d one 1-d
+        manifest.append({"name": name, "shape": list(store[name].data.shape),
+                         "byte_offset": offset})
         offset += data.nbytes
     header = json.dumps(manifest, separators=(",", ":"), sort_keys=False).encode()
     path = Path(path)

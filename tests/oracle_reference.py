@@ -6,10 +6,11 @@ all; its node count is the number of interleavings.
 
 `reference_branch_and_bound` is the straightforward form of the same search: every candidate child
 of the Giffler-Thompson conflict set is placed, bounded by an O(n + m) loop
-over all machines and jobs, and unplaced again before the children are
-sorted.  Its node count keeps the old accounting, in which every ancestor of
-an aborted child counts one more sibling; compare `nodes_explored` only for
-proven searches.
+over all machines and jobs (ready time + remaining work, a job's ready time
+raised to its next op's machine's), and unplaced again before the children
+are sorted.  Its node count keeps the old accounting, in which every
+ancestor of an aborted child counts one more sibling; compare
+`nodes_explored` only for proven searches.
 """
 
 from __future__ import annotations
@@ -62,7 +63,11 @@ class _Search:
         for i in range(self.inst.m):
             b = max(b, self.machine_ready[i] + self.machine_remaining[i])
         for j in range(self.inst.n):
-            b = max(b, self.job_ready[j] + self.job_remaining[j])
+            r = self.job_ready[j]
+            k = self.next_op[j]
+            if k < self.inst.m:  # no earlier than its next op's machine frees
+                r = max(r, self.machine_ready[self.inst.ops[j][k][0]])
+            b = max(b, r + self.job_remaining[j])
         return b
 
     def record_if_better(self):

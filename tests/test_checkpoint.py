@@ -166,16 +166,22 @@ class TestCheckpointIO:
         assert pa.read_bytes() == pb.read_bytes()
 
     def test_scalar_parameter(self, tmp_path):
+        """A 0-d parameter loads back 0-d, so the store that saved it takes
+        its own checkpoint back through update."""
         store = ParamStore()
         store.add("critic.bias", 1.5)
         path = tmp_path / "s.ckpt"
         save_checkpoint(store, path)
-        assert load_checkpoint(path)["critic.bias"].data.item() == 1.5
+        loaded = load_checkpoint(path)
+        assert loaded["critic.bias"].data.shape == ()
+        store["critic.bias"].data[...] = 0.0
+        store.update(loaded)
+        assert store["critic.bias"].data.shape == () and store["critic.bias"].data == 1.5
 
     def test_byte_layout(self, tmp_path):
         """The file is MAGIC, the little-endian u64 manifest length, the
         compact JSON manifest, then every value as little-endian float64,
-        parameter after parameter; a 0-d parameter is stored as shape [1]."""
+        parameter after parameter; a 0-d parameter is stored as shape []."""
         store = ParamStore()
         store.add("empty", np.zeros((0, 2)))
         store.add("scalar", -2.5)
@@ -183,7 +189,7 @@ class TestCheckpointIO:
         path = tmp_path / "layout.ckpt"
         save_checkpoint(store, path)
         header = (b'[{"name":"empty","shape":[0,2],"byte_offset":0},'
-                  b'{"name":"scalar","shape":[1],"byte_offset":0},'
+                  b'{"name":"scalar","shape":[],"byte_offset":0},'
                   b'{"name":"matrix","shape":[3,2],"byte_offset":8}]')
         values = struct.pack("<7d", -2.5, 0.0, 3.0, 1.0, 4.0, 2.0, 5.0)
         assert path.read_bytes() == MAGIC + struct.pack("<Q", len(header)) + header + values
